@@ -95,10 +95,6 @@ def is_nonsingular(a: int, b: int, c: int) -> bool:
     return all(v != 0 for v in nonsingularity_factors(a, b, c).values())
 
 
-#: Alias kept for callers that phrase this as a check.
-check_nonsingular = is_nonsingular
-
-
 def _nonresidue_condition(index: int, label: int, value: int) -> ConditionReport:
     """Shared body of conditions (1) and (2): ``label`` must be a
     non-square modulo every prime divisor of ``value``."""
@@ -484,19 +480,13 @@ def evaluate_triplet(
 ) -> TripletReport:
     """Run the requested screens (default: all eight) on one triplet."""
     wanted = sorted(set(conditions or range(1, 9)))
-    factors = nonsingularity_factors(a, b, c)
-    reports = []
-    for idx in wanted:
-        if idx in _CHEAP:
-            reports.append(_CHEAP[idx](a, b, c))
-        elif idx == 7:
-            reports.append(local_solvability(a, b, c, prime_bound))
-        elif idx == 8:
-            reports.append(galois_generality_proxy(a, b, c, depth))
-        else:
-            raise ValueError(f"no condition {idx}")
+    reports = [
+        check_condition(a, b, c, idx, prime_bound=prime_bound, depth=depth)
+        for idx in wanted
+    ]
+    nonsingular = is_nonsingular(a, b, c)
     verdicts = [r.verdict for r in reports]
-    if not is_nonsingular(a, b, c):
+    if not nonsingular:
         overall = FAIL
     elif FAIL in verdicts:
         overall = FAIL
@@ -511,8 +501,8 @@ def evaluate_triplet(
         b=b,
         c=c,
         prime_bound=prime_bound,
-        nonsingular=is_nonsingular(a, b, c),
-        factors=factors,
+        nonsingular=nonsingular,
+        factors=nonsingularity_factors(a, b, c),
         conditions=reports,
         overall=overall,
     )

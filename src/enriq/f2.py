@@ -2,11 +2,13 @@
 
 Vectors in F2^n are Python ints (bit i = coordinate i); addition is XOR.
 Everything here is exact and deterministic; dimensions stay tiny (n <= 16),
-so plain Gaussian elimination is all we need.
+so plain Gaussian elimination is all we need.  Linear maps of F2^k are
+given by the images of the k unit vectors.
 """
 
 from __future__ import annotations
 
+from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -36,13 +38,6 @@ def in_span(vectors: Sequence[int], v: int) -> bool:
     for b in echelon(vectors):
         v = min(v, v ^ b)
     return v == 0
-
-
-def span_elements(vectors: Sequence[int]) -> frozenset:
-    out = {0}
-    for b in vectors:
-        out |= {x ^ b for x in out}
-    return frozenset(out)
 
 
 def express(basis: Sequence[int], v: int, n: int) -> Optional[list[int]]:
@@ -109,64 +104,35 @@ def nullspace(images: Sequence[int]) -> list[int]:
     return null
 
 
-def fixed_space(
-    endos: Sequence[Sequence[int]], space_basis: Sequence[int], n: int
-) -> list[int]:
-    """Common fixed vectors of endomorphisms of a subspace of F2^n.
+def fixed_space(endos: Sequence[Sequence[int]], k: int) -> list[int]:
+    """Echelon basis of the vectors of F2^k fixed by every endomorphism.
 
-    Each endo is given by its images of space_basis; endos must map the
-    subspace into itself.  Returns an echelon basis of the fixed space,
-    as vectors in F2^n.
+    Each endomorphism lists the images of the k unit vectors.  The fixed
+    space is the nullspace of x -> ((A_m - 1) x)_m, the maps A_m - 1
+    stacked side by side in disjoint k-bit fields.
     """
-    k = len(space_basis)
-    mats = []
-    for endo in endos:
-        cols = []
-        for img in endo:
-            coeff = express(space_basis, img, n)
-            if coeff is None:
-                raise ValueError("endomorphism does not preserve the subspace")
-            cols.append(coeff)
-        mats.append(cols)
-    stacked: list[int] = []  # images of domain basis under x -> ((A_m - 1)x)_m
-    for j in range(k):
-        img = 0
-        for m_idx, cols in enumerate(mats):
-            for i in range(k):
-                if cols[j][i] ^ (1 if i == j else 0):
-                    img ^= 1 << (m_idx * k + i)
-        stacked.append(img)
-    out = []
-    for tag in nullspace(stacked):
-        vec = 0
-        for j in range(k):
-            if (tag >> j) & 1:
-                vec ^= space_basis[j]
-        out.append(vec)
-    return echelon(out)
+    if any(img >> k for endo in endos for img in endo):
+        raise ValueError(f"endomorphism image outside F2^{k}")
+    stacked = [
+        sum((endo[j] ^ (1 << j)) << (m * k) for m, endo in enumerate(endos))
+        for j in range(k)
+    ]
+    return echelon(nullspace(stacked))
 
 
-def all_subspaces(basis: Sequence[int], dim: int) -> Iterator[list[int]]:
-    """All subspaces of the given dimension inside span(basis).
+def all_subspaces(n: int, dim: int) -> Iterator[list[int]]:
+    """Every dim-dimensional subspace of F2^n, each exactly once.
 
-    Enumerated via deduplicated element sets; intended for tiny spaces.
+    A subspace is produced as its reduced echelon basis (descending
+    leading bits): choose the dim pivot bits, then every value of the
+    non-pivot bits below each pivot.  That gives the Gaussian binomial
+    [n dim]_2 subspaces in all.
     """
-    space = echelon(basis)
-    if dim > len(space):
-        return
-    all_vectors = sorted(span_elements(space) - {0})
-    seen: set[frozenset] = set()
-
-    def rec(chosen: list[int], start: int) -> Iterator[list[int]]:
-        if len(chosen) == dim:
-            key = span_elements(chosen)
-            if key not in seen:
-                seen.add(key)
-                yield echelon(chosen)
-            return
-        for idx in range(start, len(all_vectors)):
-            v = all_vectors[idx]
-            if not in_span(chosen, v):
-                yield from rec(chosen + [v], idx + 1)
-
-    yield from rec([], 0)
+    for pivots in combinations(range(n - 1, -1, -1), dim):
+        slots = [(i, j) for i, p in enumerate(pivots)
+                 for j in range(p) if j not in pivots]
+        for bits in product((0, 1), repeat=len(slots)):
+            rows = [1 << p for p in pivots]
+            for (i, j), bit in zip(slots, bits):
+                rows[i] |= bit << j
+            yield rows

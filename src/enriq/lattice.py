@@ -7,8 +7,13 @@ half-integer classes Z1..Z4 they span a rank-15 even lattice.  This module
 provides
 
 * exact Gram pairing of arbitrary rational combinations (:func:`gram`);
+* coordinates over the integral basis LATTICE_BASIS
+  (:func:`lattice_coords`), one product with the basis-change inverse,
+  which is computed once by exact Gauss-Jordan elimination and cached;
 * the rank-6 sublattice pulled back from the del Pezzo quotient
-  (:func:`pullback_sublattice`) with an integral membership test;
+  (:func:`pullback_sublattice`) with an integral membership test through
+  the left inverse (G^T G)^-1 G^T of its 15x6 generator matrix G: the
+  coefficients c = L x must be integral and reproduce x = G c;
 * the 9-dimensional F2 quotient by that sublattice plus doubles
   (:func:`quotient_F2`) carrying the induced Galois action;
 * fixed-subspace computations (:func:`invariants_under`) and the
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
 from . import actions, datafiles, f2
@@ -154,15 +159,25 @@ def exceptional_pullback(label: str) -> Vector:
 # -- integral structure -------------------------------------------------
 
 
-def _solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Unique solution of a square nonsingular system, or None if
-    inconsistent/singular (exact Gaussian elimination)."""
+Matrix = tuple[Vector, ...]
+
+
+def _transpose(rows: Sequence[Sequence[Fraction]]) -> Matrix:
+    return tuple(zip(*rows))
+
+
+def _inverse(matrix: Sequence[Sequence[Fraction]]) -> Matrix:
+    """Inverse of a square matrix by exact Gauss-Jordan elimination;
+    raises ArithmeticError when the matrix is singular."""
     n = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
-            return None
+            raise ArithmeticError("singular matrix")
         aug[col], aug[piv] = aug[piv], aug[col]
         p = aug[col][col]
         aug[col] = [x / p for x in aug[col]]
@@ -170,26 +185,39 @@ def _solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
             if r != col and aug[r][col]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def _apply(matrix: Sequence[Sequence[Fraction]], vector: Sequence[Fraction]) -> Vector:
+    """Matrix-vector product."""
+    return tuple(
+        sum((m * v for m, v in zip(row, vector) if m and v), Fraction(0))
+        for row in matrix
+    )
 
 
 @lru_cache(maxsize=1)
-def _basis_matrix() -> tuple[tuple[Fraction, ...], ...]:
-    cols = [class_vector(n) for n in LATTICE_BASIS]
-    return tuple(tuple(cols[j][i] for j in range(RANK)) for i in range(RANK))
+def _basis_inverse() -> Matrix:
+    return _inverse(_transpose([class_vector(n) for n in LATTICE_BASIS]))
 
 
 def lattice_coords(x: ClassLike) -> Vector:
     """Coordinates over LATTICE_BASIS (rational for arbitrary input;
     integral exactly when the element lies in the lattice)."""
-    sol = _solve(_basis_matrix(), as_vector(x))
-    if sol is None:  # pragma: no cover - basis matrix is nonsingular
-        raise ArithmeticError("lattice basis failed to span")
-    return tuple(sol)
+    return _apply(_basis_inverse(), as_vector(x))
 
 
 def in_lattice(x: ClassLike) -> bool:
     return all(c.denominator == 1 for c in lattice_coords(x))
+
+
+def _mod2_mask(x: ClassLike) -> int:
+    """LATTICE_BASIS coordinates of a lattice element reduced mod 2, as a
+    bitmask (bit i = coordinate i)."""
+    coords = lattice_coords(x)
+    if any(c.denominator != 1 for c in coords):
+        raise ValueError("element lies outside the lattice")
+    return sum((c.numerator & 1) << i for i, c in enumerate(coords))
 
 
 @dataclass(frozen=True)
@@ -202,37 +230,24 @@ class PullbackSublattice:
     def rank(self) -> int:
         return 6
 
+    @cached_property
+    def _left_inverse(self) -> Matrix:
+        """(G^T G)^-1 G^T for the 15x6 generator matrix G; raises
+        ArithmeticError when the generators are Q-dependent."""
+        gram_gg = [[sum(a * b for a, b in zip(g, h)) for h in self.generators]
+                   for g in self.generators]
+        inv = _inverse(gram_gg)
+        return _transpose([_apply(inv, row) for row in _transpose(self.generators)])
+
     def membership_coordinates(self, x: ClassLike) -> Optional[tuple[int, ...]]:
         """Integer coefficients expressing ``x`` over the generators, or
         None when ``x`` is outside the span."""
         target = as_vector(x)
-        # Solve the 15x6 overdetermined system exactly: reduce [G | target].
-        aug = [
-            [self.generators[j][i] for j in range(6)] + [target[i]]
-            for i in range(RANK)
-        ]
-        piv_rows: list[list[Fraction]] = []
-        piv_cols: list[int] = []
-        for row in aug:
-            row = list(row)
-            for pr, pc in zip(piv_rows, piv_cols):
-                if row[pc]:
-                    f = row[pc]
-                    row = [x0 - f * y for x0, y in zip(row, pr)]
-            lead = next((c for c in range(6) if row[c]), None)
-            if lead is None:
-                if row[6]:
-                    return None  # inconsistent: 0 = nonzero
-                continue
-            row = [x0 / row[lead] for x0 in row]
-            piv_rows.append(row)
-            piv_cols.append(lead)
-        coeffs = [Fraction(0)] * 6
-        for pr, pc in sorted(zip(piv_rows, piv_cols), key=lambda t: -t[1]):
-            val = pr[6] - sum(pr[c] * coeffs[c] for c in range(pc + 1, 6))
-            coeffs[pc] = val
+        coeffs = _apply(self._left_inverse, target)
         if any(c.denominator != 1 for c in coeffs):
             return None
+        if _apply(_transpose(self.generators), coeffs) != target:
+            return None  # outside the rational span
         return tuple(int(c) for c in coeffs)
 
     def contains(self, x: ClassLike) -> bool:
@@ -244,20 +259,20 @@ class PullbackSublattice:
 
 @lru_cache(maxsize=1)
 def pullback_sublattice() -> PullbackSublattice:
+    """The pulled-back sublattice from the shipped generators.
+
+    Certification rests on the six generators being lattice elements that
+    stay independent mod 2; both are checked with explicit errors (not
+    asserts, so they hold under ``python -O``) raising ArithmeticError.
+    """
     gens = tuple(as_vector(d) for d in _data()["pi_star_pic_s"])
-    sub = PullbackSublattice(gens)
-    # The six generators are Q-independent: the membership solve is unique.
-    ranked = [lattice_coords(g) for g in gens]
-    assert all(all(c.denominator == 1 for c in v) for v in ranked)
-    assert _f2_rank_of(ranked) == 6, "pullback generators degenerate mod 2"
-    return sub
-
-
-def _f2_rank_of(coord_vectors) -> int:
-    masks = [
-        sum((int(c) & 1) << i for i, c in enumerate(v)) for v in coord_vectors
-    ]
-    return f2.rank(masks)
+    try:
+        masks = [_mod2_mask(g) for g in gens]
+    except ValueError as exc:
+        raise ArithmeticError(f"pullback generator: {exc}") from exc
+    if f2.rank(masks) != 6:
+        raise ArithmeticError("pullback generators degenerate mod 2")
+    return PullbackSublattice(gens)
 
 
 # -- the F2 quotient ----------------------------------------------------
@@ -275,26 +290,18 @@ class QuotientF2:
     def __init__(self):
         data = _data()
         self.basis_names: tuple[str, ...] = tuple(data["quotient_basis"])
-        self._pi_masks = [self._lattice_mask(v) for v in pullback_sublattice().generators]
-        self._basis_masks = [self._lattice_mask(class_vector(n)) for n in self.basis_names]
-        self._full_basis = self._basis_masks + self._pi_masks
-        if f2.rank(self._pi_masks) != 6 or f2.rank(self._full_basis) != RANK:
+        pi_masks = [_mod2_mask(v) for v in pullback_sublattice().generators]
+        self._full_basis = [_mod2_mask(n) for n in self.basis_names] + pi_masks
+        if f2.rank(self._full_basis) != RANK:
             raise ArithmeticError("quotient basis does not complement the pullback span")
 
     @property
     def dimension(self) -> int:
         return len(self.basis_names)
 
-    @staticmethod
-    def _lattice_mask(x: ClassLike) -> int:
-        coords = lattice_coords(x)
-        if any(c.denominator != 1 for c in coords):
-            raise ValueError("element lies outside the lattice")
-        return sum((int(c) & 1) << i for i, c in enumerate(coords))
-
     def image(self, x: ClassLike) -> int:
         """Quotient coordinates of a lattice element, as a 9-bit mask."""
-        coeffs = f2.express(self._full_basis, self._lattice_mask(x), RANK)
+        coeffs = f2.express(self._full_basis, _mod2_mask(x), RANK)
         if coeffs is None:  # pragma: no cover - full_basis spans F2^15
             raise ArithmeticError("quotient expression failed")
         return sum(bit << i for i, bit in enumerate(coeffs[: self.dimension]))
@@ -370,8 +377,7 @@ def invariants_under(subgroup) -> Subspace:
         if name not in table:
             raise ValueError(f"unknown Galois row {name!r}")
         endos.append(q.action(name))
-    unit = [1 << i for i in range(q.dimension)]
-    fixed = f2.fixed_space(endos, unit, q.dimension)
+    fixed = f2.fixed_space(endos, q.dimension)
     return Subspace(
         basis_masks=tuple(fixed),
         basis_names=tuple(tuple(q.image_names(m)) for m in fixed),
@@ -479,16 +485,7 @@ def galois_matrix(row) -> tuple[tuple[Fraction, ...], ...]:
     if isinstance(row, str):
         row = actions.rows_by_name()[row]
     perm = row.class_permutation()
-    cols = [class_vector(perm[name]) for name in ambient_basis()]
-    return tuple(tuple(cols[j][i] for j in range(RANK)) for i in range(RANK))
-
-
-def _matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n) if a[i][k]) for j in range(n))
-        for i in range(n)
-    )
+    return _transpose([class_vector(perm[name]) for name in ambient_basis()])
 
 
 def verify_galois_isometries() -> bool:
@@ -498,9 +495,8 @@ def verify_galois_isometries() -> bool:
     fibre_sum = as_vector({"F1": 1, "G1": 1})
     q = quotient_F2()
     for row in actions.load_rows():
-        a = galois_matrix(row)
-        at = tuple(tuple(a[j][i] for j in range(RANK)) for i in range(RANK))
-        if _matmul(at, _matmul(mat, a)) != mat:
+        at = _transpose(galois_matrix(row))  # rows = images of the unit classes
+        if tuple(_apply(at, _apply(mat, col)) for col in at) != mat:
             return False
         perm = row.class_permutation()
         for name in GENERATORS:

@@ -176,9 +176,7 @@ class F2GModule:
     def fixed_subspace(self, row_names: Optional[Iterable[str]] = None) -> list[int]:
         """Echelon basis (coordinate masks) of the common fixed space."""
         names = list(self.actions) if row_names is None else list(row_names)
-        endos = [self.actions[n] for n in names]
-        unit = [1 << i for i in range(self.dimension)]
-        return f2.fixed_space(endos, unit, self.dimension)
+        return f2.fixed_space([self.actions[n] for n in names], self.dimension)
 
 
 @lru_cache(maxsize=1)
@@ -251,16 +249,17 @@ def enumerate_invariant_submodules(module: F2GModule, index: int) -> list[Submod
     """All Galois-invariant submodules of the given index, exhaustively.
 
     The spaces involved are tiny (dimension <= 5), so every subspace of
-    the right dimension is generated and filtered for invariance.
+    the right dimension is generated once, by its reduced echelon basis
+    (:func:`f2.all_subspaces`), and kept when every row maps the basis
+    into its span.
     """
     if index < 1 or index & (index - 1):
         raise ValueError("index must be a power of 2")
     dim = module.dimension - index.bit_length() + 1
     if dim < 0:
         return []
-    full = [1 << i for i in range(module.dimension)]
     out = []
-    for basis in f2.all_subspaces(full, dim):
+    for basis in f2.all_subspaces(module.dimension, dim):
         if all(f2.in_span(basis, module.act(name, b))
                for name in module.actions for b in basis):
             out.append(Submodule(

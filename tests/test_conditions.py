@@ -19,7 +19,6 @@ from enriq.conditions import (
     UNKNOWN,
     WITNESS,
     check_condition,
-    check_nonsingular,
     condition3,
     condition4,
     evaluate_triplet,
@@ -55,7 +54,6 @@ def test_witness_nonsingularity_factors():
         "c^2-100ab": -133031,
         "c^2+5bc+10ac+25ab": 42244,
     }
-    assert check_nonsingular is is_nonsingular
     # c^2 = 100ab kills one factor:
     assert not is_nonsingular(1, 1, 10)
 

@@ -1,0 +1,72 @@
+"""F2 bitmask linear algebra against brute force.
+
+Subspace enumeration is checked against the Gaussian binomial count and
+against element sets built by brute-force XOR closure; fixed spaces are
+checked against a scan of all 2^k vectors.
+"""
+
+from functools import reduce
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from enriq import f2
+
+
+def gaussian_binomial(n, k):
+    """Number of k-dimensional subspaces of F2^n."""
+    num = reduce(lambda acc, i: acc * (2 ** (n - i) - 1), range(k), 1)
+    den = reduce(lambda acc, i: acc * (2 ** (i + 1) - 1), range(k), 1)
+    return num // den
+
+
+def span_set(vectors):
+    out = {0}
+    for v in vectors:
+        out |= {x ^ v for x in out}
+    return frozenset(out)
+
+
+def apply(images, x):
+    return reduce(lambda acc, j: acc ^ images[j] if (x >> j) & 1 else acc,
+                  range(len(images)), 0)
+
+
+def test_gaussian_binomial_row_five():
+    assert [gaussian_binomial(5, k) for k in range(6)] == [1, 31, 155, 155, 31, 1]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_all_subspaces_each_once(n):
+    for k in range(n + 2):
+        bases = list(f2.all_subspaces(n, k))
+        spans = {span_set(b) for b in bases}
+        assert len(bases) == len(spans) == gaussian_binomial(n, k)
+        for basis in bases:
+            assert f2.rank(basis) == k
+            assert all(v < 2 ** n for v in basis)
+            assert basis == f2.echelon(basis)
+
+
+endomorphisms = st.integers(1, 5).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.lists(st.lists(st.integers(0, 2 ** k - 1), min_size=k, max_size=k),
+                 max_size=3),
+    )
+)
+
+
+@given(endomorphisms)
+def test_fixed_space_matches_brute_force(case):
+    k, endos = case
+    fixed = f2.fixed_space(endos, k)
+    brute = {x for x in range(2 ** k) if all(apply(e, x) == x for e in endos)}
+    assert span_set(fixed) == brute
+    assert fixed == f2.echelon(fixed) and f2.rank(fixed) == len(fixed)
+
+
+def test_fixed_space_rejects_images_outside_the_space():
+    with pytest.raises(ValueError):
+        f2.fixed_space([[0b100, 0b10]], 2)

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from enriq import lattice
 from enriq.lattice import (
@@ -103,6 +105,54 @@ def test_half_sums_are_not_lattice_points():
     assert in_lattice({"F1": 1, "G1": 1})
 
 
+def _sympy_coords(x):
+    cols = [class_vector(n) for n in LATTICE_BASIS]
+    b = sympy.Matrix(RANK, RANK, lambda i, j: sympy.Rational(cols[j][i]))
+    rhs = sympy.Matrix([sympy.Rational(c) for c in as_vector(x)])
+    return tuple(Fraction(int(c.p), int(c.q)) for c in b.LUsolve(rhs))
+
+
+def test_lattice_coords_match_sympy():
+    combos = [
+        {"F1": Fraction(1, 2), "G1": Fraction(1, 2)},
+        {"Z2": 3, "F5": Fraction(-2, 7), "G9": 1},
+        {"Z4": Fraction(5, 3), "F13": -4},
+    ]
+    names = list(GENERATORS) + [f"G{j}" for j in range(1, 15)]
+    for x in names + combos:
+        assert lattice_coords(x) == _sympy_coords(x)
+
+
+@given(st.lists(st.integers(-40, 40), min_size=RANK, max_size=RANK))
+def test_integer_combinations_of_the_basis_come_back(coeffs):
+    x = dict(zip(LATTICE_BASIS, coeffs))
+    assert lattice_coords(x) == tuple(coeffs)
+
+
+@given(st.lists(st.integers(-40, 40), min_size=6, max_size=6))
+def test_membership_recovers_integer_combinations(coeffs):
+    sub = pullback_sublattice()
+    x = [sum(c * g[i] for c, g in zip(coeffs, sub.generators)) for i in range(RANK)]
+    assert sub.membership_coordinates(x) == tuple(coeffs)
+
+
+@pytest.mark.parametrize(
+    "doctored",
+    [{"G1": 2}, {"F1": Fraction(1, 2)}],
+    ids=["generator-doubled", "generator-outside-lattice"],
+)
+def test_pullback_guard_raises(monkeypatch, doctored):
+    data = lattice._data()
+    gens = [doctored] + list(data["pi_star_pic_s"][1:])
+    monkeypatch.setattr(lattice, "_data", lambda: {**data, "pi_star_pic_s": gens})
+    pullback_sublattice.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            pullback_sublattice()
+    finally:
+        pullback_sublattice.cache_clear()
+
+
 def test_pullback_sublattice_memberships():
     sub = pullback_sublattice()
     assert sub.rank == 6
@@ -111,6 +161,9 @@ def test_pullback_sublattice_memberships():
     assert sub.contains({"Z1": 1, "F2": -1, "F10": -1, "F12": -1})
     coeffs = sub.membership_coordinates("G1")
     assert coeffs is not None and all(isinstance(c, int) for c in coeffs)
+    # in the rational span but not the integral one, and outside both
+    assert sub.membership_coordinates({"G1": Fraction(1, 2)}) is None
+    assert sub.membership_coordinates("F5") is None
 
 
 def test_quotient_dimension_and_basis():
