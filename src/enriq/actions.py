@@ -90,7 +90,8 @@ class GaloisRow:
 def load_rows() -> tuple[GaloisRow, ...]:
     payload = datafiles.load("galois_actions.json", "galois-actions/1")
     rows = tuple(GaloisRow.from_dict(d) for d in payload["rows"])
-    assert len(rows) == 17
+    if len(rows) != 17:
+        raise ArithmeticError(f"galois_actions.json has {len(rows)} rows, expected 17")
     return rows
 
 

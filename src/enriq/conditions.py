@@ -92,7 +92,7 @@ def nonsingularity_factors(a: int, b: int, c: int) -> dict:
 
 
 def is_nonsingular(a: int, b: int, c: int) -> bool:
-    return all(v != 0 for v in nonsingularity_factors(a, b, c).values())
+    return all(nonsingularity_factors(a, b, c).values())
 
 
 def _nonresidue_condition(index: int, label: int, value: int) -> ConditionReport:
@@ -480,11 +480,20 @@ def evaluate_triplet(
 ) -> TripletReport:
     """Run the requested screens (default: all eight) on one triplet."""
     wanted = sorted(set(conditions or range(1, 9)))
+    return _triplet_report(a, b, c, prime_bound, wanted, depth, {},
+                           nonsingularity_factors(a, b, c))
+
+
+def _triplet_report(a: int, b: int, c: int, prime_bound: int, wanted: Sequence[int],
+                    depth: int, done: dict, factors: dict) -> TripletReport:
+    """The report on the screens in ``wanted``, reusing the reports in
+    ``done`` (by index) and the given nonsingularity factors."""
     reports = [
-        check_condition(a, b, c, idx, prime_bound=prime_bound, depth=depth)
+        done[idx] if idx in done
+        else check_condition(a, b, c, idx, prime_bound=prime_bound, depth=depth)
         for idx in wanted
     ]
-    nonsingular = is_nonsingular(a, b, c)
+    nonsingular = all(factors.values())
     verdicts = [r.verdict for r in reports]
     if not nonsingular:
         overall = FAIL
@@ -502,7 +511,7 @@ def evaluate_triplet(
         c=c,
         prime_bound=prime_bound,
         nonsingular=nonsingular,
-        factors=nonsingularity_factors(a, b, c),
+        factors=factors,
         conditions=reports,
         overall=overall,
     )
@@ -516,20 +525,26 @@ def search_triplets(
     """Lexicographic scan of a box [a0..a1] x [b0..b1] x [c0..c1].
 
     Nonsingularity and the residue screens (5), (6) are always applied
-    first as cheap filters; surviving triplets get the full requested
-    battery.  Yields reports only for triplets passing everything asked.
+    first as cheap filters; surviving triplets get the rest of the
+    requested battery, and every screen runs once per triplet.  Yields
+    reports only for triplets passing everything asked.
     """
     (a0, a1), (b0, b1), (c0, c1) = box
     wanted = sorted(set(conditions or range(1, 9)))
     for a in range(a0, a1 + 1):
         for b in range(b0, b1 + 1):
             for c in range(c0, c1 + 1):
-                if not is_nonsingular(a, b, c):
+                factors = nonsingularity_factors(a, b, c)
+                if not all(factors.values()):
                     continue
-                if 5 in wanted and condition5(a, b, c).verdict != PASS:
-                    continue
-                if 6 in wanted and condition6(a, b, c).verdict != PASS:
-                    continue
-                report = evaluate_triplet(a, b, c, prime_bound, wanted)
-                if report.overall in (PASS, PROBABLE):
-                    yield report
+                done = {}
+                for idx in (5, 6):
+                    if idx in wanted:
+                        done[idx] = check_condition(a, b, c, idx)
+                        if done[idx].verdict != PASS:
+                            break
+                else:
+                    report = _triplet_report(a, b, c, prime_bound, wanted,
+                                             DEFAULT_SQUARE_DEPTH, done, factors)
+                    if report.overall in (PASS, PROBABLE):
+                        yield report

@@ -13,21 +13,19 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 
 def echelon(vectors: Iterable[int]) -> list[int]:
-    """Canonical reduced basis (descending leading bits) of the span."""
+    """Canonical reduced basis (descending leading bits) of the span.
+
+    Each leading bit is set in its own basis vector only, so the result
+    depends on the span alone, not on the order of the input.
+    """
     basis: list[int] = []
     for v in vectors:
         for b in basis:
             v = min(v, v ^ b)
         if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    out: list[int] = []
-    for b in sorted(basis, reverse=True):
-        for o in out:
-            if b & (1 << (o.bit_length() - 1)):
-                b ^= o
-        out.append(b)
-    return sorted(out, reverse=True)
+            top = 1 << (v.bit_length() - 1)
+            basis = sorted([b ^ v if b & top else b for b in basis] + [v], reverse=True)
+    return basis
 
 
 def rank(vectors: Iterable[int]) -> int:

@@ -10,22 +10,41 @@ The interesting operations are ``is_square`` (a certified descent through
 the levels, with an honest Unknown verdict past a recursion budget),
 inversion by conjugate norms, and validated automorphisms given by images
 of the roots.
+
+Two certified filters run ahead of the descent at every level (see
+``Tower.is_square`` for their exact conditions): a rational argument
+inside the prefix of steps with rational radicands is decided by its
+Kummer class, and ring maps of each level into F_{p^2} may certify that an
+argument is not a square.  The descent stays the only source of a True
+verdict for a non-rational argument.  The maps go to F_{p^2} rather than
+F_p because the rational radicands alone cut the density of primes with a
+map into F_p to 2^-r for r independent radicands (2^-8 for K(a, b, c)),
+while every rational radicand has a square root in F_{p^2}.
 """
 
 from __future__ import annotations
 
 import ast
 import json
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Union
 
-from .arith import Rational, rational_is_square, rational_sqrt
+from .arith import MR_BOUND, factorize, is_prime, rational_is_square, rational_sqrt
+from .f2 import express
 
 Scalar = Union[int, Fraction]
 
 #: Default budget for nested norm-equation recursions inside is_square.
 DEFAULT_SQUARE_DEPTH = 8
+
+#: Ring maps into F_{p^2} that the non-residue sieve keeps per level.
+SIEVE_MAPS = 8
+#: The sieve scans primes p = 3 (mod 4) upwards from this one ...
+SIEVE_START = 10007
+#: ... and tries at most this many of them per tower.
+SIEVE_SCAN = 1024
 
 
 class DegenerateStepError(ArithmeticError):
@@ -69,7 +88,19 @@ class Tower:
         self._inv_radicand: dict[int, TowerElem] = {}
         self._mono_cache: dict[frozenset, "TowerElem"] = {}
         self._sq_cache: dict = {}
-        self._lift_ok: set[int] = set()
+        #: prefix towers whose elements lift into this one
+        self._lift_ok: weakref.WeakSet[Tower] = weakref.WeakSet()
+        #: Kummer data of the rational prefix: bit of each prime (bit 0 is
+        #: the sign), one class vector per prefix step, and whether the
+        #: prefix may still grow.
+        self._kummer_bits: dict[int, int] = {}
+        self._kummer_vecs: list[int] = []
+        self._kummer_open = True
+        #: sieve maps in prime order, the next prime to try, and the maps
+        #: chosen for each level
+        self._sieve_pool: list[_ResidueMap] = []
+        self._sieve_next = SIEVE_START
+        self._sieve_maps: dict[int, list[_ResidueMap]] = {}
 
     # -- construction -------------------------------------------------
 
@@ -165,10 +196,33 @@ class Tower:
         (the expensive mixed-term case) are attempted before giving up with
         an Unknown verdict.  Levels where the element has no mixed term are
         free and do not consume budget.
+
+        Two filters run ahead of the descent at each level L:
+
+        * Kummer classes.  While steps 0..L all have rational radicands
+          d_i, a rational x is a square iff its square class (sign and
+          prime parities) lies in the F2 span of the d_i's classes.  The
+          radicands are factored once per tower, and only complete
+          factorizations count; x is never factored: the radicands' primes
+          are stripped from it and the cofactor must be a perfect square.
+          The witness is q * prod_{i in S} root_i, the one the descent
+          finds.
+        * A non-residue sieve.  Level L keeps up to SIEVE_MAPS ring maps
+          phi: K_L -> F_p[t]/(t^2 + 1) = F_{p^2}, p = 3 (mod 4), scanning
+          primes upwards from SIEVE_START.  A map is kept only if every
+          radicand d_i (i <= L) has p-integral coefficients, phi(d_i) != 0
+          and phi(root_i)^2 == phi(d_i), checked exactly.  Then every step
+          is etale at p, the local ring at ker(phi) is a DVR, and its
+          residue field lies in F_{p^2}; so for z with p-integral
+          coefficients, phi(z) != 0 and a non-square in F_{p^2} certifies
+          that z is not a square.  The sieve never decides True.
+
+        A True verdict always carries a witness, which is squared and
+        compared with ``z`` here; a mismatch raises ArithmeticError.
         """
         out = self._is_square_at(z, len(self.steps) - 1, depth)
-        if out.verdict is True:
-            assert out.witness * out.witness == z, "internal witness check failed"
+        if out.verdict is True and out.witness * out.witness != z:
+            raise ArithmeticError(f"square witness {out.witness} does not square to {z}")
         return out
 
     def _is_square_at(self, z: "TowerElem", lvl: int, depth: int) -> SquareVerdict:
@@ -187,13 +241,91 @@ class Tower:
             if rational_is_square(x):
                 return SquareVerdict(True, self.rational(rational_sqrt(x)))
             return SquareVerdict(False)
+        if lvl < self._kummer_prefix() and z.is_rational():
+            return self._kummer_square(z.as_rational(), lvl)
         key = (frozenset(z.coeffs.items()), lvl, depth)
         hit = self._sq_cache.get(key)
         if hit is not None:
             return hit
-        out = self._descend_square(z, lvl, depth)
+        if any(phi.rules_out_square(z) for phi in self._residue_maps(lvl)):
+            out = SquareVerdict(False)
+        else:
+            out = self._descend_square(z, lvl, depth)
         self._sq_cache[key] = out
         return out
+
+    def _kummer_prefix(self) -> int:
+        """Number of leading steps whose rational radicands are classified.
+
+        Factors each new rational radicand once; the prefix ends at the
+        first radicand that is not rational, has a numerator or denominator
+        beyond MR_BOUND (where factorize may stall on a large prime) or
+        does not factor completely.
+        """
+        while self._kummer_open and len(self._kummer_vecs) < len(self.steps):
+            d = self.steps[len(self._kummer_vecs)].radicand
+            x = d.as_rational() if d.is_rational() else None
+            if x is None or max(abs(x.numerator), x.denominator) >= MR_BOUND:
+                self._kummer_open = False
+                break
+            vec = int(x < 0)
+            for n in (abs(x.numerator), x.denominator):
+                fz = factorize(n)
+                if not fz.complete:
+                    self._kummer_open = False
+                    return len(self._kummer_vecs)
+                for q, e in fz.factors.items():
+                    bit = self._kummer_bits.setdefault(q, len(self._kummer_bits) + 1)
+                    vec ^= (e & 1) << bit
+            self._kummer_vecs.append(vec)
+        return len(self._kummer_vecs)
+
+    def _kummer_square(self, x: Fraction, lvl: int) -> SquareVerdict:
+        """Is the nonzero rational x a square in the field of steps 0..lvl,
+        all of them with classified rational radicands?"""
+        vec = int(x < 0)
+        rest = []
+        for n in (abs(x.numerator), x.denominator):
+            for q, bit in self._kummer_bits.items():
+                while n % q == 0:
+                    n //= q
+                    vec ^= 1 << bit
+            rest.append(n)
+        if not rational_is_square(Fraction(*rest)):
+            return SquareVerdict(False)
+        # add_step admits a radicand only when it is not a square below, so
+        # the classes are independent and the solution is the one the
+        # descent finds
+        coeffs = express(self._kummer_vecs[: lvl + 1], vec, len(self._kummer_bits) + 1)
+        if coeffs is None:
+            return SquareVerdict(False)
+        mono = frozenset(i for i, bit in enumerate(coeffs) if bit)
+        q = rational_sqrt(x / self._mono_product(mono).as_rational())
+        return SquareVerdict(True, TowerElem(self, {mono: q}))
+
+    def _residue_maps(self, lvl: int) -> list["_ResidueMap"]:
+        """The sieve's maps for the field of steps 0..lvl: the first
+        SIEVE_MAPS candidate primes whose map extends that far."""
+        maps = self._sieve_maps.get(lvl)
+        if maps is not None:
+            return maps
+        maps = []
+        pool = self._sieve_pool
+        for n in range(SIEVE_SCAN):
+            if len(maps) == SIEVE_MAPS:
+                break
+            if n == len(pool):
+                while self._sieve_next % 4 != 3 or not is_prime(self._sieve_next):
+                    self._sieve_next += 1
+                pool.append(_ResidueMap(self._sieve_next))
+                self._sieve_next += 1
+            phi = pool[n]
+            while phi.alive and len(phi.images) <= lvl:
+                phi.extend(self.steps[len(phi.images)].radicand)
+            if len(phi.images) > lvl:
+                maps.append(phi)
+        self._sieve_maps[lvl] = maps
+        return maps
 
     def _descend_square(self, z: "TowerElem", lvl: int, depth: int) -> SquareVerdict:
         a, b = z.split(lvl)
@@ -325,7 +457,7 @@ class Tower:
                 raise ValueError("radicand belongs to a different tower")
             radicand = TowerElem(new, radicand.coeffs)
         new.add_step(name, radicand, depth=depth, on_degenerate="error")
-        new._lift_ok.add(id(self))
+        new._lift_ok.add(self)
         return new
 
     def lift(self, elem: "TowerElem") -> "TowerElem":
@@ -333,7 +465,7 @@ class Tower:
         src = elem.tower
         if src is self:
             return elem
-        if id(src) not in self._lift_ok:
+        if src not in self._lift_ok:
             if len(src.steps) > len(self.steps):
                 raise ValueError("element's tower is not a prefix of this one")
             for mine, theirs in zip(self.steps, src.steps):
@@ -344,11 +476,93 @@ class Tower:
                     raise ValueError(
                         "element's tower is not a prefix of this one"
                     )
-            self._lift_ok.add(id(src))
+            self._lift_ok.add(src)
         return TowerElem(self, elem.coeffs)
 
     def __repr__(self) -> str:
         return f"Tower({self.label!r}, steps={self.step_names()})"
+
+
+def _fp2_mul(x: tuple[int, int], y: tuple[int, int], p: int) -> tuple[int, int]:
+    """Product in F_p[t]/(t^2 + 1); elements are pairs (a, b) = a + b t."""
+    return (x[0] * y[0] - x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p
+
+
+def _fp2_sqrt(x: tuple[int, int], p: int) -> Optional[tuple[int, int]]:
+    """A square root of x in F_p[t]/(t^2 + 1) for p = 3 (mod 4), or None.
+
+    Solves u^2 - v^2 = a, 2uv = b for x = a + b t.  Callers check the
+    result by squaring it.
+    """
+    a, b = x
+    e = (p + 1) // 4
+    if b == 0:
+        r = pow(a, e, p)
+        return (r, 0) if r * r % p == a else (0, pow(-a % p, e, p))
+    n = pow((a * a + b * b) % p, e, p)  # square root of the norm, if any
+    for u2 in ((a + n) * (p + 1) // 2 % p, (a - n) * (p + 1) // 2 % p):
+        u = pow(u2, e, p)
+        if u and u * u % p == u2:
+            return u, b * pow(2 * u, -1, p) % p
+    return None
+
+
+class _ResidueMap:
+    """A ring map from the first steps of a tower to F_p[t]/(t^2 + 1).
+
+    ``images[i]`` is the image of root i.  A step is taken on only when its
+    radicand has p-integral coefficients and a nonzero image whose square
+    root, checked by squaring, becomes the root's image; the first step
+    that fails stops the map for good (steps never change).
+    """
+
+    __slots__ = ("p", "images", "alive", "_monos")
+
+    def __init__(self, p: int):
+        self.p = p
+        self.images: list[tuple[int, int]] = []
+        self.alive = True
+        self._monos: dict[frozenset, tuple[int, int]] = {}
+
+    def __call__(self, z: "TowerElem") -> Optional[tuple[int, int]]:
+        """phi(z), or None when a coefficient of z is not p-integral."""
+        p = self.p
+        re = im = 0
+        for mono, c in z.coeffs.items():
+            den = c.denominator % p
+            if not den:
+                return None
+            img = self._monos.get(mono)
+            if img is None:
+                img = (1, 0)
+                for i in mono:
+                    img = _fp2_mul(img, self.images[i], p)
+                self._monos[mono] = img
+            k = c.numerator * pow(den, -1, p)
+            re += k * img[0]
+            im += k * img[1]
+        return re % p, im % p
+
+    def extend(self, radicand: "TowerElem") -> None:
+        d = self(radicand)
+        root = None if d is None or d == (0, 0) else _fp2_sqrt(d, self.p)
+        if root is None or _fp2_mul(root, root, self.p) != d:
+            self.alive = False
+        else:
+            self.images.append(root)
+
+    def rules_out_square(self, z: "TowerElem") -> bool:
+        """True when phi(z) is a nonzero non-square of F_{p^2}; z must be
+        an element of the field this map is defined on.
+
+        x = a + b t is a square in F_{p^2} iff its norm a^2 + b^2 is a
+        square in F_p, as the norm map onto F_p^* is surjective.
+        """
+        img = self(z)
+        if img is None or img == (0, 0):
+            return False
+        a, b = img
+        return pow(a * a + b * b, (self.p - 1) // 2, self.p) != 1
 
 
 class TowerElem:

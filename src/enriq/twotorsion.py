@@ -97,7 +97,8 @@ def jac2_group() -> tuple[WeierstrassClass, ...]:
     """All 64 classes (2^{2g} for genus 3), in ascending mask order."""
     out = sorted({WeierstrassClass.from_mask(m) for m in range(256)
                   if bin(m).count("1") % 2 == 0})
-    assert len(out) == 64
+    if len(out) != 64:
+        raise ArithmeticError(f"found {len(out)} classes in Jac[2], expected 64")
     return tuple(out)
 
 
@@ -187,7 +188,8 @@ def pullback_image_module() -> F2GModule:
     basis = [WeierstrassClass.from_points(pts) for pts in
              (("P1", "P3"), ("P1", "P4"), ("Q1", "Q3"), ("Q1", "Q4"), ("P1", "Q1"))]
     module = F2GModule(basis, (P_MASK, Q_MASK), actions.load_rows())
-    assert module.dimension == 5
+    if module.dimension != 5:
+        raise ArithmeticError(f"pullback image has dimension {module.dimension}, expected 5")
     return module
 
 

@@ -211,3 +211,38 @@ def test_search_box_residue_neighbour():
     # (12, 34, 13) matches both residue screens (34 = 6 mod 7, 1 mod 11)
     hits = list(search_triplets([(12, 12), (30, 40), (13, 13)], conditions=[5, 6]))
     assert [(r.a, r.b, r.c) for r in hits] == [(12, 34, 13)]
+
+
+def test_search_box_runs_each_screen_once(monkeypatch):
+    from collections import Counter
+
+    from enriq import conditions
+
+    box = [(12, 12), (30, 40), (13, 13)]
+    wanted = [4, 5, 6]
+    expected = [
+        report for report in (
+            evaluate_triplet(12, b, 13, conditions=wanted) for b in range(30, 41)
+        )
+        if report.overall in (PASS, PROBABLE)
+    ]
+    nonsingular = {(12, b, 13) for b in range(30, 41) if is_nonsingular(12, b, 13)}
+    calls = {name: Counter() for name in ("factors", 5, 6)}
+
+    def counting(key, fn):
+        def wrapped(a, b, c):
+            calls[key][(a, b, c)] += 1
+            return fn(a, b, c)
+        return wrapped
+
+    monkeypatch.setattr(conditions, "nonsingularity_factors",
+                        counting("factors", nonsingularity_factors))
+    for idx in (5, 6):
+        screen = counting(idx, conditions._CHEAP[idx])
+        monkeypatch.setattr(conditions, f"condition{idx}", screen)
+        monkeypatch.setitem(conditions._CHEAP, idx, screen)
+    hits = list(search_triplets(box, conditions=wanted))
+    assert hits == expected and [(r.a, r.b, r.c) for r in hits] == [(12, 34, 13)]
+    assert calls["factors"] == Counter({(12, b, 13): 1 for b in range(30, 41)})
+    assert calls[5] == Counter(dict.fromkeys(nonsingular, 1))
+    assert set(calls[6].values()) == {1}

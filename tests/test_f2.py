@@ -70,3 +70,20 @@ def test_fixed_space_matches_brute_force(case):
 def test_fixed_space_rejects_images_outside_the_space():
     with pytest.raises(ValueError):
         f2.fixed_space([[0b100, 0b10]], 2)
+
+
+@given(st.lists(st.integers(0, 2 ** 6 - 1), max_size=8), st.randoms())
+def test_echelon_depends_on_the_span_only(vectors, rnd):
+    shuffled = list(vectors)
+    rnd.shuffle(shuffled)
+    basis = f2.echelon(vectors)
+    assert basis == f2.echelon(shuffled) == f2.echelon(basis)
+    assert span_set(basis) == span_set(vectors)
+    tops = [1 << (b.bit_length() - 1) for b in basis]
+    assert tops == sorted(set(tops), reverse=True)
+    # every leading bit is set in its own vector only
+    assert all(sum(1 for b in basis if b & t) == 1 for t in tops)
+
+
+def test_echelon_examples():
+    assert f2.echelon([3, 1]) == f2.echelon([1, 3]) == [2, 1]

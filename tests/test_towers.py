@@ -1,9 +1,23 @@
 """Quadratic tower arithmetic, square testing, serialization, morphisms."""
 
-import pytest
+import gc
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
-from enriq import presets
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+import enriq
+from enriq import datafiles, presets
+from enriq import towers as towers_mod
 from enriq.towers import (
+    SIEVE_START,
     DegenerateStepError,
     Tower,
     TowerAuto,
@@ -179,3 +193,179 @@ def test_k1_tower_shape(k1_tower_witness):
     ]
     assert k1.degenerate == {}
     assert k1.unverified == []
+
+
+def test_lift_refuses_a_tower_that_reuses_a_collected_prefix_id(monkeypatch):
+    """Lifting trusts a prefix tower only while that very tower is alive:
+    an unrelated tower that gets the collected prefix's ``id`` is checked
+    afresh.  Whether CPython hands the freed address to a new object
+    depends on the allocator's state, so the reuse is simulated by
+    shadowing ``id`` in the tower module."""
+    prefix = Tower("prefix")
+    prefix.add_step("s", 3)
+    ext = prefix.extend("u", 7)
+    old_id = id(prefix)
+    del prefix
+    gc.collect()
+    other = Tower("other")
+    other.add_step("s", 11)
+    monkeypatch.setattr(
+        towers_mod, "id", lambda o: old_id if o is other else id(o),
+        raising=False,
+    )
+    assert towers_mod.id(other) == old_id
+    with pytest.raises(ValueError):
+        ext.lift(other.gen("s"))
+
+
+def test_certification_errors_survive_optimised_mode(tmp_path):
+    """Under ``python -O`` a bad square witness and a short Galois table
+    still raise instead of passing silently."""
+    data = json.loads(datafiles.data_path("galois_actions.json").read_text())
+    data["rows"] = data["rows"][:-1]
+    (tmp_path / "galois_actions.json").write_text(json.dumps(data))
+    script = """
+from enriq import actions
+from enriq.towers import SquareVerdict, Tower
+assert False, "assertions must be off"
+t = Tower("q2")
+t.add_step("sqrt2", 2)
+t._is_square_at = lambda z, lvl, depth: SquareVerdict(True, t.rational(3))
+try:
+    t.is_square(t.rational(2))
+except ArithmeticError:
+    print("witness refused")
+try:
+    actions.load_rows()
+except ArithmeticError:
+    print("table refused")
+"""
+    src = str(Path(enriq.__file__).resolve().parents[1])
+    env = dict(os.environ, ENRIQ_DATA_DIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:2] == ["witness refused", "table refused"]
+
+
+# -- the certified filters in front of the square-test descent ---------------
+
+#: sha256 of k_tower(...).to_json() as the plain descent computed them; the
+#: filters must not change a step, a degenerate witness or a derived element.
+K_TOWER_JSON_SHA256 = {
+    (12, 111, 13): "2dfc1297154f6e9cdb6f2e7476bfb96f475cf420e8b7790b4c5231e2007436b3",
+    (3, 7, 11): "fbb4a35469f84d933f0571b3f5e051c44a93f191b11bef89e70bd760f1941504",
+    (7, 50, 9): "3f96adb25e415c2f8ddf772a3119ba8ea7149bc2261cb92b9ddeda64a4c706d7",
+    (1000, 17, 1999): "97703296005cdf69a72c75edf432f5f7a1d593e21c974425466f6ffa25a73b21",
+    (2, 3, 5): "3f6a37a1a71cb20dff9b069aab0cfb042d60710a228900ec907c55e7b0a5dde5",
+    (5, 5, 5): "3df9f1838d0a4d4558f545d7a54a9756dd35ac815c02b82e4859b1ed5ac2c526",
+    (1, 1, 1): "150130fa91026267c8876ff99d852079029061b31d32c08e37d52a27a3e2edef",
+}
+
+
+@pytest.mark.parametrize("triplet", sorted(K_TOWER_JSON_SHA256))
+def test_k_tower_json_is_pinned(triplet):
+    text = presets.k_tower(*triplet).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == K_TOWER_JSON_SHA256[triplet]
+
+
+small = st.integers(-12, 12).filter(bool)
+rationals = st.builds(Fraction, small, st.sampled_from([1, 2, 3, 5, 7]))
+
+
+@st.composite
+def towers(draw):
+    """Up to five steps; a step's radicand is rational or involves one or
+    two earlier roots.  Radicands that are already squares are eliminated."""
+    t = Tower("random")
+    for n in range(draw(st.integers(1, 5))):
+        rad = t.rational(draw(rationals))
+        k = len(t.steps)
+        if k and draw(st.booleans()):
+            term = t.rational(draw(small))
+            for j in draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=2)):
+                term = term * t.root(j)
+            rad = rad + term
+        t.add_step(f"r{n}", rad)
+    return t
+
+
+@st.composite
+def elements(draw, t):
+    monos = st.sets(st.integers(0, len(t.steps) - 1)) if t.steps else st.just(set())
+    coeffs = draw(st.dictionaries(monos.map(frozenset), rationals, max_size=4))
+    return TowerElem(t, coeffs)
+
+
+@st.composite
+def towers_with_elements(draw):
+    t = draw(towers())
+    w = draw(elements(t))
+    kind = draw(st.sampled_from(["square", "twisted square", "rational", "any"]))
+    if kind == "square":
+        z = w * w
+    elif kind == "twisted square":
+        z = w * w * draw(rationals)
+    elif kind == "rational":
+        z = t.rational(draw(rationals))
+    else:
+        z = w
+    return t, w, z
+
+
+def bare_descent(t):
+    """A copy of ``t`` whose square test runs the descent alone."""
+    bare = Tower.from_dict(t.to_dict())
+    bare._kummer_prefix = lambda: 0
+    bare._residue_maps = lambda lvl: []
+    return bare
+
+
+@given(towers_with_elements())
+def test_squares_are_recognised_with_a_witness(case):
+    t, w, _ = case
+    got = t.is_square(w * w)
+    assert got.verdict is True
+    assert got.witness * got.witness == w * w
+
+
+@given(towers_with_elements())
+def test_filters_agree_with_the_bare_descent(case):
+    t, _, z = case
+    got = t.is_square(z)
+    bare = bare_descent(t)
+    want = bare.is_square(TowerElem(bare, z.coeffs))
+    if want.verdict is not None:
+        assert got.verdict is want.verdict
+        if want.verdict:
+            assert got.witness.coeffs == want.witness.coeffs
+    if got.verdict:
+        assert got.witness * got.witness == z
+
+
+@given(towers())
+def test_sieve_maps_satisfy_their_conditions(t):
+    for lvl in range(len(t.steps)):
+        for phi in t._residue_maps(lvl):
+            assert phi.p % 4 == 3 and len(phi.images) > lvl
+            for i in range(lvl + 1):
+                d = t.steps[i].radicand
+                assert all(c.denominator % phi.p for c in d.coeffs.values())
+                assert phi(d) not in (None, (0, 0))
+                x, y = phi.images[i]
+                assert ((x * x - y * y) % phi.p, 2 * x * y % phi.p) == phi(d)
+
+
+@given(towers(), st.sampled_from(["image", "denominator"]), st.integers(0, 3))
+def test_sieve_refuses_a_map_at_a_bad_prime(t, how, root):
+    """The scan starts at SIEVE_START, a prime = 3 (mod 4): a step whose
+    radicand vanishes there or has it in a denominator stops that map."""
+    p = SIEVE_START
+    rad = t.rational(3) + (t.root(root) if root < len(t.steps) else 0)
+    rad = rad * p if how == "image" else rad / p
+    assume(t.is_square(rad).verdict is False)
+    t.add_step("bad", rad)
+    top = len(t.steps) - 1
+    assert all(phi.p != p for phi in t._residue_maps(top))
+    assert t._sieve_pool[0].p == p and len(t._sieve_pool[0].images) <= top
