@@ -60,9 +60,6 @@ class GaloisRow:
     def moves_root(self, root: str) -> bool:
         return root in self.field_map
 
-    def field_display(self) -> str:
-        return "; ".join(f"{k} -> {v}" for k, v in self.field_map.items())
-
     def class_permutation(self) -> dict[str, str]:
         """The full permutation of the 28 fibre classes.
 

@@ -28,6 +28,11 @@ MR_BOUND = 341_550_071_728_321
 #: Trial-division cutoff used before switching to rho.
 TRIAL_LIMIT = 10**6
 
+#: Iterations one rho call may spend over all its parameters before giving
+#: up: rho finds a factor below about 10^9 well within it, and a prime
+#: above MR_BOUND costs this much instead of about sqrt(n) per parameter.
+RHO_STEPS = 1 << 17
+
 
 def is_prime(n: int) -> bool:
     """Certified primality for 1 < n < MR_BOUND; raises beyond the bound."""
@@ -60,14 +65,19 @@ def is_prime(n: int) -> bool:
 def _rho_brent(n: int) -> int:
     """Brent's cycle variant of Pollard rho; deterministic parameter sweep.
 
-    Returns a nontrivial factor of composite odd n, or n itself on failure.
+    Returns a nontrivial factor of composite odd n, or n itself on failure
+    or once RHO_STEPS iterations are spent.
     """
     if n % 2 == 0:
         return 2
+    steps = 0
     for c in range(1, 50):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
+            steps += 2 * r
+            if steps > RHO_STEPS:
+                return n
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -155,7 +165,7 @@ def factorize(n: int) -> Factorization:
             if 1 < d < q:
                 stack.extend([d, q // d])
                 continue
-            fz.cofactor *= q  # rho stalled (practically unreachable)
+            fz.cofactor *= q  # rho stalled or ran out of steps
             continue
         # too large to certify primality; try to peel a factor anyway
         d = _rho_brent(q)

@@ -21,15 +21,15 @@ degenerates there and the screen auto-passes with a note); the condition
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arith import REAL, is_anisotropic_diag4, legendre, prime_divisors
+from .arith import is_anisotropic_diag4, legendre, prime_divisors
 from .presets import k_tower
-from .towers import DEFAULT_SQUARE_DEPTH
 
 #: The published example triplet used throughout the tests.
 WITNESS = (12, 111, 13)
@@ -225,96 +225,79 @@ def _jacobian_rank_mod_p(a, b, c, v, w, p) -> int:
     return rank
 
 
+def _square_tables(p: int, k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Tables over the residues x mod p^k, for m = 1 and then m = 5: whether
+    x = m*w^2 for some w, whether for some unit w, and one such w."""
+    q = p**k
+    w = np.arange(q, dtype=np.int64)
+    unit = w % p != 0
+    tables = []
+    for m in (1, 5):
+        x = m * w * w % q
+        hit, unit_hit = np.zeros(q, dtype=bool), np.zeros(q, dtype=bool)
+        root = np.zeros(q, dtype=np.int64)
+        hit[x] = True
+        unit_hit[x[unit]] = True
+        root[x] = w
+        tables.append((hit, unit_hit, root))
+    return tables
+
+
+def _grid_slices(a: int, b: int, c: int, q: int) -> Iterator[tuple]:
+    """For each v0 mod q: (v0, q0, d, q2) over the (v1, v2) grid mod q.
+
+    A point (v, w) of the system is q0 = w0^2, d = q0 - q1 = 5*w1^2 and
+    q2 = w2^2, so each w_i is constrained by one array alone.
+    """
+    rng = np.arange(q, dtype=np.int64)
+    v1, v2 = np.meshgrid(rng, rng, indexing="ij")
+    am, bm, cm = a % q, b % q, c % q
+    for v0 in range(q):
+        q0 = (v0 * v1 + 5 * v2 * v2) % q
+        q1 = ((v0 + v1) % q) * ((v0 + 2 * v1) % q) % q
+        q2 = (am * v0 * v0 + bm * v1 * v1 + cm * v2 * v2) % q
+        yield v0, q0, (q0 - q1) % q, q2
+
+
 def _smooth_point_mod_p(a: int, b: int, c: int, p: int) -> Optional[dict]:
     """Search F_p for a point of the system; prefer one with rank-3 Jacobian.
 
     Returns {"point": ..., "smooth": bool} for the best point found, or
     None if the system has no F_p-point at all.
     """
-    am, bm, cm = a % p, b % p, c % p
-    qr = np.zeros(p, dtype=bool)
-    roots = np.zeros(p, dtype=np.int64)
-    rng = np.arange(p, dtype=np.int64)
-    sq = rng * rng % p
-    qr[sq] = True
-    roots[sq] = rng  # some square root of each QR
-    inv5 = pow(5, p - 2, p) if p != 5 else None
-
-    v1g, v2g = np.meshgrid(rng, rng, indexing="ij")
+    (square, _, root), (five_sq, _, five_root) = _square_tables(p, 1)
     found = None
-    for v0 in range(p):
-        q0 = (v0 * v1g + 5 * v2g * v2g) % p
-        q1 = ((v0 + v1g) % p) * ((v0 + 2 * v1g) % p) % p
-        q2 = (am * v0 * v0 + bm * v1g * v1g + cm * v2g * v2g) % p
-        if inv5 is None:
-            mask = qr[q0] & (q1 == q0 % p) & qr[q2]
-            w1sq = np.zeros_like(q0)
-        else:
-            w1sq = (q0 - q1) * inv5 % p
-            mask = qr[q0] & qr[w1sq] & qr[q2]
+    for v0, q0, d, q2 in _grid_slices(a, b, c, p):
+        mask = square[q0] & five_sq[d] & square[q2]
         if v0 == 0:
             mask[0, 0] = False  # exclude v = 0 (forces w = 0, not a point)
-        idx = np.argwhere(mask)
-        for v1, v2 in idx[:400]:
+        for v1, v2 in np.argwhere(mask)[:400]:
             v = (v0, int(v1), int(v2))
-            w = (int(roots[q0[v1, v2]]), int(roots[w1sq[v1, v2]]), int(roots[q2[v1, v2]]))
-            smooth = False
-            for s0 in {w[0], (-w[0]) % p}:
-                for s1 in {w[1], (-w[1]) % p}:
-                    for s2 in {w[2], (-w[2]) % p}:
-                        if _jacobian_rank_mod_p(am, bm, cm, v, (s0, s1, s2), p) == 3:
-                            smooth, w = True, (s0, s1, s2)
-                            break
-                    if smooth:
-                        break
-                if smooth:
-                    break
-            if smooth:
-                return {"point": [list(v), list(w)], "smooth": True}
+            w = (int(root[q0[v1, v2]]), int(five_root[d[v1, v2]]), int(root[q2[v1, v2]]))
+            for signed in itertools.product(*({x, -x % p} for x in w)):
+                if _jacobian_rank_mod_p(a, b, c, v, signed, p) == 3:
+                    return {"point": [list(v), list(signed)], "smooth": True}
             if found is None:
                 found = {"point": [list(v), list(w)], "smooth": False}
     return found
 
 
 def _deep_search_mod_pk(a: int, b: int, c: int, p: int, k: int) -> int:
-    """Count primitive candidates (v, w) mod p^k surviving all three
-    congruences, where the w-part is only required to exist squarewise."""
-    q = p**k
-    am, bm, cm = a % q, b % q, c % q
-    rng = np.arange(q, dtype=np.int64)
-    squares = np.zeros(q, dtype=bool)
-    squares[rng * rng % q] = True
-    unit_squares = np.zeros(q, dtype=bool)
-    units = rng[rng % p != 0]
-    unit_squares[units * units % q] = True
+    """Count the v mod p^k for which some w mod p^k solves the three
+    congruences with (v, w) primitive (not all divisible by p).
 
+    The congruences fix w0^2, 5*w1^2 and w2^2 separately, so v survives iff
+    each value is reached, and (when v is not primitive) some one of them
+    is reached by a unit.
+    """
+    (square, unit_square, _), (five_sq, unit_five_sq, _) = _square_tables(p, k)
+    unit = np.arange(p**k) % p != 0
+    v12_unit = unit[:, None] | unit[None, :]
     survivors = 0
-    v1g, v2g = np.meshgrid(rng, rng, indexing="ij")
-    v1_unit = (v1g % p) != 0
-    v2_unit = (v2g % p) != 0
-    for v0 in range(q):
-        q0 = (v0 * v1g + 5 * v2g * v2g) % q
-        q1 = ((v0 + v1g) % q) * ((v0 + 2 * v1g) % q) % q
-        q2 = (am * v0 * v0 + bm * v1g * v1g + cm * v2g * v2g) % q
-        if p == 5:
-            # cannot divide by 5; demand w1 exist via q0 - q1 = 5 * square
-            diff = (q0 - q1) % q
-            w1_ok = np.zeros_like(squares[q0])
-            for w1 in range(q):
-                w1_ok |= diff == (5 * w1 * w1) % q
-            exists = squares[q0] & w1_ok & squares[q2]
-            w1_unit_possible = np.zeros_like(exists)
-            for w1 in units:
-                w1_unit_possible |= diff == (5 * w1 * w1) % q
-        else:
-            inv5 = pow(5, -1, q)
-            w1sq = (q0 - q1) * inv5 % q
-            exists = squares[q0] & squares[w1sq] & squares[q2]
-            w1_unit_possible = unit_squares[w1sq]
-        v_unit = v1_unit | v2_unit | (v0 % p != 0)
-        w_unit_possible = unit_squares[q0] | w1_unit_possible | unit_squares[q2]
-        primitive = exists & (v_unit | w_unit_possible)
-        survivors += int(primitive.sum())
+    for v0, q0, d, q2 in _grid_slices(a, b, c, p**k):
+        exists = square[q0] & five_sq[d] & square[q2]
+        w_unit = unit_square[q0] | unit_five_sq[d] | unit_square[q2]
+        survivors += int((exists & (v12_unit | unit[v0] | w_unit)).sum())
     return survivors
 
 
@@ -347,11 +330,15 @@ def local_solvability(
 ) -> ConditionReport:
     """Condition (7): points over R and over Q_p for all p <= prime_bound.
 
-    Per prime: a smooth F_p-point certifies a Q_p-point by Hensel lifting;
-    no F_p-point at a prime of good reduction certifies failure; otherwise
-    a survival search modulo p^k (k capped at 4, scaled to the prime) is
-    reported as uncertified survival.  Overall verdict is at best Probable
-    because primes beyond the bound are never examined.
+    The primes up to the bound are sieved once, and the bad ones (2, 5 and
+    the divisors of the nonsingularity factors) collected in one pass.  Per
+    prime: a smooth F_p-point certifies a Q_p-point by Hensel lifting; no
+    F_p-point at a prime of good reduction certifies failure; otherwise a
+    survival count modulo p^k (k capped at 4, scaled to the prime) is
+    reported as uncertified survival, or as an obstruction when it is 0.
+    Both searches run on the same square tables and (v1, v2) grid at every
+    prime, p = 5 included.  Overall verdict is at best Probable because
+    primes beyond the bound are never examined.
     """
     rpt = ConditionReport(7, PROBABLE, "", data={})
     places: dict[str, dict] = {}
@@ -363,14 +350,11 @@ def local_solvability(
     else:
         places["real"] = {"status": "certified", "point": real}
 
-    bad = set()
-    for v in nonsingularity_factors(a, b, c).values():
-        for p in _primes_up_to(prime_bound):
-            if v % p == 0:
-                bad.add(p)
-    bad |= {2, 5}
+    primes = _primes_up_to(prime_bound)
+    factors = nonsingularity_factors(a, b, c).values()
+    bad = {2, 5} | {p for p in primes if any(v % p == 0 for v in factors)}
 
-    for p in _primes_up_to(prime_bound):
+    for p in primes:
         hit = _smooth_point_mod_p(a, b, c, p)
         if hit is not None and hit["smooth"]:
             places[str(p)] = {"status": "certified", "point": hit["point"]}
@@ -408,9 +392,7 @@ def local_solvability(
     return rpt
 
 
-def galois_generality_proxy(
-    a: int, b: int, c: int, depth: int = DEFAULT_SQUARE_DEPTH
-) -> ConditionReport:
+def galois_generality_proxy(a: int, b: int, c: int) -> ConditionReport:
     """Condition (8) through the tower-independence proxy.
 
     The full Galois-generality statement is not decided here; instead we
@@ -420,7 +402,7 @@ def galois_generality_proxy(
     """
     rpt = ConditionReport(8, PASS, "", notes=["verdict via tower-independence proxy"])
     try:
-        tw = k_tower(a, b, c, depth=depth)
+        tw = k_tower(a, b, c)
     except (ArithmeticError, ValueError) as exc:
         rpt.verdict = FAIL
         rpt.detail = f"tower construction failed: {exc}"
@@ -458,7 +440,6 @@ def check_condition(
     index: int,
     *,
     prime_bound: int = DEFAULT_PRIME_BOUND,
-    depth: int = DEFAULT_SQUARE_DEPTH,
 ) -> ConditionReport:
     """Evaluate a single numbered screening condition (1-8)."""
     if index in _CHEAP:
@@ -466,7 +447,7 @@ def check_condition(
     if index == 7:
         return local_solvability(a, b, c, prime_bound=prime_bound)
     if index == 8:
-        return galois_generality_proxy(a, b, c, depth=depth)
+        return galois_generality_proxy(a, b, c)
     raise ValueError(f"no condition numbered {index}")
 
 
@@ -476,21 +457,20 @@ def evaluate_triplet(
     c: int,
     prime_bound: int = DEFAULT_PRIME_BOUND,
     conditions: Optional[Sequence[int]] = None,
-    depth: int = DEFAULT_SQUARE_DEPTH,
 ) -> TripletReport:
     """Run the requested screens (default: all eight) on one triplet."""
     wanted = sorted(set(conditions or range(1, 9)))
-    return _triplet_report(a, b, c, prime_bound, wanted, depth, {},
+    return _triplet_report(a, b, c, prime_bound, wanted, {},
                            nonsingularity_factors(a, b, c))
 
 
 def _triplet_report(a: int, b: int, c: int, prime_bound: int, wanted: Sequence[int],
-                    depth: int, done: dict, factors: dict) -> TripletReport:
+                    done: dict, factors: dict) -> TripletReport:
     """The report on the screens in ``wanted``, reusing the reports in
     ``done`` (by index) and the given nonsingularity factors."""
     reports = [
         done[idx] if idx in done
-        else check_condition(a, b, c, idx, prime_bound=prime_bound, depth=depth)
+        else check_condition(a, b, c, idx, prime_bound=prime_bound)
         for idx in wanted
     ]
     nonsingular = all(factors.values())
@@ -544,7 +524,6 @@ def search_triplets(
                         if done[idx].verdict != PASS:
                             break
                 else:
-                    report = _triplet_report(a, b, c, prime_bound, wanted,
-                                             DEFAULT_SQUARE_DEPTH, done, factors)
+                    report = _triplet_report(a, b, c, prime_bound, wanted, done, factors)
                     if report.overall in (PASS, PROBABLE):
                         yield report

@@ -41,7 +41,6 @@ __all__ = [
     "rational_square_free",
     "ratfunc_square_free",
     "ratfunc_is_square",
-    "is_square_element",
     "parse_ratfunc",
 ]
 
@@ -328,9 +327,6 @@ class Poly:
             acc = acc * value + c
         return acc
 
-    def map_coeffs(self, fn, field: CoefficientField) -> "Poly":
-        return Poly(field, [fn(c) for c in self.coeffs])
-
     def __str__(self):
         if self.is_zero():
             return "0"
@@ -435,13 +431,6 @@ class RatFunc:
 
     def is_constant(self) -> bool:
         return self.num.degree <= 0 and self.den.degree == 0
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        if self.num.is_zero():
-            return self.field.zero()
-        return self.num.coeffs[0]
 
     def __eq__(self, other) -> bool:
         pair = self._level_pair(other)
@@ -552,14 +541,6 @@ def _generic_invert(x):
     if isinstance(x, RatFunc):
         return x.inv()
     raise TypeError(f"cannot invert {x!r}")
-
-
-def _generic_is_zero(x) -> bool:
-    if isinstance(x, Fraction):
-        return x == 0
-    if isinstance(x, (TowerElem, RatFunc)):
-        return x.is_zero()
-    raise TypeError(f"no zero test for {x!r}")
 
 
 # --------------------------------------------------------------------------
@@ -784,10 +765,7 @@ class ResidueField:
 
     def is_square(self, element) -> bool:
         if self.kind == "base":
-            field = self.place.field
-            if isinstance(field, RationalFunctions):
-                return ratfunc_is_square(field.coerce(element))
-            return field.is_square(element)
+            return self.place.field.is_square(element)
         verdict = self.tower.is_square(element)
         if verdict.verdict is None:
             raise ArithmeticError(
@@ -927,20 +905,7 @@ def ratfunc_is_square(f: RatFunc) -> bool:
     sf, const = ratfunc_square_free(f)
     if sf.degree > 0:
         return False
-    return _base_is_square(f.field, const)
-
-
-def _base_is_square(field: CoefficientField, c) -> bool:
-    if isinstance(field, RationalFunctions):
-        return ratfunc_is_square(field.coerce(c))
-    return field.is_square(c)
-
-
-def is_square_element(field: CoefficientField, value) -> bool:
-    """Square test dispatching on the field adapter."""
-    if isinstance(field, RationalFunctions):
-        return ratfunc_is_square(field.coerce(value))
-    return field.is_square(field.coerce(value))
+    return f.field.is_square(const)
 
 
 # --------------------------------------------------------------------------

@@ -15,40 +15,30 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .towers import DEFAULT_SQUARE_DEPTH, Tower
+from .towers import Tower
 
 
-def k0_tower(*, depth: int = DEFAULT_SQUARE_DEPTH) -> Tower:
+def k0_tower() -> Tower:
     tw = Tower("K0")
-    i = tw.add_step("i", -1, depth=depth)
-    r2 = tw.add_step("sqrt2", 2, depth=depth)
-    tw.add_step("sqrt5", 5, depth=depth)
-    s = tw.add_step("sqrt_m2p2r2", -2 + 2 * r2, depth=depth)
+    i = tw.add_step("i", -1)
+    r2 = tw.add_step("sqrt2", 2)
+    tw.add_step("sqrt5", 5)
+    s = tw.add_step("sqrt_m2p2r2", -2 + 2 * r2)
     tw.define("sqrt_m2m2r2", 2 * i / s)
     return tw
 
 
-def k_tower(
-    a,
-    b,
-    c,
-    *,
-    depth: int = DEFAULT_SQUARE_DEPTH,
-    on_degenerate: str = "eliminate",
-    derived: bool = True,
-) -> Tower:
+def k_tower(a, b, c) -> Tower:
     """The 18-step tower K(a, b, c) with all named derived elements.
 
-    With ``on_degenerate='eliminate'`` (the default), steps whose radicand
-    is already a square are skipped and recorded on the returned tower;
-    inspect ``tower.degenerate`` and ``tower.unverified`` to decide whether
-    the triplet is tower-generic.
+    Steps whose radicand is already a square are skipped and recorded on
+    the returned tower; inspect ``tower.degenerate`` and
+    ``tower.unverified`` to decide whether the triplet is tower-generic.
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     tw = Tower(f"K({a},{b},{c})")
 
-    def add(name, radicand):
-        return tw.add_step(name, radicand, depth=depth, on_degenerate=on_degenerate)
+    add = tw.add_step
 
     i = add("i", -1)
     r2 = add("sqrt2", 2)
@@ -69,31 +59,23 @@ def k_tower(
     xi1 = add("xi1p", 20 * a + 10 * b + 3 * c + 20 * xi0 * xi0p)
     xi2 = add("xi2p", 4 * a + 2 * b + Fraction(2, 5) * c + 4 * xi0 * xi0p)
 
-    if derived:
-        tw.define("sqrt_m2m2r2", 2 * i / s)
-        tw.define("sqrt_mc_p10rab", eta0 / u)
-        denom = 10 * ra * u
-        tw.define("eta1p", (c - eta0 + 10 * rab) / denom)
-        tw.define("eta1m", (c + eta0 + 10 * rab) / denom)
-        m_part = 10 * a * a - 5 * a * b - b * c
-        t_part = (c + 5 * a) * th0
-        tw.define("gamma1p", (m_part + 2 * a * gamma0 + t_part) / th1)
-        tw.define("gamma1m", (m_part - 2 * a * gamma0 + t_part) / th1)
-        tw.define("theta1m", 4 * a * gamma0 / th1)
-        tw.define("theta2m", 5 * rab / th2)
-        tw.define("xi1m", eta0 / xi1)
-        tw.define("xi2m", 2 * gamma0 / (5 * xi2))
+    tw.define("sqrt_m2m2r2", 2 * i / s)
+    tw.define("sqrt_mc_p10rab", eta0 / u)
+    denom = 10 * ra * u
+    tw.define("eta1p", (c - eta0 + 10 * rab) / denom)
+    tw.define("eta1m", (c + eta0 + 10 * rab) / denom)
+    m_part = 10 * a * a - 5 * a * b - b * c
+    t_part = (c + 5 * a) * th0
+    tw.define("gamma1p", (m_part + 2 * a * gamma0 + t_part) / th1)
+    tw.define("gamma1m", (m_part - 2 * a * gamma0 + t_part) / th1)
+    tw.define("theta1m", 4 * a * gamma0 / th1)
+    tw.define("theta2m", 5 * rab / th2)
+    tw.define("xi1m", eta0 / xi1)
+    tw.define("xi2m", 2 * gamma0 / (5 * xi2))
     return tw
 
 
-def k1_tower(
-    a,
-    b,
-    c,
-    *,
-    depth: int = DEFAULT_SQUARE_DEPTH,
-    on_degenerate: str = "eliminate",
-) -> Tower:
+def k1_tower(a, b, c) -> Tower:
     """The 10-step field of definition K1 of the relevant divisor classes.
 
     K1 adjoins, over K0: theta0, sqrt(ab), and the branch-point slopes
@@ -103,8 +85,7 @@ def k1_tower(
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     tw = Tower(f"K1({a},{b},{c})")
 
-    def add(name, radicand):
-        return tw.add_step(name, radicand, depth=depth, on_degenerate=on_degenerate)
+    add = tw.add_step
 
     i = add("i", -1)
     r2 = add("sqrt2", 2)

@@ -41,9 +41,7 @@ from .funcfield import (
     RationalFunctions,
     TowerCoefficients,
     parse_ratfunc,
-    poly_square_free,
     rational_square_free,
-    ratfunc_is_square,
     ratfunc_square_free,
     support_places,
     valuation,
@@ -136,9 +134,7 @@ class SquareClass:
         return cls(field, 1)
 
     def is_trivial(self) -> bool:
-        from .funcfield import is_square_element
-
-        return is_square_element(self.field, self.value)
+        return self.field.is_square(self.value)
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         if not _fields_compatible(self.field, other.field):

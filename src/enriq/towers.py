@@ -791,14 +791,6 @@ class TowerAuto:
     def __call__(self, z: TowerElem) -> TowerElem:
         return self.apply(z)
 
-    def compose(self, other: "TowerAuto") -> "TowerAuto":
-        """self after other."""
-        images = {
-            s.name: self.apply(other.root_images[i])
-            for i, s in enumerate(self.tower.steps)
-        }
-        return TowerAuto(self.tower, images, f"{self.label}.{other.label}")
-
 
 # -- small expression language for data files and the CLI --------------
 

@@ -9,6 +9,7 @@ the inputs used here (which all keep valuations <= 1).
 """
 
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -162,12 +163,28 @@ def test_is_prime_certified_range_and_guard():
         arith.is_prime(arith.MR_BOUND)
 
 
-@pytest.mark.parametrize("n", [1, 2, 628, 821, 5 * 5 * 13, 2**20, 1000003 * 1000033])
+@pytest.mark.parametrize("n", [1, 2, 628, 821, 5 * 5 * 13, 2**20, 1000003 * 1000033,
+                               999999929 * 999999937])
 def test_factorize_matches_sympy(n):
     fz = arith.factorize(n)
     assert fz.complete
     assert fz.factors == sympy.factorint(n)
     assert fz.product() == n
+
+
+def test_factorize_gives_up_on_a_large_prime_cofactor():
+    # The cofactor is a prime above MR_BOUND: rho cannot split it, and
+    # without a step budget it ran about sqrt(n) steps for each parameter.
+    big = 1080863910568919
+    assert big > arith.MR_BOUND and sympy.isprime(big)
+    start = time.perf_counter()
+    fz = arith.factorize(5 * big)
+    assert time.perf_counter() - start < 1.0
+    assert not fz.complete
+    assert fz.factors == {5: 1} and fz.cofactor == big
+    assert fz.product() == 5 * big
+    with pytest.raises(ValueError):
+        arith.prime_divisors(5 * big)
 
 
 def test_prime_divisors():

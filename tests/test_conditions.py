@@ -7,8 +7,10 @@ local-point certificates are re-verified by substitution rather than pinned
 coordinate-by-coordinate.
 """
 
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from enriq.arith import is_prime, legendre
@@ -18,6 +20,7 @@ from enriq.conditions import (
     PROBABLE,
     UNKNOWN,
     WITNESS,
+    _deep_search_mod_pk,
     check_condition,
     condition3,
     condition4,
@@ -143,6 +146,61 @@ def test_condition7_witness_places(witness_report):
         assert (v0 * v1 + 5 * v2 * v2 - w0 * w0) % p == 0
         assert ((v0 + v1) * (v0 + 2 * v1) - w0 * w0 + 5 * w1 * w1) % p == 0
         assert (a * v0 * v0 + b * v1 * v1 + c * v2 * v2 - w2 * w2) % p == 0
+        assert _full_rank_mod_p(_jacobian(a, b, c, (v0, v1, v2), (w0, w1, w2)), p)
+
+
+def _jacobian(a, b, c, v, w):
+    """The 3x6 Jacobian of the three quadrics in (v0, v1, v2, w0, w1, w2)."""
+    v0, v1, v2 = v
+    w0, w1, w2 = w
+    return [
+        [v1, v0, 10 * v2, -2 * w0, 0, 0],
+        [2 * v0 + 3 * v1, 3 * v0 + 4 * v1, 0, -2 * w0, 10 * w1, 0],
+        [2 * a * v0, 2 * b * v1, 2 * c * v2, 0, 0, -2 * w2],
+    ]
+
+
+def _full_rank_mod_p(rows, p):
+    """Rank 3 over F_p iff some 3x3 minor is nonzero mod p."""
+    for cols in itertools.combinations(range(6), 3):
+        m = [[row[j] for j in cols] for row in rows]
+        det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+               - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+               + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+        if det % p:
+            return True
+    return False
+
+
+def _brute_survivors(a, b, c, p, k):
+    """The number of v mod q = p^k for which some w mod q solves the three
+    quadrics with (v, w) primitive, by trying every (v, w) in (Z/q)^6.
+
+    w2 occurs only in the third quadric, so the scan runs over the pairs
+    (w0, w1) for the first two and over w2 for the third.
+    """
+    q = p**k
+    r = np.arange(q, dtype=np.int64)
+    unit = r % p != 0
+    v1, v2, w0, w1 = np.ix_(r, r, r, r)
+    u1, u2, w2 = np.ix_(r, r, r)
+    count = 0
+    for v0 in range(q):
+        pairs = ((v0 * v1 + 5 * v2 * v2 - w0 * w0) % q == 0) & (
+            ((v0 + v1) * (v0 + 2 * v1) - w0 * w0 + 5 * w1 * w1) % q == 0)
+        third = (a * v0 * v0 + b * u1 * u1 + c * u2 * u2 - w2 * w2) % q == 0
+        solved = pairs.any(axis=(2, 3)) & third.any(axis=2)
+        v_unit = unit[v0] | unit[:, None] | unit[None, :]
+        w_unit = ((pairs & (unit[w0] | unit[w1])).any(axis=(2, 3))
+                  | (third & unit[w2]).any(axis=2))
+        count += int((solved & (v_unit | w_unit)).sum())
+    return count
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
+def test_survival_count_matches_brute_force(p, k):
+    for triplet in (WITNESS, (3, 7, 11), (1, 1, 1), (5, 10, 25), (6, 9, 50)):
+        assert _deep_search_mod_pk(*triplet, p, k) == _brute_survivors(*triplet, p, k), triplet
 
 
 def test_condition7_small_bound():
