@@ -25,7 +25,10 @@ REAL = "real"
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17)
 MR_BOUND = 341_550_071_728_321
 
-#: Trial-division cutoff used before switching to rho.
+#: Trial division runs to SMALL_TRIAL first; what is left below MR_BOUND
+#: goes to rho, and trial division continues to TRIAL_LIMIT only when rho
+#: does not split it completely.
+SMALL_TRIAL = 10**3
 TRIAL_LIMIT = 10**6
 
 #: Iterations one rho call may spend over all its parameters before giving
@@ -133,46 +136,57 @@ class Factorization:
         return " * ".join(parts) if parts else "1"
 
 
-def factorize(n: int) -> Factorization:
-    """Factor a positive integer; never guesses.
-
-    Trial division up to TRIAL_LIMIT, then Brent rho on what is left.  Any
-    part that cannot be certified prime (too large for is_prime, or rho
-    stalls) is reported in ``cofactor`` instead of being mislabelled.
-    """
-    if n <= 0:
-        raise ValueError("factorize expects a positive integer")
-    fz = Factorization(n)
-    if n == 1:
-        return fz
-    m = n
-    for p in range(2, TRIAL_LIMIT + 1):
+def _trial_divide(fz: Factorization, m: int, start: int, stop: int) -> int:
+    """Move the primes start..stop dividing m into fz; returns the rest."""
+    for p in range(start, stop + 1):
         if p * p > m:
             break
         while m % p == 0:
             fz.factors[p] = fz.factors.get(p, 0) + 1
             m //= p
-    if m == 1:
-        return fz
-    stack = [m]
+    return m
+
+
+def _split(m: int) -> Factorization:
+    """Brent rho on m and its parts, with no trial division; a part that
+    cannot be certified prime and that rho does not split is the cofactor."""
+    fz = Factorization(m)
+    stack = [m] if m > 1 else []
     while stack:
         q = stack.pop()
         if q < MR_BOUND and is_prime(q):
             fz.factors[q] = fz.factors.get(q, 0) + 1
             continue
-        if q < MR_BOUND:  # certified composite: split it
-            d = _rho_brent(q)
-            if 1 < d < q:
-                stack.extend([d, q // d])
-                continue
-            fz.cofactor *= q  # rho stalled or ran out of steps
-            continue
-        # too large to certify primality; try to peel a factor anyway
+        # a certified composite, or too large to certify: peel a factor
         d = _rho_brent(q)
         if 1 < d < q:
             stack.extend([d, q // d])
         else:
-            fz.cofactor *= q
+            fz.cofactor *= q  # rho stalled or ran out of steps
+    return fz
+
+
+def factorize(n: int) -> Factorization:
+    """Factor a positive integer; never guesses.
+
+    Trial division up to SMALL_TRIAL, then Brent rho on what is left if it
+    is below MR_BOUND.  Above it, or if rho leaves part of it unsplit,
+    trial division goes on to TRIAL_LIMIT before rho runs on the rest, so
+    every factorization the longer trial division completes is still
+    complete.  Any part that cannot be certified prime (too large for
+    is_prime, or rho stalls) is reported in ``cofactor`` instead of being
+    mislabelled.
+    """
+    if n <= 0:
+        raise ValueError("factorize expects a positive integer")
+    fz = Factorization(n)
+    m = _trial_divide(fz, n, 2, SMALL_TRIAL)
+    rest = _split(m) if m < MR_BOUND else None
+    if rest is None or not rest.complete:
+        rest = _split(_trial_divide(fz, m, SMALL_TRIAL + 1, TRIAL_LIMIT))
+    for q, e in rest.factors.items():
+        fz.factors[q] = fz.factors.get(q, 0) + e
+    fz.cofactor = rest.cofactor
     return fz
 
 

@@ -14,6 +14,7 @@ and raise.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -221,13 +222,11 @@ class Poly:
         return self.degree == 0 and self.field.is_zero(self.coeffs[0] - self.field.one())
 
     def __eq__(self, other) -> bool:
+        # coefficients are canonical (stripped, coerced into the field), so
+        # equal polynomials have equal coefficient lists
         if not isinstance(other, Poly) or other.field is not self.field:
             return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(
-            self.field.is_zero(a - b) for a, b in zip(self.coeffs, other.coeffs)
-        )
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((id(self.field), tuple(self.coeffs)))
@@ -395,20 +394,44 @@ def poly_square_free(p: Poly) -> Poly:
 # --------------------------------------------------------------------------
 
 class RatFunc:
-    """Quotient of two polynomials, reduced, with monic denominator."""
+    """Quotient of two polynomials, reduced, with monic denominator.
+
+    The form is canonical: numerator and denominator are coprime, the
+    denominator is monic and zero is 0/1, so equality compares the two
+    polynomials coefficient by coefficient.  The Euclidean gcd runs only
+    when both sides have positive degree; a constant side is coprime to
+    anything.  Negation, inversion and powers start from an already
+    coprime pair and skip it altogether.
+    """
 
     __slots__ = ("field", "num", "den")
 
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        g = num.gcd(den)
-        if not g.is_zero() and g.degree > 0:
-            num, den = num // g, den // g
-        lead_inv = den.field.invert(den.leading)
+        if num.is_zero():
+            den = Poly.constant(den.field, 1)
+        elif num.degree > 0 and den.degree > 0:
+            g = num.gcd(den)
+            if g.degree > 0:
+                num, den = num // g, den // g
+        self._set_monic(num, den)
+
+    def _set_monic(self, num: Poly, den: Poly) -> None:
+        lead = den.leading
+        if lead != 1:
+            lead_inv = den.field.invert(lead)
+            num, den = num.scale(lead_inv), den.scale(lead_inv)
         self.field = num.field
-        self.num = num.scale(lead_inv)
-        self.den = den.scale(lead_inv)
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def _coprime(cls, num: Poly, den: Poly) -> "RatFunc":
+        """num/den for a pair known to be coprime: no gcd is taken."""
+        out = cls.__new__(cls)
+        out._set_monic(num, den)
+        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -437,7 +460,7 @@ class RatFunc:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return (a.num * b.den - b.num * a.den).is_zero()
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self):
         return hash((hash(self.num), hash(self.den)))
@@ -479,7 +502,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc._coprime(-self.num, self.den)
 
     def __sub__(self, other):
         pair = self._level_pair(other)
@@ -503,7 +526,7 @@ class RatFunc:
     def inv(self) -> "RatFunc":
         if self.is_zero():
             raise ZeroDivisionError("inverting the zero function")
-        return RatFunc(self.den, self.num)
+        return RatFunc._coprime(self.den, self.num)
 
     def __truediv__(self, other):
         pair = self._level_pair(other)
@@ -518,7 +541,7 @@ class RatFunc:
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
             return self.inv() ** (-n)
-        return RatFunc(self.num ** n, self.den ** n)
+        return RatFunc._coprime(self.num ** n, self.den ** n)
 
     def evaluate(self, value):
         den = self.den.evaluate(value)
@@ -623,16 +646,13 @@ class Place:
     def __repr__(self):
         return f"Place({self})"
 
+    @functools.lru_cache(maxsize=1024)
     def residue_field(self) -> "ResidueField":
-        # cached so that repeated lookups share one residue tower instance
-        cached = _RESIDUE_CACHE.get(self)
-        if cached is None:
-            cached = ResidueField.of(self)
-            _RESIDUE_CACHE[self] = cached
-        return cached
-
-
-_RESIDUE_CACHE: dict = {}
+        """The residue field, shared by equal places so that they reduce
+        into one residue tower instance.  The bound keeps a long-running
+        process from holding every place it ever met; a working set larger
+        than it would rebuild (and so re-tower) evicted places."""
+        return ResidueField.of(self)
 
 
 def valuation(f: Union[RatFunc, Poly], place: Place) -> int:

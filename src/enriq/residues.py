@@ -445,6 +445,16 @@ def vertical_residue(syms, tplace: Place) -> SquareClass:
     Returns a square class of k(residue)(x); the class of a corestricted
     sum is expected to be constant (i.e. come from k(residue)), and the
     profile machinery flags it when it is not.
+
+    Each symbol ``(f, g)`` contributes ``(-1)^{ab} f^b g^{-a}`` reduced at
+    the fiber, where a and b are the Gauss valuations of f and g.  As in
+    :func:`residue_symbol`, the unit parts are reduced before any power
+    is taken: with pi a uniformizer of the t-place,
+    ``f^b g^{-a} = (f pi^{-a})^b (g pi^{-b})^{-a}``, both factors are
+    Gauss units, and only the parities of a and b matter for the square
+    class.  So ``f pi^{-a}`` is reduced when b is odd, ``g pi^{-b}`` when a
+    is odd, and the sign applies when both are.  Nothing here uses the
+    structure of the corestriction.
     """
     syms = _as_symbol_list(syms)
     rf = tplace.residue_field()
@@ -453,12 +463,12 @@ def vertical_residue(syms, tplace: Place) -> SquareClass:
     for sym in syms:
         a = gauss_valuation(sym.f, tplace)
         b = gauss_valuation(sym.g, tplace)
-        if a == 0 and b == 0:
-            continue
-        u = sym.f ** b * sym.g ** (-a)
+        if b % 2:
+            total = total * gauss_reduce(_unit_part(sym.f, tplace, a), tplace)
+        if a % 2:
+            total = total * gauss_reduce(_unit_part(sym.g, tplace, b), tplace)
         if (a * b) % 2:
-            u = -u
-        total = total * gauss_reduce(u, tplace)
+            total = -total
     return SquareClass(x_field, total)
 
 
@@ -783,13 +793,27 @@ def expanded_symbol_profile(cover, func: DeclaredFunction) -> SurfaceProfile:
     """Route B: residues of the expanded sum, computed by brute force.
 
     Horizontal places via the univariate residue formula over the
-    coefficient field k(t); vertical fibers via Gauss valuations.  No
-    appeal to the structure of the corestriction.
+    coefficient field k(t) (:func:`_horizontal_residues`, which
+    :func:`check_component_residues` also reads on its own); vertical
+    fibers via Gauss valuations (:func:`vertical_residue`).  No appeal to
+    the structure of the corestriction.
     """
     syms = expand_corestriction(cover, func)
+    entries, support = _horizontal_residues(cover, syms)
+    for tplace in _vertical_support(cover, func):
+        spot = SurfacePlace("t", tplace)
+        support.append(spot)
+        cls = vertical_residue(syms, tplace)
+        if not cls.is_trivial():
+            entries[spot] = cls
+    return SurfaceProfile(entries, support)
+
+
+def _horizontal_residues(cover, syms):
+    """Route B on the horizontal curves and the section at infinity:
+    (nontrivial entries, support), with no fiber computed."""
     entries: dict[SurfacePlace, SquareClass] = {}
     support: list[SurfacePlace] = []
-
     for place in cover.horizontal_places() + [Place.infinite(XCOEFF)]:
         spot = SurfacePlace("x", place)
         support.append(spot)
@@ -803,14 +827,7 @@ def expanded_symbol_profile(cover, func: DeclaredFunction) -> SurfaceProfile:
             cls = total
         if cls is not None and not cls.is_trivial():
             entries[spot] = cls
-
-    for tplace in _vertical_support(cover, func):
-        spot = SurfacePlace("t", tplace)
-        support.append(spot)
-        cls = vertical_residue(syms, tplace)
-        if not cls.is_trivial():
-            entries[spot] = cls
-    return SurfaceProfile(entries, support)
+    return entries, support
 
 
 def _kummer_branch_residue(cover: KummerCover, syms, place: Place) -> SquareClass:
@@ -1041,14 +1058,15 @@ def compare_routes(cover, func: DeclaredFunction) -> dict:
 
 def check_component_residues(cover, func: DeclaredFunction) -> dict:
     """Verify that the brute-force residue on each branch component equals
-    the class of the declared section function itself."""
-    oracle = expanded_symbol_profile(cover, func)
+    the class of the declared section function itself.  Only the
+    horizontal part of route B is computed: no fiber is visited."""
+    horizontal, _ = _horizontal_residues(cover, expand_corestriction(cover, func))
     rows = []
     ok = True
     if isinstance(cover, KummerCover):
         spot = SurfacePlace("x", cover.branch_place())
         expected = SquareClass(cover.s_field, cover.branch_reduce(func.base))
-        got = oracle.entry(spot)
+        got = horizontal.get(spot)
         agree = expected.is_trivial() if got is None else got.same_class(expected)
         rows.append({"place": str(spot), "expected": str(expected),
                      "got": "1" if got is None else str(got), "agree": agree})
@@ -1058,7 +1076,7 @@ def check_component_residues(cover, func: DeclaredFunction) -> dict:
         for i, ell in enumerate(slots):
             spot = SurfacePlace("x", cover.component_place(i))
             expected = SquareClass(XCOEFF, ell)
-            got = oracle.entry(spot)
+            got = horizontal.get(spot)
             agree = expected.is_trivial() if got is None else got.same_class(expected)
             rows.append({"place": str(spot), "expected": str(expected),
                          "got": "1" if got is None else str(got), "agree": agree})

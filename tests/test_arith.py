@@ -164,12 +164,31 @@ def test_is_prime_certified_range_and_guard():
 
 
 @pytest.mark.parametrize("n", [1, 2, 628, 821, 5 * 5 * 13, 2**20, 1000003 * 1000033,
-                               999999929 * 999999937])
+                               999999929 * 999999937, 1000003**2, 1000003**3,
+                               1009 * 1000003**2])
 def test_factorize_matches_sympy(n):
     fz = arith.factorize(n)
     assert fz.complete
     assert fz.factors == sympy.factorint(n)
     assert fz.product() == n
+
+
+def test_factorize_splits_two_large_primes_by_rho():
+    # Both primes are above SMALL_TRIAL and the product is below MR_BOUND:
+    # rho splits it without trial division to TRIAL_LIMIT (0.16 s before).
+    n = 1000003 * 1000033
+    start = time.perf_counter()
+    fz = arith.factorize(n)
+    assert time.perf_counter() - start < 0.02
+    assert fz.factors == {1000003: 1, 1000033: 1} and fz.complete
+
+
+def test_factorize_falls_back_to_trial_division_when_rho_stalls(monkeypatch):
+    monkeypatch.setattr(arith, "_rho_brent", lambda n: n)
+    n = 1009 * 1013 * 999983
+    assert n < arith.MR_BOUND
+    fz = arith.factorize(n)
+    assert fz.complete and fz.factors == sympy.factorint(n)
 
 
 def test_factorize_gives_up_on_a_large_prime_cofactor():

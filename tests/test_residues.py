@@ -6,12 +6,17 @@ values, the structured route and the brute-force expansion serve as
 each other's oracle place by place.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from enriq.funcfield import QQ, Place, Poly, RatFunc, valuation
+from enriq import residues
+from enriq.funcfield import QQ, Place, Poly, RatFunc, parse_ratfunc, valuation
 from enriq.residues import (
     XCOEFF,
     DeclaredFunction,
@@ -27,6 +32,7 @@ from enriq.residues import (
     expand_corestriction,
     expanded_symbol_profile,
     gauss_reduce,
+    gauss_valuation,
     ramification_profile,
     residue_symbol,
     standard_desks,
@@ -176,6 +182,61 @@ def test_vertical_residue_of_even_pair_is_constant():
     assert cls.is_trivial()
 
 
+def _vertical_residue_by_powers(syms, tplace):
+    """The exponentiate-then-reduce form of the vertical residue: build
+    (-1)^{ab} f^b g^{-a} in k(t)(x), then reduce it at the fiber."""
+    coeff_field, x_field = residues._vertical_fields(tplace.residue_field())
+    total = RatFunc.constant(coeff_field, 1)
+    for sym in syms:
+        a = gauss_valuation(sym.f, tplace)
+        b = gauss_valuation(sym.g, tplace)
+        if a == 0 and b == 0:
+            continue
+        u = sym.f ** b * sym.g ** (-a)
+        if (a * b) % 2:
+            u = -u
+        total = total * gauss_reduce(u, tplace)
+    return SquareClass(x_field, total)
+
+
+#: building blocks of random functions on the ruled surface, in t alone and
+#: in x over Q(t); their Gauss valuations at the fibers below vary in sign
+#: and parity
+T_FACTORS = ["t", "t + 1", "t**2 - 2", "t - 3"]
+X_FACTORS = ["x - t", "x + 1", "x**2 - t", "t*x + 1", "x - 1/t", "t*x**2 - 2"]
+FIBERS = [T0, T1, TQ2, INF]
+
+
+def _surface_function(text):
+    return parse_ratfunc(text, "x", XCOEFF, {"t": _t()})
+
+
+@st.composite
+def surface_functions(draw):
+    """A constant times a power of a t-factor (a Gauss valuation of either
+    parity at its fiber) times one or two x-factors or their inverses.
+    Exponents stay small: the oracle raises f and g to each other's Gauss
+    valuations, which at infinity grow with every factor."""
+    f = RatFunc.constant(XCOEFF, draw(st.sampled_from([1, -1, 2, 3, -6])))
+    f = f * _surface_function(draw(st.sampled_from(T_FACTORS))) ** draw(
+        st.sampled_from([1, -1, 2, 3]))
+    for text in draw(st.lists(st.sampled_from(X_FACTORS), min_size=1, max_size=2)):
+        f = f * _surface_function(text) ** draw(st.sampled_from([1, -1]))
+    return f
+
+
+symbol_sums = st.lists(
+    st.builds(FunctionFieldSymbol, surface_functions(), surface_functions()),
+    min_size=1, max_size=2,
+)
+
+
+@given(symbol_sums, st.sampled_from(FIBERS))
+def test_vertical_residue_matches_exponentiate_then_reduce(syms, tplace):
+    got = vertical_residue(syms, tplace)
+    assert got.same_class(_vertical_residue_by_powers(syms, tplace))
+
+
 # --------------------------------------------------------------------------
 # desk covers: the two routes agree and match the hand-checked entries
 # --------------------------------------------------------------------------
@@ -203,6 +264,62 @@ def test_component_residues_match_declared_sections(desks, desk_name, func_name)
     desk = desks[desk_name]
     report = check_component_residues(desk.cover, desk.functions[func_name])
     assert report["ok"], report["rows"]
+
+
+#: sha256 of the JSON (sorted keys) of each desk function's compare_routes
+#: and check_component_residues report, or of {"error": message} where the
+#: call raises ResidueParityError, as computed when route B still
+#: exponentiated before reducing and the component check ran the fibers.
+DESK_OUTPUT_SHA256 = {
+    ("kummer-line", "t", "compare_routes"): "c92e0646cc72151d990fae40a7bfd4921f642eac02fef1c7f89746a42525bf24",
+    ("kummer-line", "t", "check_component_residues"): "b8c878f00cb8588eeb24295f68607354fbca93da2bd51cd215f579ca44fb38f0",
+    ("constant-split", "d-base", "compare_routes"): "82ad2c4d3aaffa69e615bff24c8ea8d469299728ec035575a6c3529a5d053c86",
+    ("constant-split", "d-base", "check_component_residues"): "f467d6e26f4a2acec071c47f5256663902dfae9b8462d46cd083da37bfd41cf1",
+    ("constant-split", "d-slots", "compare_routes"): "82ad2c4d3aaffa69e615bff24c8ea8d469299728ec035575a6c3529a5d053c86",
+    ("constant-split", "d-slots", "check_component_residues"): "f467d6e26f4a2acec071c47f5256663902dfae9b8462d46cd083da37bfd41cf1",
+    ("node-paired", "paired", "compare_routes"): "83bd80a644936afa14910ca2d3c7dbb7c424a377c8e7bf2fac9e4548c5f2b3df",
+    ("node-paired", "paired", "check_component_residues"): "be47f3c826be26fe898dab564ad19d61a2c0e0c3a9a6ea90e04cef2b4555bf8f",
+    ("node-paired", "unpaired", "compare_routes"): "db0664e0d76000d4f74732093568e7d3a891931093a09089d17d4a65fc2569a9",
+    ("node-paired", "unpaired", "check_component_residues"): "1cbab4e6f507e8068067c209cc085bc9948bfbc23ea67b49379ca28f162c38f2",
+    ("section-poles", "balanced", "compare_routes"): "e3ee36b3d5dcd429aa3bb907fdc0a40b78d9d3d5a3d13a65a19776fde35831db",
+    ("section-poles", "balanced", "check_component_residues"): "a52568ee8d0f7dbd9f9b1a1bc737d0cd041480f48480a264f2df5c998558dec7",
+    ("section-poles", "half", "compare_routes"): "efd150b161d316e05a8d5ead0c50048fcc5af46027640f535b189a3e78e76b9b",
+    ("section-poles", "half", "check_component_residues"): "a06c36decde9a02ade463d71a64e815d4a0e728af62ce3e8a83bf5958c6a293f",
+    ("loop-poles", "s-only", "compare_routes"): "4696bf96ea0ba94fc165b710abbdf224d17db32801e3907740b33542ad33b2ba",
+    ("loop-poles", "s-only", "check_component_residues"): "a6c1ccbbe27985fa463c0b4a1cc1bf4712da3e55b7f43147f5bbd89b6805f5ca",
+    ("quadratic-fiber", "quad", "compare_routes"): "d8861704c97422d23abb05f44ab6ab98ef8193089060ec78b20d8a599e96888c",
+    ("quadratic-fiber", "quad", "check_component_residues"): "2efda0ad3bef935bb197a777802a39b5278bfd7a883dd731786c47a58d66b92e",
+}
+
+
+def test_every_desk_output_is_pinned(desks):
+    pinned = {(d, f) for d, f, _ in DESK_OUTPUT_SHA256}
+    assert pinned == {(d, f) for d in desks for f in desks[d].functions}
+
+
+@pytest.mark.parametrize("desk_name,func_name,routine", sorted(DESK_OUTPUT_SHA256))
+def test_desk_output_is_pinned(desks, desk_name, func_name, routine):
+    desk = desks[desk_name]
+    try:
+        out = getattr(residues, routine)(desk.cover, desk.functions[func_name])
+    except ResidueParityError as exc:
+        out = {"error": str(exc)}
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+    assert digest == DESK_OUTPUT_SHA256[desk_name, func_name, routine]
+
+
+def test_component_check_never_reaches_the_fibers(desks, monkeypatch):
+    def no_fibers(syms, tplace):
+        raise AssertionError(f"fiber {tplace} visited")
+
+    monkeypatch.setattr(residues, "vertical_residue", no_fibers)
+    for desk in desks.values():
+        for func in desk.functions.values():
+            check_component_residues(desk.cover, func)
+    # the patch is live: the full brute-force profile does visit fibers
+    desk = desks["node-paired"]
+    with pytest.raises(AssertionError, match="fiber"):
+        expanded_symbol_profile(desk.cover, desk.functions["paired"])
 
 
 def _shown(profile):
