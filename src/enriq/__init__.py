@@ -1,16 +1,24 @@
 """Exact-arithmetic verification toolkit for a family of Enriques surfaces.
 
-Subpackages and modules:
+Modules:
 
 * ``arith``      -- integer/rational utilities: certified primality, factorization
                     with an honest "incomplete" flag, Legendre and Hilbert symbols,
                     anisotropy of rank-4 diagonal forms over Q_p.
 * ``towers``     -- iterated quadratic extension fields of Q with exact element
                     arithmetic, square testing, and validated automorphisms.
+* ``presets``    -- the splitting towers K0, K1 and K of a coefficient triplet.
+* ``funcfield``  -- rational functions in one variable over Q, a tower or another
+                    function field; places of P1, residue fields, and exact
+                    factoring over Q.
 * ``conditions`` -- the eight sufficiency screens for a coefficient triplet
                     (a, b, c), plus nonsingularity and the search loop.
 * ``lattice``    -- the rank-15 intersection lattice of the covering K3 surface,
                     its half-integer classes, Galois action, and F2 quotients.
+* ``f2``         -- linear algebra over F2 on bitmask vectors: echelon forms,
+                    kernels, fixed spaces, subspace enumeration.
+* ``actions``    -- the Galois action table: field automorphisms and the class
+                    and point permutations they induce.
 * ``twotorsion`` -- the 2-torsion of the Jacobian of the branch curve as a
                     Galois module: kernel/image of pullback, submodule scans.
 * ``geometry``   -- equation-level checks: branch points on the defining conic,
@@ -18,7 +26,11 @@ Subpackages and modules:
 * ``residues``   -- quaternion symbols over function fields, residue profiles,
                     corestriction expansion on split covers, Faddeev
                     reconstruction of symbol algebras from residue data.
-* ``cli``        -- the command-line entry point and report serialization.
+* ``datafiles``  -- loader for the versioned JSON tables in ``enriq/data/``,
+                    with the ``ENRIQ_DATA_DIR`` override.
+
+There is no command-line module yet: the ``enriq`` console script declared
+in ``pyproject.toml`` names an ``enriq.cli`` that does not exist.
 """
 
 __version__ = "0.1.0"

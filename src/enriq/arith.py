@@ -166,27 +166,64 @@ def _split(m: int) -> Factorization:
     return fz
 
 
+def _exact_root(m: int) -> tuple[int, int]:
+    """(b, k) with m = b**k and k as large as possible, for m > 1 with no
+    prime factor up to SMALL_TRIAL: then b > SMALL_TRIAL >= 2**9, which
+    bounds k by bit_length(m) / 9."""
+    for k in range(m.bit_length() // (SMALL_TRIAL.bit_length() - 1), 1, -1):
+        b = _integer_root(m, k)
+        if b**k == m:
+            return b, k
+    return m, 1
+
+
+def _integer_root(m: int, k: int) -> int:
+    """floor(m ** (1/k)) by Newton's method from above."""
+    if k == 2:
+        return math.isqrt(m)
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _factor_rest(m: int) -> Factorization:
+    """Factor m, which has no prime factor up to SMALL_TRIAL: Brent rho if
+    it is below MR_BOUND; above it, or if rho leaves part of it unsplit,
+    trial division to TRIAL_LIMIT and then rho on what is left."""
+    if m < MR_BOUND:
+        rest = _split(m)
+        if rest.complete:
+            return rest
+    fz = Factorization(m)
+    rest = _split(_trial_divide(fz, m, SMALL_TRIAL + 1, TRIAL_LIMIT))
+    for q, e in rest.factors.items():
+        fz.factors[q] = fz.factors.get(q, 0) + e
+    fz.cofactor = rest.cofactor
+    return fz
+
+
 def factorize(n: int) -> Factorization:
     """Factor a positive integer; never guesses.
 
-    Trial division up to SMALL_TRIAL, then Brent rho on what is left if it
-    is below MR_BOUND.  Above it, or if rho leaves part of it unsplit,
-    trial division goes on to TRIAL_LIMIT before rho runs on the rest, so
-    every factorization the longer trial division completes is still
-    complete.  Any part that cannot be certified prime (too large for
-    is_prime, or rho stalls) is reported in ``cofactor`` instead of being
-    mislabelled.
+    Trial division up to SMALL_TRIAL, then ``_factor_rest`` on what is
+    left.  A rest at or above MR_BOUND that is an exact power b**k is
+    factored through b, which is often below MR_BOUND and so goes to rho
+    instead of trial division to TRIAL_LIMIT.  Any part that cannot be certified prime (too large
+    for is_prime, or rho stalls) is reported in ``cofactor`` instead of
+    being mislabelled.
     """
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
     fz = Factorization(n)
     m = _trial_divide(fz, n, 2, SMALL_TRIAL)
-    rest = _split(m) if m < MR_BOUND else None
-    if rest is None or not rest.complete:
-        rest = _split(_trial_divide(fz, m, SMALL_TRIAL + 1, TRIAL_LIMIT))
+    base, k = _exact_root(m) if m >= MR_BOUND else (m, 1)
+    rest = _factor_rest(base)
     for q, e in rest.factors.items():
-        fz.factors[q] = fz.factors.get(q, 0) + e
-    fz.cofactor = rest.cofactor
+        fz.factors[q] = fz.factors.get(q, 0) + e * k
+    fz.cofactor = rest.cofactor**k
     return fz
 
 

@@ -15,10 +15,10 @@ and raise.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
-
-import sympy
 
 from . import arith
 from .towers import Tower, TowerElem, parse_element
@@ -573,9 +573,10 @@ def _generic_invert(x):
 class Place:
     """A closed point of P^1 over the base: monic irreducible, or infinity.
 
-    Irreducibility is verified exactly through degree 2 (and for linear
-    factors in degree 3); square-freeness is always enforced.  The desk
-    computations never go beyond quadratic places.
+    Irreducibility is verified exactly through degree 2 over any base,
+    and below degree 6 over Q, where the factorizer of ``factor_poly`` is
+    complete; square-freeness is always enforced.  The desk computations
+    never go beyond quadratic places.
     """
 
     __slots__ = ("poly", "field")
@@ -612,9 +613,9 @@ class Place:
             if field.is_square(disc):
                 raise ValueError(f"{poly} splits over the base field")
             return
-        if poly.degree == 3 and isinstance(field, RationalField):
-            for root, _ in _rational_roots(poly):
-                raise ValueError(f"{poly} has the rational root {root}")
+        if poly.degree < 6 and isinstance(field, RationalField):
+            if len(_split_square_free(poly)) > 1:
+                raise ValueError(f"{poly} is reducible over Q")
             return
         raise ValueError(
             f"cannot certify irreducibility in degree {poly.degree}"
@@ -802,36 +803,119 @@ def reduce_unit(f: RatFunc, place: Place):
 # support and factorization
 # --------------------------------------------------------------------------
 
-def _rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
-    """Rational roots with multiplicities (rational coefficients only)."""
-    sym_t = sympy.Symbol("T")
-    expr = sum(
-        sympy.Rational(c.numerator, c.denominator) * sym_t ** i
-        for i, c in enumerate(p.coeffs)
-    )
-    roots = []
-    for root, mult in sympy.roots(sympy.Poly(expr, sym_t), filter="Q").items():
-        frac = Fraction(int(root.p), int(root.q))
-        roots.append((frac, int(mult)))
-    return roots
+def _divisors(n: int) -> list[int]:
+    """Positive divisors of a nonzero integer; raises when its factorization
+    is incomplete, since a missed divisor could hide a factor."""
+    fz = arith.factorize(abs(n))
+    if not fz.complete:
+        raise ArithmeticError(f"cannot list the divisors of {n}: {fz}")
+    out = [1]
+    for prime, exp in fz.factors.items():
+        out = [d * prime**k for d in out for k in range(exp + 1)]
+    return out
+
+
+def _signed_divisors(n: int) -> list[int]:
+    positive = _divisors(n)
+    return positive + [-d for d in positive]
+
+
+def _integer_coeffs(p: Poly) -> list[int]:
+    """The primitive integer multiple of p with positive leading coefficient."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * den) for c in p.coeffs]
+    g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return [c // g for c in ints]
+
+
+def _int_value(ints: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in reversed(ints):
+        acc = acc * x + c
+    return acc
+
+
+def _rational_root(p: Poly) -> Optional[Fraction]:
+    """A rational root r/s of p, or None: in lowest terms, r divides the
+    constant and s the leading coefficient of p's integer form."""
+    ints = _integer_coeffs(p)
+    if ints[0] == 0:
+        return Fraction(0)
+    for s, r in itertools.product(_divisors(ints[-1]), _signed_divisors(ints[0])):
+        if math.gcd(r, s) == 1 and p.evaluate(Fraction(r, s)) == 0:
+            return Fraction(r, s)
+    return None
+
+
+def _quadratic_factor(p: Poly) -> Optional[Poly]:
+    """A monic quadratic factor of p, or None; p must have no rational root.
+
+    Kronecker's method at t = 0, 1, -1: an integer factor q = a t^2 + b t
+    + c of p's integer form f has a | lc(f), c | f(0) and q(1) | f(1); then
+    b = q(1) - a - c, and q(-1), q(2) and q(-2) must divide f(-1), f(2) and
+    f(-2) before any polynomial division is tried.  None of these values of
+    f is zero, because p has no rational root."""
+    ints = _integer_coeffs(p)
+    at = {x: _int_value(ints, x) for x in (1, -1, 2, -2)}
+    for a, c, v in itertools.product(
+        _divisors(ints[-1]), _signed_divisors(ints[0]), _signed_divisors(at[1])
+    ):
+        b = v - a - c
+        if all(_divides(a * x * x + b * x + c, at[x]) for x in (-1, 2, -2)):
+            quad = Poly(QQ, [Fraction(c, a), Fraction(b, a), 1])
+            if p.divmod(quad)[1].is_zero():
+                return quad
+    return None
+
+
+def _divides(d: int, n: int) -> bool:
+    return d != 0 and n % d == 0
+
+
+def _split_square_free(p: Poly) -> list[Poly]:
+    """The monic irreducible factors over Q of a monic square-free p.
+
+    Complete below degree 6, and at any degree once every factor has
+    degree <= 2; a leftover of degree >= 6 with no such factor raises
+    NotImplementedError."""
+    if p.degree == 1:
+        return [p]
+    if p.degree == 2:
+        u, v = p.coeff(1), p.coeff(0)
+        disc = u * u - v * 4
+        if not arith.rational_is_square(disc):
+            return [p]
+        r = arith.rational_sqrt(disc)
+        return [Poly(QQ, [(u - r) / 2, 1]), Poly(QQ, [(u + r) / 2, 1])]
+    root = _rational_root(p)
+    if root is not None:
+        factor = Poly(QQ, [-root, 1])
+        return [factor] + _split_square_free(p // factor)
+    if p.degree == 3:
+        return [p]
+    factor = _quadratic_factor(p)
+    if factor is not None:
+        return [factor] + _split_square_free(p // factor)
+    if p.degree >= 6:
+        raise NotImplementedError(
+            f"{p} has no factor of degree <= 2 over Q, and factoring degree "
+            f"{p.degree} beyond that is out of scope"
+        )
+    return [p]
 
 
 def _factor_rational_poly(p: Poly) -> list[tuple[Poly, int]]:
-    """Monic irreducible factors with multiplicities, over Q via sympy."""
-    sym_t = sympy.Symbol("T")
-    expr = sum(
-        sympy.Rational(c.numerator, c.denominator) * sym_t ** i
-        for i, c in enumerate(p.coeffs)
-    )
-    _, factors = sympy.Poly(expr, sym_t).factor_list()
-    out = []
-    for fac, mult in factors:
-        fac = fac.monic()
-        coeffs = [
-            Fraction(int(c.p), int(c.q))
-            for c in reversed(fac.all_coeffs())
-        ]
-        out.append((Poly(QQ, coeffs), int(mult)))
+    """Monic irreducible factors with multiplicities over Q.
+
+    They come in the order of ``sympy.Poly.factor_list``: by degree, then
+    multiplicity, then the coefficients (highest first) of the factor's
+    primitive integer form."""
+    out = [
+        (factor, mult)
+        for part, mult in square_free_decomposition(p)
+        for factor in _split_square_free(part)
+    ]
+    out.sort(key=lambda fm: (fm[0].degree, fm[1], _integer_coeffs(fm[0])[::-1]))
     return out
 
 
@@ -860,6 +944,14 @@ def _factor_tower_poly(p: Poly) -> list[tuple[Poly, int]]:
 
 
 def factor_poly(p: Poly) -> list[tuple[Poly, int]]:
+    """Monic irreducible factors of p with multiplicities.
+
+    Over Q this is exact and needs no guess: complete below degree 6, and
+    at any degree whenever every factor has degree <= 2.  Otherwise it
+    raises NotImplementedError, and ArithmeticError when a coefficient it
+    needs the divisors of cannot be factored completely.  Over a tower
+    only degree <= 2 with no splitting is supported.
+    """
     if p.is_zero():
         raise ZeroDivisionError("cannot factor the zero polynomial")
     if p.degree == 0:

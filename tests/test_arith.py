@@ -15,6 +15,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from enriq import arith
 
@@ -109,6 +111,25 @@ def test_hilbert_symbol_real_and_rational_inputs():
     assert arith.hilbert_symbol(Fraction(3, 4), 50, 5) == arith.hilbert_symbol(3, 2, 5)
 
 
+nonzero_rationals = st.builds(
+    Fraction,
+    st.integers(-10**6, 10**6).filter(bool),
+    st.integers(1, 10**4),
+)
+
+
+@given(nonzero_rationals, nonzero_rationals)
+def test_hilbert_product_formula(x, y):
+    # prod over all places of (x, y)_v is 1; the symbol is 1 at every odd
+    # prime dividing neither x nor y, so those places are the only ones left
+    primes = set(sympy.primefactors(2 * x.numerator * x.denominator
+                                    * y.numerator * y.denominator))
+    product = arith.hilbert_symbol(x, y, arith.REAL)
+    for p in primes:
+        product *= arith.hilbert_symbol(x, y, p)
+    assert product == 1
+
+
 def test_hilbert_symbol_bimultiplicative():
     for p in (2, 3, 5, arith.REAL):
         for x, y, z in itertools.product([-2, -1, 2, 3, 5], repeat=3):
@@ -181,6 +202,19 @@ def test_factorize_splits_two_large_primes_by_rho():
     fz = arith.factorize(n)
     assert time.perf_counter() - start < 0.02
     assert fz.factors == {1000003: 1, 1000033: 1} and fz.complete
+
+
+@pytest.mark.parametrize("n, factors", [(1000003**3, {1000003: 3}),
+                                        (999983**4, {999983: 4})])
+def test_factorize_takes_exact_powers_before_long_trial_division(n, factors):
+    # The rest after SMALL_TRIAL is at or above MR_BOUND: an exact-power
+    # test hands the base to rho instead of trial division to TRIAL_LIMIT
+    # (about 0.075 s each before).
+    assert n >= arith.MR_BOUND
+    start = time.perf_counter()
+    fz = arith.factorize(n)
+    assert time.perf_counter() - start < 0.02
+    assert fz.complete and fz.factors == factors
 
 
 def test_factorize_falls_back_to_trial_division_when_rho_stalls(monkeypatch):

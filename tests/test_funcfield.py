@@ -1,17 +1,21 @@
-"""Tests for rational functions over Q and the residue-field cache.
+"""Tests for rational functions over Q, factoring, and the residue-field cache.
 
 ``RatFunc`` arithmetic is checked against ``sympy.cancel``, and every
 result against the canonical form equality relies on: coprime numerator
-and denominator, monic denominator, zero as 0/1.
+and denominator, monic denominator, zero as 0/1.  ``factor_poly`` over Q
+is checked against ``sympy.Poly.factor_list``.
 """
 
+from collections import Counter
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enriq.funcfield import QQ, Place, Poly, RatFunc
+from enriq import arith, funcfield
+from enriq.funcfield import QQ, Place, Poly, RatFunc, factor_poly
 
 T = sympy.Symbol("T")
 
@@ -120,3 +124,89 @@ def test_residue_field_cache_is_bounded():
     for c in range(bound + 50):
         Place.finite(Poly(QQ, [-c, 1])).residue_field()
     assert Place.residue_field.cache_info().currsize <= bound
+
+
+# -- factoring over Q ------------------------------------------------------
+
+small_rationals = st.builds(
+    Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 5])
+)
+nonzero_scalars = st.builds(
+    Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)
+)
+#: linear and quadratic factors (possibly reducible) with multiplicities
+low_factors = st.tuples(
+    st.lists(small_rationals, min_size=1, max_size=2).map(lambda cs: Poly(QQ, cs + [1])),
+    st.integers(1, 3),
+)
+
+
+@st.composite
+def eisenstein_factors(draw):
+    """t^n + 2(...) with constant term 2 mod 4, irreducible by Eisenstein's
+    criterion at 2, shifted by t -> t + s."""
+    n = draw(st.integers(3, 5))
+    lower = [2 * draw(st.integers(-3, 3)) for _ in range(n - 1)]
+    p = Poly(QQ, [2 * draw(st.integers(-3, 3).map(lambda k: 2 * k + 1))] + lower + [1])
+    shifted = Poly(QQ, [draw(st.integers(-2, 2)), 1])
+    out = Poly(QQ, [0])
+    for c in reversed(p.coeffs):
+        out = out * shifted + Poly(QQ, [c])
+    return out
+
+
+@st.composite
+def factorable_polys(draw):
+    p = Poly(QQ, [draw(nonzero_scalars)])
+    degree = 0
+    for factor, mult in draw(st.lists(low_factors, min_size=1, max_size=5)):
+        if degree + factor.degree * mult <= 8:
+            p = p * factor**mult
+            degree += factor.degree * mult
+    if draw(st.booleans()):
+        p = p * draw(eisenstein_factors())
+    return p
+
+
+def _sympy_factor_multiset(p: Poly) -> Counter:
+    _, factors = sympy.Poly(_sym(p), T).factor_list()
+    return Counter((tuple(_coeff_list(fac.monic())), mult) for fac, mult in factors)
+
+
+@given(factorable_polys())
+def test_factor_poly_matches_sympy_factor_list(p):
+    got = factor_poly(p)
+    assert Counter((tuple(f.coeffs), m) for f, m in got) == _sympy_factor_multiset(p)
+    product = Poly(QQ, [p.leading])
+    for f, m in got:
+        assert f.leading == 1
+        product = product * f**m
+    assert product == p
+
+
+def test_cubic_places_are_certified_over_q():
+    assert Place.finite(Poly(QQ, [-2, 0, 0, 1])).degree == 3  # t^3 - 2
+    for reducible in ([-1, 0, 0, 1], [6, -7, 0, 1]):  # t^3 - 1, t^3 - 7t + 6
+        with pytest.raises(ValueError):
+            Place.finite(Poly(QQ, reducible))
+
+
+def test_two_irreducible_cubics_are_out_of_scope():
+    product = Poly(QQ, [-2, 0, 0, 1]) * Poly(QQ, [-3, 0, 0, 1])
+    with pytest.raises(NotImplementedError):
+        factor_poly(product)
+
+
+def test_incomplete_coefficient_factorization_raises(monkeypatch):
+    # a factorization that leaves part of a coefficient unfactored could
+    # hide a divisor, and with it a rational root: refuse, never guess
+    real = arith.factorize
+    monkeypatch.setattr(
+        funcfield.arith, "factorize",
+        lambda n: real(n) if n <= 100 else arith.Factorization(n, cofactor=n),
+    )
+    p = Poly(QQ, [-101, 1]) * Poly(QQ, [-2, 0, 0, 1])  # constant term 202
+    with pytest.raises(ArithmeticError):
+        factor_poly(p)
+    assert factor_poly(Poly(QQ, [-1, 1]) * Poly(QQ, [-2, 0, 0, 1])) == [
+        (Poly(QQ, [-1, 1]), 1), (Poly(QQ, [-2, 0, 0, 1]), 1)]
