@@ -29,8 +29,9 @@ Modules:
 * ``datafiles``  -- loader for the versioned JSON tables in ``enriq/data/``,
                     with the ``ENRIQ_DATA_DIR`` override.
 
-There is no command-line module yet: the ``enriq`` console script declared
-in ``pyproject.toml`` names an ``enriq.cli`` that does not exist.
+There is no command-line module yet, so ``pyproject.toml`` declares no
+console script; the ``enriq`` script comes back with ``cli.py``, the
+certificate entry point of ROADMAP item 4.
 """
 
 __version__ = "0.1.0"

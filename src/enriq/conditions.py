@@ -10,7 +10,9 @@ arithmetic conditions under which the verification pipeline applies:
   (5) (a, b, c) = (5, 6, 6) modulo 7
   (6) (a, b, c) = (1, 1, 2) modulo 11
   (7) the surface has points over R and over every Q_p (searched up to a
-      prime bound; verdict at best "Probable")
+      prime bound; verdict at best "Probable"): a walk over P^2(F_p) for
+      a smooth F_p-point, then a survival count modulo p^k over the
+      unit-scaling orbits of v
   (8) the splitting field is as large as possible; checked through the
       tower-independence proxy: every preset tower step stays quadratic.
 
@@ -184,12 +186,11 @@ def condition6(a: int, b: int, c: int) -> ConditionReport:
 
 
 def _primes_up_to(n: int) -> list[int]:
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 1)
     for p in range(2, int(n**0.5) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = False
-    return [int(p) for p in np.nonzero(sieve)[0]]
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p, prime in enumerate(sieve) if prime]
 
 
 def _jacobian_rank_mod_p(a, b, c, v, w, p) -> int:
@@ -225,9 +226,9 @@ def _jacobian_rank_mod_p(a, b, c, v, w, p) -> int:
     return rank
 
 
-def _square_tables(p: int, k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _square_tables(p: int, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Tables over the residues x mod p^k, for m = 1 and then m = 5: whether
-    x = m*w^2 for some w, whether for some unit w, and one such w."""
+    x = m*w^2 for some w, and whether for some unit w."""
     q = p**k
     w = np.arange(q, dtype=np.int64)
     unit = w % p != 0
@@ -235,16 +236,14 @@ def _square_tables(p: int, k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     for m in (1, 5):
         x = m * w * w % q
         hit, unit_hit = np.zeros(q, dtype=bool), np.zeros(q, dtype=bool)
-        root = np.zeros(q, dtype=np.int64)
         hit[x] = True
         unit_hit[x[unit]] = True
-        root[x] = w
-        tables.append((hit, unit_hit, root))
+        tables.append((hit, unit_hit))
     return tables
 
 
-def _grid_slices(a: int, b: int, c: int, q: int) -> Iterator[tuple]:
-    """For each v0 mod q: (v0, q0, d, q2) over the (v1, v2) grid mod q.
+def _grid_slices(a: int, b: int, c: int, q: int, v0s) -> Iterator[tuple]:
+    """For each v0 in ``v0s``: (v0, q0, d, q2) over the (v1, v2) grid mod q.
 
     A point (v, w) of the system is q0 = w0^2, d = q0 - q1 = 5*w1^2 and
     q2 = w2^2, so each w_i is constrained by one array alone.
@@ -252,33 +251,60 @@ def _grid_slices(a: int, b: int, c: int, q: int) -> Iterator[tuple]:
     rng = np.arange(q, dtype=np.int64)
     v1, v2 = np.meshgrid(rng, rng, indexing="ij")
     am, bm, cm = a % q, b % q, c % q
-    for v0 in range(q):
+    for v0 in v0s:
         q0 = (v0 * v1 + 5 * v2 * v2) % q
         q1 = ((v0 + v1) % q) * ((v0 + 2 * v1) % q) % q
         q2 = (am * v0 * v0 + bm * v1 * v1 + cm * v2 * v2) % q
         yield v0, q0, (q0 - q1) % q, q2
 
 
+def _projective_points(p: int) -> Iterator[tuple[int, int, int]]:
+    """One representative of each point of P^2(F_p): (0, 0, 1), then
+    (0, 1, y) and (1, x, y) in increasing order."""
+    yield 0, 0, 1
+    for y in range(p):
+        yield 0, 1, y
+    for x in range(p):
+        for y in range(p):
+            yield 1, x, y
+
+
 def _smooth_point_mod_p(a: int, b: int, c: int, p: int) -> Optional[dict]:
     """Search F_p for a point of the system; prefer one with rank-3 Jacobian.
 
-    Returns {"point": ..., "smooth": bool} for the best point found, or
-    None if the system has no F_p-point at all.
+    The walk stops at the first sign choice of w whose Jacobian has rank 3
+    and returns {"point": ..., "smooth": True}.  Without one it returns the
+    first point seen with "smooth": False, or None if the system has no
+    F_p-point at all.
+
+    Scaling (v, w) by a unit multiplies q0, q0 - q1, q2 and the Jacobian by
+    units, so one representative per point of P^2(F_p) decides everything,
+    and the walk returns the point a scan of all of F_p^3 in row-major
+    order would reach first.  Each root table keeps the largest w with
+    m*w^2 = x, as a scan in increasing w does.
     """
-    (square, _, root), (five_sq, _, five_root) = _square_tables(p, 1)
+    root, five_root = [-1] * p, [-1] * p
+    for w in range(p):
+        root[w * w % p] = w
+        five_root[5 * w * w % p] = w
+    am, bm, cm = a % p, b % p, c % p
     found = None
-    for v0, q0, d, q2 in _grid_slices(a, b, c, p):
-        mask = square[q0] & five_sq[d] & square[q2]
-        if v0 == 0:
-            mask[0, 0] = False  # exclude v = 0 (forces w = 0, not a point)
-        for v1, v2 in np.argwhere(mask)[:400]:
-            v = (v0, int(v1), int(v2))
-            w = (int(root[q0[v1, v2]]), int(five_root[d[v1, v2]]), int(root[q2[v1, v2]]))
-            for signed in itertools.product(*({x, -x % p} for x in w)):
-                if _jacobian_rank_mod_p(a, b, c, v, signed, p) == 3:
-                    return {"point": [list(v), list(signed)], "smooth": True}
-            if found is None:
-                found = {"point": [list(v), list(w)], "smooth": False}
+    for v in _projective_points(p):
+        v0, v1, v2 = v
+        q0 = (v0 * v1 + 5 * v2 * v2) % p
+        w0 = root[q0]
+        if w0 < 0:
+            continue
+        w1 = five_root[(q0 - (v0 + v1) * (v0 + 2 * v1)) % p]
+        w2 = root[(am * v0 * v0 + bm * v1 * v1 + cm * v2 * v2) % p]
+        if w1 < 0 or w2 < 0:
+            continue
+        w = (w0, w1, w2)
+        for signed in itertools.product(*({x, -x % p} for x in w)):
+            if _jacobian_rank_mod_p(a, b, c, v, signed, p) == 3:
+                return {"point": [list(v), list(signed)], "smooth": True}
+        if found is None:
+            found = {"point": [list(v), list(w)], "smooth": False}
     return found
 
 
@@ -289,20 +315,36 @@ def _deep_search_mod_pk(a: int, b: int, c: int, p: int, k: int) -> int:
     The congruences fix w0^2, 5*w1^2 and w2^2 separately, so v survives iff
     each value is reached, and (when v is not primitive) some one of them
     is reached by a unit.
+
+    Survival is invariant under v -> lam*v for a unit lam: q0, q0 - q1 and
+    q2 are multiplied by lam^2, which w -> lam*w matches, and units stay
+    units.  The same scaling permutes the (v1, v2) grid, so the slice at v0
+    has as many survivors S(v0) as the slice at lam*v0.  Every nonzero v0
+    mod p^k is a unit times exactly one p^j (j < k), with (p-1)*p^(k-j-1)
+    residues in that orbit, hence
+
+        count = S(0) + sum over j < k of (p-1)*p^(k-j-1) * S(p^j),
+
+    k+1 slices instead of p^k.
     """
-    (square, unit_square, _), (five_sq, unit_five_sq, _) = _square_tables(p, k)
-    unit = np.arange(p**k) % p != 0
+    q = p**k
+    (square, unit_square), (five_sq, unit_five_sq) = _square_tables(p, k)
+    unit = np.arange(q) % p != 0
     v12_unit = unit[:, None] | unit[None, :]
+    orbit = {0: 1} | {p**j: (p - 1) * p ** (k - j - 1) for j in range(k)}
     survivors = 0
-    for v0, q0, d, q2 in _grid_slices(a, b, c, p**k):
+    for v0, q0, d, q2 in _grid_slices(a, b, c, q, orbit):
         exists = square[q0] & five_sq[d] & square[q2]
         w_unit = unit_square[q0] | unit_five_sq[d] | unit_square[q2]
-        survivors += int((exists & (v12_unit | unit[v0] | w_unit)).sum())
+        survivors += orbit[v0] * int((exists & (v12_unit | unit[v0] | w_unit)).sum())
     return survivors
 
 
 def _deep_modulus_exponent(p: int) -> int:
-    """Largest k with a tractable p^(3k) search, capped at 4."""
+    """Largest k with p^(3k) <= 3e6, capped at 4.
+
+    The cap fixes the modulus p^k a survival count is reported at, not the
+    cost of the count, which is (k+1)*p^(2k) over the unit-scaling orbits."""
     for k in (4, 3, 2, 1):
         if (p**k) ** 3 <= 3_000_000:
             return k
@@ -330,25 +372,33 @@ def local_solvability(
 ) -> ConditionReport:
     """Condition (7): points over R and over Q_p for all p <= prime_bound.
 
-    The primes up to the bound are sieved once, and the bad ones (2, 5 and
-    the divisors of the nonsingularity factors) collected in one pass.  Per
-    prime: a smooth F_p-point certifies a Q_p-point by Hensel lifting; no
-    F_p-point at a prime of good reduction certifies failure; otherwise a
-    survival count modulo p^k (k capped at 4, scaled to the prime) is
-    reported as uncertified survival, or as an obstruction when it is 0.
-    Both searches run on the same square tables and (v1, v2) grid at every
-    prime, p = 5 included.  Overall verdict is at best Probable because
-    primes beyond the bound are never examined.
+    The real place is certified by a rational point from a small grid, and
+    obstructed when a, b, c < 0: then q2 is negative definite, w2^2 = q2
+    forces v = 0 and so w = 0.  Otherwise it stays unresolved and
+    uncertified.  The primes up to the bound are sieved once, and the bad
+    ones (2, 5 and the divisors of the nonsingularity factors) collected in
+    one pass.  Per prime: a smooth F_p-point, found by a walk over
+    P^2(F_p) that stops at the first one, certifies a Q_p-point by Hensel
+    lifting; no F_p-point at a prime of good reduction certifies failure;
+    otherwise a survival count modulo p^k (k capped at 4, scaled to the
+    prime), summed over the k+1 unit-scaling orbits of v0, is reported as
+    uncertified survival, or as an obstruction when it is 0.  Overall
+    verdict is at best Probable because primes beyond the bound are never
+    examined.
     """
     rpt = ConditionReport(7, PROBABLE, "", data={})
     places: dict[str, dict] = {}
 
     real = _real_point(a, b, c)
-    if real is None:
+    if real is not None:
+        places["real"] = {"status": "certified", "point": real}
+    elif a < 0 and b < 0 and c < 0:
+        places["real"] = {"status": "obstructed",
+                          "note": "q2 is negative definite, so only v = w = 0 solves"}
+        rpt.verdict = FAIL
+    else:
         places["real"] = {"status": "unresolved", "note": "grid search found no certificate"}
         rpt.notes.append("no real-point certificate found by the rational grid search")
-    else:
-        places["real"] = {"status": "certified", "point": real}
 
     primes = _primes_up_to(prime_bound)
     factors = nonsingularity_factors(a, b, c).values()
@@ -375,19 +425,21 @@ def local_solvability(
                 "survivors": survivors,
             }
     rpt.data["places"] = places
-    uncertified = sorted(
-        [pl for pl, info in places.items() if info["status"] == "survived"],
-        key=lambda s: int(s),
-    )
+    uncertified = [pl for pl, info in places.items()
+                   if info["status"] in ("survived", "unresolved")]
     rpt.data["uncertified_places"] = uncertified
     if rpt.verdict == FAIL:
         obstructed = [pl for pl, info in places.items() if info["status"] == "obstructed"]
         rpt.detail = f"local obstruction certified at {', '.join(obstructed)}"
     else:
+        primes_left = [pl for pl in uncertified if pl != "real"]
+        where = "the real place and all" if real is not None else "all"
         rpt.detail = (
-            f"solvable at the real place and all p <= {prime_bound} "
-            f"(certified except {uncertified or 'none'})"
+            f"solvable at {where} p <= {prime_bound} "
+            f"(certified except {primes_left or 'none'})"
         )
+        if real is None:
+            rpt.detail += "; the real place is unresolved"
         rpt.notes.append(f"primes beyond {prime_bound} were not examined")
     return rpt
 

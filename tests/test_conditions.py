@@ -7,11 +7,15 @@ local-point certificates are re-verified by substitution rather than pinned
 coordinate-by-coordinate.
 """
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from enriq.arith import is_prime, legendre
 from enriq.conditions import (
@@ -20,12 +24,17 @@ from enriq.conditions import (
     PROBABLE,
     UNKNOWN,
     WITNESS,
+    _deep_modulus_exponent,
     _deep_search_mod_pk,
+    _jacobian_rank_mod_p,
+    _primes_up_to,
+    _smooth_point_mod_p,
     check_condition,
     condition3,
     condition4,
     evaluate_triplet,
     is_nonsingular,
+    local_solvability,
     nonsingularity_factors,
     search_triplets,
 )
@@ -201,6 +210,148 @@ def _brute_survivors(a, b, c, p, k):
 def test_survival_count_matches_brute_force(p, k):
     for triplet in (WITNESS, (3, 7, 11), (1, 1, 1), (5, 10, 25), (6, 9, 50)):
         assert _deep_search_mod_pk(*triplet, p, k) == _brute_survivors(*triplet, p, k), triplet
+
+
+# -- full-grid oracles for the two condition-(7) searches -----------------
+
+
+def _reference_square_tables(p, k):
+    """Over x mod p^k, for m = 1 and then m = 5: whether x = m*w^2 for some
+    w, whether for some unit w, and one such w (the largest)."""
+    q = p**k
+    w = np.arange(q, dtype=np.int64)
+    unit = w % p != 0
+    tables = []
+    for m in (1, 5):
+        x = m * w * w % q
+        hit, unit_hit = np.zeros(q, dtype=bool), np.zeros(q, dtype=bool)
+        root = np.zeros(q, dtype=np.int64)
+        hit[x] = True
+        unit_hit[x[unit]] = True
+        root[x] = w
+        tables.append((hit, unit_hit, root))
+    return tables
+
+
+def _reference_slices(a, b, c, q):
+    """(v0, q0, q0 - q1, q2) over the (v1, v2) grid, for every v0 mod q."""
+    rng = np.arange(q, dtype=np.int64)
+    v1, v2 = np.meshgrid(rng, rng, indexing="ij")
+    for v0 in range(q):
+        q0 = (v0 * v1 + 5 * v2 * v2) % q
+        q1 = ((v0 + v1) % q) * ((v0 + 2 * v1) % q) % q
+        q2 = (a % q * v0 * v0 + b % q * v1 * v1 + c % q * v2 * v2) % q
+        yield v0, q0, (q0 - q1) % q, q2
+
+
+def _reference_deep_search(a, b, c, p, k):
+    """The survival count modulo p^k, one slice for every v0 mod p^k."""
+    (square, unit_square, _), (five_sq, unit_five_sq, _) = _reference_square_tables(p, k)
+    unit = np.arange(p**k) % p != 0
+    v12_unit = unit[:, None] | unit[None, :]
+    survivors = 0
+    for v0, q0, d, q2 in _reference_slices(a, b, c, p**k):
+        exists = square[q0] & five_sq[d] & square[q2]
+        w_unit = unit_square[q0] | unit_five_sq[d] | unit_square[q2]
+        survivors += int((exists & (v12_unit | unit[v0] | w_unit)).sum())
+    return survivors
+
+
+def _reference_smooth_point(a, b, c, p):
+    """The first point of the system over F_p in a row-major scan of
+    v in F_p^3 (at most 400 per v0), preferring a rank-3 Jacobian."""
+    (square, _, root), (five_sq, _, five_root) = _reference_square_tables(p, 1)
+    found = None
+    for v0, q0, d, q2 in _reference_slices(a, b, c, p):
+        mask = square[q0] & five_sq[d] & square[q2]
+        if v0 == 0:
+            mask[0, 0] = False
+        for v1, v2 in np.argwhere(mask)[:400]:
+            v = (v0, int(v1), int(v2))
+            w = (int(root[q0[v1, v2]]), int(five_root[d[v1, v2]]), int(root[q2[v1, v2]]))
+            for signed in itertools.product(*({x, -x % p} for x in w)):
+                if _jacobian_rank_mod_p(a, b, c, v, signed, p) == 3:
+                    return {"point": [list(v), list(signed)], "smooth": True}
+            if found is None:
+                found = {"point": [list(v), list(w)], "smooth": False}
+    return found
+
+
+#: Certified, obstructed at good reduction, deep-obstructed and survived
+#: places at 2, 3, 5 and primes above 5.
+ORACLE_TRIPLETS = [WITNESS, (3, 7, 11), (752, 1750, 485), (1284, 1806, 1848),
+                   (404, 1856, 870), (1635, 1315, 408)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_orbit_count_matches_full_grid(p):
+    k = _deep_modulus_exponent(p)
+    assert (p, k) in {(2, 4), (3, 4), (5, 3), (7, 2), (11, 2), (13, 1)}
+    for triplet in ORACLE_TRIPLETS:
+        assert _deep_search_mod_pk(*triplet, p, k) == _reference_deep_search(*triplet, p, k), triplet
+
+
+@given(st.tuples(*[st.integers(-2000, 2000)] * 3))
+def test_walk_matches_row_major_scan(triplet):
+    for p in _primes_up_to(31):
+        assert _smooth_point_mod_p(*triplet, p) == _reference_smooth_point(*triplet, p), p
+
+
+def test_primes_up_to():
+    assert _primes_up_to(1) == []
+    assert _primes_up_to(2) == [2]
+    assert _primes_up_to(100) == [p for p in range(101) if is_prime(p)]
+
+
+def test_deep_search_builds_one_slice_per_orbit(monkeypatch):
+    from enriq import conditions
+
+    built = []
+    slices = conditions._grid_slices
+
+    def counting(*args):
+        for piece in slices(*args):
+            built.append(piece[0])
+            yield piece
+
+    monkeypatch.setattr(conditions, "_grid_slices", counting)
+    assert _deep_search_mod_pk(1635, 1315, 408, 5, 3) == _reference_deep_search(1635, 1315, 408, 5, 3)
+    assert sorted(built) == [0, 1, 5, 25]
+
+
+#: sha256 of json.dumps(local_solvability(*triplet).to_dict(), sort_keys=True),
+#: recorded with the full-grid searches.
+PINNED_REPORTS = {
+    (12, 111, 13): "3e3088f5d961c85b98a5c9b3848fad5d084b1e7d49e675375823536aa4b4b503",
+    (3, 7, 11): "09a265cd9cb6a68d441ca20ab3eec5964f5feff8ddcd023254e237cfb4fe656c",
+    (752, 1750, 485): "47f2bd792fd863c8c5343a3aaf4a576aa12b63434e2b392e4c6f33cba71ecdc7",
+    (1284, 1806, 1848): "ad0d3e6ef077709fb7748785aa9241d50cfc4bf517d3b4139c685ce44d94fb4c",
+    (404, 1856, 870): "303818efb11a713b2a58deb1a7727bc33c1bacb2004b246a65926a75affbc2e6",
+    (1635, 1315, 408): "ec013d337960678425d50c88c2b6c069d4370aca1d7f02be1c074f3a7778921e",
+}
+
+
+@pytest.mark.parametrize("triplet", ORACLE_TRIPLETS)
+def test_condition7_report_pinned(triplet):
+    text = json.dumps(local_solvability(*triplet).to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[triplet]
+
+
+def test_condition7_negative_definite_real_place():
+    # a, b, c < 0 make q2 negative definite: w2^2 = q2 forces v = 0, w = 0
+    rpt = local_solvability(-1, -2, -3)
+    assert rpt.verdict == FAIL
+    assert rpt.data["places"]["real"]["status"] == "obstructed"
+    assert rpt.detail.startswith("local obstruction certified at real")
+
+
+def test_condition7_unresolved_real_place_is_uncertified():
+    rpt = local_solvability(-12, 1, -12)
+    assert rpt.data["places"]["real"]["status"] == "unresolved"
+    assert rpt.verdict == PROBABLE
+    assert rpt.data["uncertified_places"][0] == "real"
+    assert "real place and" not in rpt.detail
+    assert "real place is unresolved" in rpt.detail
 
 
 def test_condition7_small_bound():
