@@ -16,7 +16,8 @@ Modules:
 * ``lattice``    -- the rank-15 intersection lattice of the covering K3 surface,
                     its half-integer classes, Galois action, and F2 quotients.
 * ``f2``         -- linear algebra over F2 on bitmask vectors: echelon forms,
-                    kernels, fixed spaces, subspace enumeration.
+                    kernels, fixed spaces, subspace enumeration, and the F2
+                    Galois-module type of the lattice quotient and 2-torsion.
 * ``actions``    -- the Galois action table: field automorphisms and the class
                     and point permutations they induce.
 * ``twotorsion`` -- the 2-torsion of the Jacobian of the branch curve as a
@@ -27,7 +28,8 @@ Modules:
                     corestriction expansion on split covers, Faddeev
                     reconstruction of symbol algebras from residue data.
 * ``datafiles``  -- loader for the versioned JSON tables in ``enriq/data/``,
-                    with the ``ENRIQ_DATA_DIR`` override.
+                    with the ``ENRIQ_DATA_DIR`` override, read once per
+                    process.
 
 There is no command-line module yet, so ``pyproject.toml`` declares no
 console script; the ``enriq`` script comes back with ``cli.py``, the

@@ -1,9 +1,13 @@
 """Loader for the versioned JSON data files bundled with the package.
 
 Data files live in ``enriq/data/`` and each carries a ``format`` tag
-("<name>/<version>").  The environment variable ``ENRIQ_DATA_DIR`` overrides
-the bundled directory, so auditors can point the toolkit at edited copies of
-the tables and re-run every check against them.
+("<name>/<version>") that must equal the tag the caller expects.  The
+environment variable ``ENRIQ_DATA_DIR`` overrides the bundled directory,
+so auditors can point the toolkit at edited copies of the tables and re-run
+every check against them.  The variable is read once per process, at the
+first lookup: changing it later has no effect, so every table and every
+cache derived from one (such as ``actions.load_rows``) comes from the same
+directory.  Set it before the process starts.
 """
 
 from __future__ import annotations
@@ -18,7 +22,10 @@ _BUNDLED = Path(__file__).parent / "data"
 ENV_OVERRIDE = "ENRIQ_DATA_DIR"
 
 
+@lru_cache(maxsize=1)
 def data_dir() -> Path:
+    """The data directory of this process: ``ENRIQ_DATA_DIR`` as it was at
+    the first call, else the bundled directory."""
     override = os.environ.get(ENV_OVERRIDE)
     return Path(override) if override else _BUNDLED
 
@@ -28,22 +35,17 @@ def data_path(filename: str) -> Path:
 
 
 @lru_cache(maxsize=None)
-def _load_cached(path_str: str, expected_format: str) -> dict:
-    with open(path_str, "r", encoding="utf-8") as fh:
+def load(filename: str, expected_format: str) -> dict:
+    """Load a data file and check its whole format tag, name and version.
+
+    Results are cached for the life of the process.
+    """
+    path = data_path(filename)
+    with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     fmt = payload.get("format", "")
-    base = fmt.split("/")[0]
-    if base != expected_format.split("/")[0]:
+    if fmt != expected_format:
         raise ValueError(
-            f"{path_str}: format {fmt!r} does not match expected {expected_format!r}"
+            f"{path}: format {fmt!r} does not match expected {expected_format!r}"
         )
     return payload
-
-
-def load(filename: str, expected_format: str) -> dict:
-    """Load a data file and check its format tag.
-
-    Results are cached per absolute path, so repeated loads are cheap and the
-    ``ENRIQ_DATA_DIR`` override is honoured per call.
-    """
-    return _load_cached(str(data_path(filename).resolve()), expected_format)

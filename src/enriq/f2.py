@@ -4,12 +4,18 @@ Vectors in F2^n are Python ints (bit i = coordinate i); addition is XOR.
 Everything here is exact and deterministic; dimensions stay tiny (n <= 16),
 so plain Gaussian elimination is all we need.  Linear maps of F2^k are
 given by the images of the k unit vectors.
+
+:class:`GaloisModule` is the one F2 Galois-module type of the package: a
+span of basis vectors modulo a span of relations inside F2^n, with every
+Galois row acting by an invertible matrix.  The lattice quotient
+(``lattice.QuotientF2``) and the 2-torsion image
+(``twotorsion.F2GModule``) are its two instances.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
 def echelon(vectors: Iterable[int]) -> list[int]:
@@ -38,44 +44,39 @@ def in_span(vectors: Sequence[int], v: int) -> bool:
     return v == 0
 
 
-def express(basis: Sequence[int], v: int, n: int) -> Optional[list[int]]:
+def _reduce(pivots: Sequence[tuple[int, int]], vec: int, tag: int = 0) -> tuple[int, int]:
+    """Clear the leading bit of every pivot from ``vec``, XOR-ing the
+    pivots' tags into ``tag``; returns the remainder and the tag."""
+    for pvec, ptag in pivots:
+        if vec & (1 << (pvec.bit_length() - 1)):
+            vec ^= pvec
+            tag ^= ptag
+    return vec, tag
+
+
+def _eliminate(vectors: Iterable[int]) -> tuple[list[tuple[int, int]], list[int]]:
+    """Tagged Gaussian elimination of the input vectors.
+
+    Returns the pivots, pairs (vector, tag) with distinct leading bits in
+    descending order, and the null tags.  A tag is the bitmask of the
+    input positions whose XOR gives the vector (or, for a null tag, 0).
+    """
+    pivots: list[tuple[int, int]] = []
+    null: list[int] = []
+    for j, vec in enumerate(vectors):
+        vec, tag = _reduce(pivots, vec, 1 << j)
+        if vec:
+            pivots.append((vec, tag))
+            pivots.sort(reverse=True)
+        else:
+            null.append(tag)
+    return pivots, null
+
+
+def express(basis: Sequence[int], v: int) -> Optional[list[int]]:
     """Coefficients x with XOR_j x_j basis_j = v, or None if v not in span."""
-    k = len(basis)
-    rows = []
-    for coord in range(n):
-        row = 0
-        for j, b in enumerate(basis):
-            if (b >> coord) & 1:
-                row |= 1 << j
-        if (v >> coord) & 1:
-            row |= 1 << k
-        rows.append(row)
-    piv: dict[int, int] = {}
-    for row in rows:
-        col = 0
-        while col < k and row:
-            if (row >> col) & 1:
-                if col in piv:
-                    row ^= piv[col]
-                else:
-                    piv[col] = row
-                    row = 0
-            col += 1
-        if row:  # all unknowns eliminated but rhs bit remains: 0 = 1
-            return None
-    coeffs = [0] * k
-    for col in sorted(piv, reverse=True):
-        row = piv[col]
-        val = (row >> k) & 1
-        for c2 in range(col + 1, k):
-            if (row >> c2) & 1:
-                val ^= coeffs[c2]
-        coeffs[col] = val
-    acc = 0
-    for j, b in enumerate(basis):
-        if coeffs[j]:
-            acc ^= b
-    return coeffs if acc == v else None
+    rest, tag = _reduce(_eliminate(basis)[0], v)
+    return None if rest else [(tag >> j) & 1 for j in range(len(basis))]
 
 
 def nullspace(images: Sequence[int]) -> list[int]:
@@ -84,22 +85,7 @@ def nullspace(images: Sequence[int]) -> list[int]:
     ``images`` lists the images of the domain basis vectors; the returned
     bitmasks live in the domain F2^len(images).
     """
-    basis: list[tuple[int, int]] = []  # (image vector, domain tag)
-    null: list[int] = []
-    for j, vec in enumerate(images):
-        tag = 1 << j
-        for bvec, btag in basis:
-            if vec == 0:
-                break
-            if vec & (1 << (bvec.bit_length() - 1)):
-                vec ^= bvec
-                tag ^= btag
-        if vec == 0:
-            null.append(tag)
-        else:
-            basis.append((vec, tag))
-            basis.sort(key=lambda p: p[0], reverse=True)
-    return null
+    return _eliminate(images)[1]
 
 
 def fixed_space(endos: Sequence[Sequence[int]], k: int) -> list[int]:
@@ -134,3 +120,58 @@ def all_subspaces(n: int, dim: int) -> Iterator[list[int]]:
             for (i, j), bit in zip(slots, bits):
                 rows[i] |= bit << j
             yield rows
+
+
+class GaloisModule:
+    """span(basis) modulo span(relations) inside F2^n, with a Galois action.
+
+    Elements are coordinate bitmasks over the basis (bit i = coefficient of
+    basis vector i).  ``images`` maps each row name to the ambient images
+    of the basis vectors; each is reduced to coordinates once, here, and
+    kept in ``actions``.  Raises ArithmeticError when the basis overlaps
+    the relation span or a row does not act invertibly.
+    """
+
+    def __init__(self, basis: Sequence[int], relations: Sequence[int],
+                 images: Mapping[str, Sequence[int]]):
+        self.dimension = len(basis)
+        self._pivots, null = _eliminate(list(basis) + list(relations))
+        if null:
+            raise ArithmeticError("module basis overlaps the relation span")
+        self.actions: dict[str, tuple[int, ...]] = {}
+        for name, imgs in images.items():
+            coords = tuple(self._coordinates(m) for m in imgs)
+            if rank(coords) != self.dimension:
+                raise ArithmeticError(f"row {name} does not act invertibly")
+            self.actions[name] = coords
+
+    def _coordinates(self, mask: int) -> int:
+        """Coordinates of an ambient vector of span(basis) + span(relations)."""
+        rest, tag = _reduce(self._pivots, mask)
+        if rest:
+            raise ValueError(f"vector {mask:#x} lies outside the module")
+        return tag & ((1 << self.dimension) - 1)
+
+    def act(self, name: str, coord: int) -> int:
+        out = 0
+        for i, img in enumerate(self.actions[name]):
+            if (coord >> i) & 1:
+                out ^= img
+        return out
+
+    def fixed_subspace(self, names: Optional[Iterable[str]] = None) -> list[int]:
+        """Echelon basis of the space fixed by every named row (default: all
+        rows; no rows gives the whole space)."""
+        names = list(self.actions) if names is None else list(names)
+        unknown = [n for n in names if n not in self.actions]
+        if unknown:
+            raise ValueError(f"unknown Galois row {unknown[0]!r}")
+        return fixed_space([self.actions[n] for n in names], self.dimension)
+
+    def invariant_subspaces(self, dim: int) -> Iterator[list[int]]:
+        """Echelon basis of every dim-dimensional subspace that every row
+        maps into itself, in the order of :func:`all_subspaces`."""
+        for basis in all_subspaces(self.dimension, dim):
+            if all(in_span(basis, self.act(name, b))
+                   for name in self.actions for b in basis):
+                yield basis

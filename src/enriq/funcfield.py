@@ -34,7 +34,6 @@ __all__ = [
     "Place",
     "ResidueField",
     "valuation",
-    "reduce_unit",
     "support_places",
     "factor_poly",
     "square_free_decomposition",
@@ -795,10 +794,6 @@ class ResidueField:
         return verdict.verdict
 
 
-def reduce_unit(f: RatFunc, place: Place):
-    return place.residue_field().reduce(f)
-
-
 # --------------------------------------------------------------------------
 # support and factorization
 # --------------------------------------------------------------------------
@@ -920,27 +915,21 @@ def _factor_rational_poly(p: Poly) -> list[tuple[Poly, int]]:
 
 
 def _factor_tower_poly(p: Poly) -> list[tuple[Poly, int]]:
-    """Factor over a tower: peel linear factors found among rational roots
-    of the norm-free path is out of scope; we only split off the linear
-    factors visible from degree-1 and keep a degree-<=2 remainder."""
-    field = p.field
-    work = p.monic()
-    out: dict = {}
-    # repeatedly remove roots that are rational multiples of known elements
-    # is undecidable in general; only degrees <= 2 are supported directly.
-    if work.degree <= 2:
-        if work.degree == 2:
-            u, v = work.coeff(1), work.coeff(0)
-            disc = u * u - v * 4
-            if field.is_square(disc):
-                raise NotImplementedError(
-                    "splitting a reducible quadratic over a tower is not supported"
-                )
-        out[work] = out.get(work, 0) + 1
-        return list(out.items())
-    raise NotImplementedError(
-        f"factorization over {field.name} beyond degree 2 is out of scope"
-    )
+    """[(monic p, 1)] over a tower when p is linear or an irreducible
+    quadratic; raises NotImplementedError for a split quadratic and for
+    degree 3 and up."""
+    monic = p.monic()
+    if monic.degree > 2:
+        raise NotImplementedError(
+            f"factorization over {p.field.name} beyond degree 2 is out of scope"
+        )
+    if monic.degree == 2:
+        u, v = monic.coeff(1), monic.coeff(0)
+        if p.field.is_square(u * u - v * 4):
+            raise NotImplementedError(
+                "splitting a reducible quadratic over a tower is not supported"
+            )
+    return [(monic, 1)]
 
 
 def factor_poly(p: Poly) -> list[tuple[Poly, int]]:

@@ -660,7 +660,7 @@ def verify_point_permutations(a, b, c, *, tower: Optional[Tower] = None) -> dict
 # --------------------------------------------------------------------------
 
 def verify_suite(a, b, c, *, tower: Optional[Tower] = None) -> dict:
-    """Run every geometry check for one triplet; used by the CLI."""
+    """Run every geometry check for one triplet."""
     tw = tower if tower is not None else presets.k_tower(a, b, c)
     relations = generator_relations(a, b, c, tower=tw)
     weierstrass = weierstrass_report(a, b, c, tower=tw)

@@ -15,7 +15,8 @@ provides
   the left inverse (G^T G)^-1 G^T of its 15x6 generator matrix G: the
   coefficients c = L x must be integral and reproduce x = G c;
 * the 9-dimensional F2 quotient by that sublattice plus doubles
-  (:func:`quotient_F2`) carrying the induced Galois action;
+  (:func:`quotient_F2`), an ``f2.GaloisModule`` carrying the induced
+  Galois action;
 * fixed-subspace computations (:func:`invariants_under`) and the
   trivial-times-induced-times-induced structure test
   (:func:`verify_decomposition`);
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import actions, datafiles, f2
 
@@ -102,10 +103,7 @@ def class_vector(name: str) -> Vector:
         return tuple(v)
     half = _data()["half_classes"]
     if name in half:
-        acc = [Fraction(0)] * RANK
-        for member in half[name]:
-            acc = [a + b for a, b in zip(acc, class_vector(member))]
-        return tuple(x / 2 for x in acc)
+        return _half_sum(class_vector(member) for member in half[name])
     if name.startswith("G") and name[1:].isdigit():
         # companion classes: G_j = F1 + G1 - F_j
         acc = [
@@ -116,6 +114,22 @@ def class_vector(name: str) -> Vector:
         ]
         return tuple(acc)
     raise KeyError(f"unknown lattice class {name!r}")
+
+
+def _half_sum(vectors: Iterable[Vector]) -> Vector:
+    """Half the sum of the given ambient vectors."""
+    acc = [Fraction(0)] * RANK
+    for v in vectors:
+        acc = [a + b for a, b in zip(acc, v)]
+    return tuple(x / 2 for x in acc)
+
+
+def _permuted_vector(perm: Mapping[str, str], name: str) -> Vector:
+    """Ambient vector of a generator after permuting the fibre classes."""
+    half = _data()["half_classes"]
+    if name in half:
+        return _half_sum(class_vector(perm[member]) for member in half[name])
+    return class_vector(perm[name])
 
 
 def as_vector(x: ClassLike) -> Vector:
@@ -278,56 +292,35 @@ def pullback_sublattice() -> PullbackSublattice:
 # -- the F2 quotient ----------------------------------------------------
 
 
-class QuotientF2:
-    """Pic / (pullback sublattice + 2 Pic) as a 9-dimensional F2 space.
+class QuotientF2(f2.GaloisModule):
+    """Pic / (pullback sublattice + 2 Pic) as a 9-dimensional F2 module.
 
     Vectors are bitmasks over ``basis_names`` (bit i = coefficient of the
     i-th basis class).  The mod-2 reduction runs through coordinates over
     LATTICE_BASIS, so every lattice element — including the half-classes
-    and companion classes — reduces exactly.
+    and companion classes — reduces exactly.  Every Galois row of the
+    table acts, through its permutation of the fibre classes.
     """
 
     def __init__(self):
-        data = _data()
-        self.basis_names: tuple[str, ...] = tuple(data["quotient_basis"])
+        self.basis_names: tuple[str, ...] = tuple(_data()["quotient_basis"])
+        images = {}
+        for row in actions.load_rows():
+            perm = row.class_permutation()
+            images[row.name] = [_mod2_mask(_permuted_vector(perm, n))
+                                for n in self.basis_names]
         pi_masks = [_mod2_mask(v) for v in pullback_sublattice().generators]
-        self._full_basis = [_mod2_mask(n) for n in self.basis_names] + pi_masks
-        if f2.rank(self._full_basis) != RANK:
+        super().__init__([_mod2_mask(n) for n in self.basis_names], pi_masks, images)
+        if self.dimension + len(pi_masks) != RANK:
             raise ArithmeticError("quotient basis does not complement the pullback span")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis_names)
 
     def image(self, x: ClassLike) -> int:
         """Quotient coordinates of a lattice element, as a 9-bit mask."""
-        coeffs = f2.express(self._full_basis, _mod2_mask(x), RANK)
-        if coeffs is None:  # pragma: no cover - full_basis spans F2^15
-            raise ArithmeticError("quotient expression failed")
-        return sum(bit << i for i, bit in enumerate(coeffs[: self.dimension]))
+        return self._coordinates(_mod2_mask(x))
 
     def image_names(self, x: ClassLike) -> list[str]:
         mask = x if isinstance(x, int) else self.image(x)
         return [n for i, n in enumerate(self.basis_names) if (mask >> i) & 1]
-
-    # -- Galois action ------------------------------------------------
-
-    def permuted_vector(self, perm: Mapping[str, str], name: str) -> Vector:
-        """Ambient vector of a class after permuting the fibre classes."""
-        half = _data()["half_classes"]
-        if name in half:
-            acc = [Fraction(0)] * RANK
-            for member in half[name]:
-                acc = [a + b for a, b in zip(acc, class_vector(perm[member]))]
-            return tuple(c / 2 for c in acc)
-        return class_vector(perm[name])
-
-    def action(self, row) -> list[int]:
-        """Images of the quotient basis under a Galois row (9 masks)."""
-        if isinstance(row, str):
-            row = actions.rows_by_name()[row]
-        perm = row.class_permutation()
-        return [self.image(self.permuted_vector(perm, n)) for n in self.basis_names]
 
     def verify_relations(self) -> bool:
         """Every shipped reduction identity holds in the quotient."""
@@ -371,13 +364,7 @@ def invariants_under(subgroup) -> Subspace:
     the whole 9-dimensional space.
     """
     q = quotient_F2()
-    table = actions.rows_by_name()
-    endos = []
-    for name in subgroup:
-        if name not in table:
-            raise ValueError(f"unknown Galois row {name!r}")
-        endos.append(q.action(name))
-    fixed = f2.fixed_space(endos, q.dimension)
+    fixed = q.fixed_subspace(subgroup)
     return Subspace(
         basis_masks=tuple(fixed),
         basis_names=tuple(tuple(q.image_names(m)) for m in fixed),
@@ -412,10 +399,9 @@ def core_action_table() -> dict[str, dict[str, str]]:
     q = quotient_F2()
     out: dict[str, dict[str, str]] = {}
     for row in actions.load_rows():
-        perm = row.class_permutation()
         entry = {}
         for name in CORE_CLASSES:
-            img = q.image_names(class_vector(perm[name]))
+            img = q.image_names(q.act(row.name, 1 << q.basis_names.index(name)))
             if len(img) != 1 or img[0] not in CORE_CLASSES:
                 raise ArithmeticError(
                     f"row {row.name}: core class {name} maps to {img}"
@@ -493,14 +479,13 @@ def verify_galois_isometries() -> bool:
     relation F_i + G_i = F_j + G_j."""
     mat = gram_matrix()
     fibre_sum = as_vector({"F1": 1, "G1": 1})
-    q = quotient_F2()
     for row in actions.load_rows():
         at = _transpose(galois_matrix(row))  # rows = images of the unit classes
         if tuple(_apply(at, _apply(mat, col)) for col in at) != mat:
             return False
         perm = row.class_permutation()
         for name in GENERATORS:
-            if not in_lattice(q.permuted_vector(perm, name)):
+            if not in_lattice(_permuted_vector(perm, name)):
                 return False
         for i in range(1, 15):
             img = [
@@ -516,7 +501,7 @@ def verify_galois_isometries() -> bool:
 
 
 def verify_suite(splitting_tower=None, subfield_names=None) -> dict:
-    """One-shot verification report used by the surface-verification CLI.
+    """One-shot verification report of the lattice model.
 
     ``splitting_tower`` (optional) supplies the concrete full splitting
     tower and ``subfield_names`` the generators of the curve-splitting

@@ -1424,30 +1424,12 @@ def faddeev_obstruction(spec: ResidueSpec) -> SquareClass:
 
 def _beta_coordinates(rf, value) -> tuple:
     """Write a degree-2 residue value as A + B*beta over the base."""
-    top = len(rf.tower.steps) - 1
-    even, odd = value.split(top)
-    u = rf.place.poly.coeff(1)
+    even, odd = value.split(len(rf.tower.steps) - 1)
+    x_part, y_part = rf._descend(even), rf._descend(odd)
     # beta = (sqrt_disc - u)/2  =>  sqrt_disc = 2*beta + u
-    base_field = rf.place.field
-    if isinstance(base_field, RationalField):
-        if not even.is_rational() or not odd.is_rational():
-            raise ValueError(f"residue value {value} is not in the quadratic field")
-        x_part, y_part = even.as_rational(), odd.as_rational()
-    else:
-        x_part = _strip_top(rf, even)
-        y_part = _strip_top(rf, odd)
-    a_part = x_part + y_part * u
+    a_part = x_part + y_part * rf.place.poly.coeff(1)
     b_part = 2 * y_part
     return a_part, b_part
-
-
-def _strip_top(rf, elem):
-    base_tower = rf.place.field.tower
-    top = len(rf.tower.steps) - 1
-    for mono in elem.coeffs:
-        if top in mono:  # pragma: no cover - guarded by split()
-            raise ValueError("element does not descend")
-    return TowerElem(base_tower, elem.coeffs)
 
 
 def faddeev_reconstruct(spec: ResidueSpec) -> dict:

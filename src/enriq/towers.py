@@ -296,7 +296,7 @@ class Tower:
         # add_step admits a radicand only when it is not a square below, so
         # the classes are independent and the solution is the one the
         # descent finds
-        coeffs = express(self._kummer_vecs[: lvl + 1], vec, len(self._kummer_bits) + 1)
+        coeffs = express(self._kummer_vecs[: lvl + 1], vec)
         if coeffs is None:
             return SquareVerdict(False)
         mono = frozenset(i for i, bit in enumerate(coeffs) if bit)
@@ -792,7 +792,7 @@ class TowerAuto:
         return self.apply(z)
 
 
-# -- small expression language for data files and the CLI --------------
+# -- small expression language for the data files ----------------------
 
 
 _ALLOWED_NODES = (

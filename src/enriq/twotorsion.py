@@ -5,17 +5,18 @@ mask.  Even-cardinality subsets modulo complementation model the 64-element
 2-torsion group of the genus-3 hyperelliptic quotient curve; the group law
 is symmetric difference.  Pulling divisor classes back to the branch curve
 kills exactly the class of {P1,P2,P3,P4}; the quotient by that kernel is a
-5-dimensional F2 Galois module built from two induced blocks and one
-extension class, and the package's final contradiction is an exhaustive
-scan of this picture: no odd-P class survives the subgroup of the Galois
-table that fixes both theta0 and sqrt(ab).
+5-dimensional F2 Galois module (an ``f2.GaloisModule``) built from two
+induced blocks and one extension class, and the package's final
+contradiction is an exhaustive scan of this picture: no odd-P class
+survives the subgroup of the Galois table that fixes both theta0 and
+sqrt(ab).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from . import actions, f2
 from .actions import POINT_NAMES, GaloisRow
@@ -124,40 +125,27 @@ def _resolve_rows(rows) -> list[GaloisRow]:
 # -- the pullback image as a Galois module ------------------------------
 
 
-class F2GModule:
-    """An F2 space with a distinguished basis of Weierstrass classes and a
-    Galois action by invertible matrices.
+class F2GModule(f2.GaloisModule):
+    """The F2 span of some Weierstrass classes modulo relation masks, with
+    the Galois action of the given rows through their point permutations.
 
     Elements are bitmasks over ``basis_classes`` (bit i = coefficient of
     generator i).  Reduction of an arbitrary class to coordinates runs
-    modulo the listed relation masks, so the kernel class and
-    complementation are invisible downstream.
+    modulo the relation masks, so the kernel class and complementation are
+    invisible downstream.
     """
 
     def __init__(self, basis_classes: Sequence[WeierstrassClass],
                  relation_masks: Sequence[int], rows: Sequence[GaloisRow]):
         self.basis_classes = tuple(basis_classes)
-        self._relations = tuple(relation_masks)
-        self._ambient = [c.mask for c in self.basis_classes] + list(self._relations)
-        if f2.rank(self._ambient) != len(self._ambient):
-            raise ArithmeticError("module generators overlap the relation span")
-        self.actions: dict[str, tuple[int, ...]] = {}
+        images = {}
         for row in rows:
             perm = row.point_permutation()
-            imgs = tuple(self.coordinates(c.transformed(perm)) for c in self.basis_classes)
-            if f2.rank(imgs) != self.dimension:
-                raise ArithmeticError(f"row {row.name} does not act invertibly")
-            self.actions[row.name] = imgs
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis_classes)
+            images[row.name] = [c.transformed(perm).mask for c in self.basis_classes]
+        super().__init__([c.mask for c in self.basis_classes], relation_masks, images)
 
     def coordinates(self, cls: WeierstrassClass) -> int:
-        coeffs = f2.express(self._ambient, cls.mask, 8)
-        if coeffs is None:
-            raise ValueError(f"{cls} lies outside the module")
-        return sum(bit << i for i, bit in enumerate(coeffs[: self.dimension]))
+        return self._coordinates(cls.mask)
 
     def element(self, coord_mask: int) -> WeierstrassClass:
         acc = IDENTITY
@@ -165,19 +153,6 @@ class F2GModule:
             if (coord_mask >> i) & 1:
                 acc = acc + c
         return acc
-
-    def act(self, row: Union[str, GaloisRow], coord_mask: int) -> int:
-        imgs = self.actions[row if isinstance(row, str) else row.name]
-        out = 0
-        for i, img in enumerate(imgs):
-            if (coord_mask >> i) & 1:
-                out ^= img
-        return out
-
-    def fixed_subspace(self, row_names: Optional[Iterable[str]] = None) -> list[int]:
-        """Echelon basis (coordinate masks) of the common fixed space."""
-        names = list(self.actions) if row_names is None else list(row_names)
-        return f2.fixed_space([self.actions[n] for n in names], self.dimension)
 
 
 @lru_cache(maxsize=1)
@@ -205,7 +180,7 @@ def verify_induced_blocks() -> bool:
     swap the second pair, and nothing else touches either pair."""
     module = pullback_image_module()
     for row in actions.load_rows():
-        e1, e2, e3, e4, _ = (module.act(row, 1 << i) for i in range(5))
+        e1, e2, e3, e4, _ = (module.act(row.name, 1 << i) for i in range(5))
         swap_ab = row.moves_root("sqrtab")
         swap_th = row.moves_root("theta0")
         if (e1, e2) != ((0b00010, 0b00001) if swap_ab else (0b00001, 0b00010)):
@@ -251,25 +226,18 @@ def enumerate_invariant_submodules(module: F2GModule, index: int) -> list[Submod
     """All Galois-invariant submodules of the given index, exhaustively.
 
     The spaces involved are tiny (dimension <= 5), so every subspace of
-    the right dimension is generated once, by its reduced echelon basis
-    (:func:`f2.all_subspaces`), and kept when every row maps the basis
-    into its span.
+    the right dimension is tried once
+    (:meth:`f2.GaloisModule.invariant_subspaces`).
     """
     if index < 1 or index & (index - 1):
         raise ValueError("index must be a power of 2")
     dim = module.dimension - index.bit_length() + 1
     if dim < 0:
         return []
-    out = []
-    for basis in f2.all_subspaces(module.dimension, dim):
-        if all(f2.in_span(basis, module.act(name, b))
-               for name in module.actions for b in basis):
-            out.append(Submodule(
-                basis=tuple(basis),
-                classes=tuple(module.element(b) for b in basis),
-                index=index,
-            ))
-    return out
+    return [Submodule(basis=tuple(basis),
+                      classes=tuple(module.element(b) for b in basis),
+                      index=index)
+            for basis in module.invariant_subspaces(dim)]
 
 
 # -- the fixed-odd-class scan -------------------------------------------

@@ -23,8 +23,8 @@ WITNESS = (12, 111, 13)
 
 @pytest.fixture(scope="session")
 def k_tower_witness():
-    """The full 18-step splitting tower at the witness triplet (~2 s to
-    build, shared across the whole run)."""
+    """The full 18-step splitting tower at the witness triplet, shared
+    across the whole run."""
     return presets.k_tower(*WITNESS)
 
 

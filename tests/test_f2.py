@@ -87,3 +87,51 @@ def test_echelon_depends_on_the_span_only(vectors, rnd):
 
 def test_echelon_examples():
     assert f2.echelon([3, 1]) == f2.echelon([1, 3]) == [2, 1]
+
+
+@given(st.lists(st.integers(0, 2 ** 6 - 1), max_size=8), st.integers(0, 2 ** 6 - 1))
+def test_express_matches_brute_force(basis, v):
+    coeffs = f2.express(basis, v)
+    if v not in span_set(basis):
+        assert coeffs is None
+    else:
+        assert len(coeffs) == len(basis)
+        assert reduce(lambda acc, j: acc ^ basis[j] if coeffs[j] else acc,
+                      range(len(basis)), 0) == v
+
+
+# -- the Galois-module type --------------------------------------------------
+
+def swap_module():
+    """<e0, e1, e2> modulo <e3> in F2^4: "swap" exchanges e0 and e1 and
+    sends e2 to e2 + e3, which is e2 in the quotient."""
+    return f2.GaloisModule([0b0001, 0b0010, 0b0100], [0b1000],
+                           {"swap": [0b0010, 0b0001, 0b1100], "id": [1, 2, 4]})
+
+
+def test_galois_module_coordinates_and_action():
+    m = swap_module()
+    assert m.dimension == 3
+    assert m.actions == {"swap": (0b010, 0b001, 0b100), "id": (1, 2, 4)}
+    assert m._coordinates(0b1111) == 0b111
+    assert m.act("swap", 0b101) == 0b110
+    assert m.fixed_subspace() == [0b100, 0b011]
+    assert m.fixed_subspace([]) == [0b100, 0b010, 0b001]
+    assert [tuple(b) for b in m.invariant_subspaces(1)] == [(0b100,), (0b111,), (0b011,)]
+    with pytest.raises(ValueError):
+        m._coordinates(0b10000)  # outside basis + relations
+
+
+def test_galois_module_rejects_overlapping_relations():
+    with pytest.raises(ArithmeticError):
+        f2.GaloisModule([0b01, 0b10], [0b11], {})
+
+
+def test_galois_module_rejects_a_non_invertible_row():
+    with pytest.raises(ArithmeticError):
+        f2.GaloisModule([0b01, 0b10], [], {"collapse": [0b01, 0b01]})
+
+
+def test_galois_module_rejects_an_unknown_row():
+    with pytest.raises(ValueError):
+        swap_module().fixed_subspace(["swap", "nope"])

@@ -15,7 +15,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from enriq import arith, funcfield
-from enriq.funcfield import QQ, Place, Poly, RatFunc, factor_poly
+from enriq.funcfield import QQ, Place, Poly, RatFunc, TowerCoefficients, factor_poly
+from enriq.towers import Tower
 
 T = sympy.Symbol("T")
 
@@ -210,3 +211,16 @@ def test_incomplete_coefficient_factorization_raises(monkeypatch):
         factor_poly(p)
     assert factor_poly(Poly(QQ, [-1, 1]) * Poly(QQ, [-2, 0, 0, 1])) == [
         (Poly(QQ, [-1, 1]), 1), (Poly(QQ, [-2, 0, 0, 1]), 1)]
+
+
+def test_factoring_over_a_tower_base():
+    # over Q(sqrt 5): a linear or irreducible quadratic p comes back as
+    # [(monic p, 1)]; splitting a quadratic, or anything of degree 3 and
+    # up, is out of scope
+    K = TowerCoefficients(Tower().extend("r5", Fraction(5), depth=12, label="sqrt5"))
+    assert factor_poly(Poly(K, [3, 2])) == [(Poly(K, [Fraction(3, 2), 1]), 1)]
+    assert factor_poly(Poly(K, [-6, 0, 3])) == [(Poly(K, [-2, 0, 1]), 1)]
+    with pytest.raises(NotImplementedError):
+        factor_poly(Poly(K, [-5, 0, 1]))  # (t - sqrt 5)(t + sqrt 5)
+    with pytest.raises(NotImplementedError):
+        factor_poly(Poly(K, [-2, 0, 0, 1]))
