@@ -31,6 +31,9 @@ Modules:
                     with the ``ENRIQ_DATA_DIR`` override, read once per
                     process.
 
+The runtime needs the standard library only; numpy and sympy are test
+oracles, in the ``test`` extra with pytest and hypothesis.
+
 There is no command-line module yet, so ``pyproject.toml`` declares no
 console script; the ``enriq`` script comes back with ``cli.py``, the
 certificate entry point of ROADMAP item 4.

@@ -9,10 +9,10 @@ arithmetic conditions under which the verification pipeline applies:
   (4) -bc is not a square modulo 5
   (5) (a, b, c) = (5, 6, 6) modulo 7
   (6) (a, b, c) = (1, 1, 2) modulo 11
-  (7) the surface has points over R and over every Q_p (searched up to a
-      prime bound; verdict at best "Probable"): a walk over P^2(F_p) for
+  (7) the surface has points over R and over every Q_p (searched up to
+      PRIME_BOUND; verdict at best "Probable"): a walk over P^2(F_p) for
       a smooth F_p-point, then a survival count modulo p^k over the
-      unit-scaling orbits of v
+      unit-scaling orbits of v, on plain-int bitmasks (no numpy)
   (8) the splitting field is as large as possible; checked through the
       tower-independence proxy: every preset tower step stays quadratic.
 
@@ -23,12 +23,11 @@ degenerates there and the screen auto-passes with a note); the condition
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
-
-import numpy as np
 
 from .arith import is_anisotropic_diag4, legendre, prime_divisors
 from .presets import k_tower
@@ -36,7 +35,8 @@ from .presets import k_tower
 #: The published example triplet used throughout the tests.
 WITNESS = (12, 111, 13)
 
-DEFAULT_PRIME_BOUND = 100
+#: Condition (7) examines the primes up to this bound.
+PRIME_BOUND = 100
 
 PASS, FAIL, PROBABLE, UNKNOWN = "Pass", "Fail", "Probable", "Unknown"
 
@@ -64,7 +64,6 @@ class TripletReport:
     a: int
     b: int
     c: int
-    prime_bound: int
     nonsingular: bool
     factors: dict
     conditions: list[ConditionReport]
@@ -73,7 +72,7 @@ class TripletReport:
     def to_dict(self) -> dict:
         return {
             "triplet": [self.a, self.b, self.c],
-            "prime_bound": self.prime_bound,
+            "prime_bound": PRIME_BOUND,
             "nonsingular": self.nonsingular,
             "nonsingularity_factors": {k: str(v) for k, v in self.factors.items()},
             "conditions": [c.to_dict() for c in self.conditions],
@@ -226,36 +225,31 @@ def _jacobian_rank_mod_p(a, b, c, v, w, p) -> int:
     return rank
 
 
-def _square_tables(p: int, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Tables over the residues x mod p^k, for m = 1 and then m = 5: whether
-    x = m*w^2 for some w, and whether for some unit w."""
-    q = p**k
-    w = np.arange(q, dtype=np.int64)
-    unit = w % p != 0
-    tables = []
-    for m in (1, 5):
-        x = m * w * w % q
-        hit, unit_hit = np.zeros(q, dtype=bool), np.zeros(q, dtype=bool)
-        hit[x] = True
-        unit_hit[x[unit]] = True
-        tables.append((hit, unit_hit))
-    return tables
+@functools.lru_cache(maxsize=None)
+def _survival_masks(p: int, k: int, m: int, r: int) -> tuple[tuple[int, int], ...]:
+    """For each x mod q = p^k, two bitmasks over v2 mod q: the v2 with
+    x + m*v2^2 = r*w^2 for some w, and those for some unit w.
 
-
-def _grid_slices(a: int, b: int, c: int, q: int, v0s) -> Iterator[tuple]:
-    """For each v0 in ``v0s``: (v0, q0, d, q2) over the (v1, v2) grid mod q.
-
-    A point (v, w) of the system is q0 = w0^2, d = q0 - q1 = 5*w1^2 and
-    q2 = w2^2, so each w_i is constrained by one array alone.
+    The cache is bounded: p is at most PRIME_BOUND, k is
+    _deep_modulus_exponent(p), m < p^k and r is 1 or 5.
     """
-    rng = np.arange(q, dtype=np.int64)
-    v1, v2 = np.meshgrid(rng, rng, indexing="ij")
-    am, bm, cm = a % q, b % q, c % q
-    for v0 in v0s:
-        q0 = (v0 * v1 + 5 * v2 * v2) % q
-        q1 = ((v0 + v1) % q) * ((v0 + 2 * v1) % q) % q
-        q2 = (am * v0 * v0 + bm * v1 * v1 + cm * v2 * v2) % q
-        yield v0, q0, (q0 - q1) % q, q2
+    q = p**k
+    values = {r * w * w % q for w in range(q)}
+    unit_values = {r * w * w % q for w in range(q) if w % p}
+    shifts: dict[int, int] = {}
+    for v2 in range(q):
+        s = m * v2 * v2 % q
+        shifts[s] = shifts.get(s, 0) | 1 << v2
+    masks = []
+    for x in range(q):
+        hit = unit_hit = 0
+        for s, bits in shifts.items():
+            if (x + s) % q in values:
+                hit |= bits
+            if (x + s) % q in unit_values:
+                unit_hit |= bits
+        masks.append((hit, unit_hit))
+    return tuple(masks)
 
 
 def _projective_points(p: int) -> Iterator[tuple[int, int, int]]:
@@ -327,16 +321,33 @@ def _deep_search_mod_pk(a: int, b: int, c: int, p: int, k: int) -> int:
 
     k+1 slices instead of p^k.
     """
-    q = p**k
-    (square, unit_square), (five_sq, unit_five_sq) = _square_tables(p, k)
-    unit = np.arange(q) % p != 0
-    v12_unit = unit[:, None] | unit[None, :]
     orbit = {0: 1} | {p**j: (p - 1) * p ** (k - j - 1) for j in range(k)}
+    return sum(n * _slice_survivors(a, b, c, p, k, v0) for v0, n in orbit.items())
+
+
+def _slice_survivors(a: int, b: int, c: int, p: int, k: int, v0: int) -> int:
+    """S(v0): the survivors (v1, v2) mod p^k of the slice at v0.
+
+    A point is q0 = w0^2, d = q0 - q1 = 5*w1^2 and q2 = w2^2.  In the row
+    at v1, q0 is v0*v1 + 5*v2^2, d is v0*v1 - (v0 + v1)*(v0 + 2*v1) +
+    5*v2^2 and q2 is a*v0^2 + b*v1^2 + c*v2^2, so each is a lookup in
+    _survival_masks and the row's survivors are the AND of three masks;
+    when v0 and v1 are non-units, v2 or one of the w_i must be a unit.
+    """
+    q = p**k
+    q0_masks = _survival_masks(p, k, 5, 1)
+    d_masks = _survival_masks(p, k, 5, 5)
+    q2_masks = _survival_masks(p, k, c % q, 1)
+    unit_v2 = sum(1 << v2 for v2 in range(q) if v2 % p)
     survivors = 0
-    for v0, q0, d, q2 in _grid_slices(a, b, c, q, orbit):
-        exists = square[q0] & five_sq[d] & square[q2]
-        w_unit = unit_square[q0] | unit_five_sq[d] | unit_square[q2]
-        survivors += orbit[v0] * int((exists & (v12_unit | unit[v0] | w_unit)).sum())
+    for v1 in range(q):
+        hit0, unit0 = q0_masks[v0 * v1 % q]
+        hit_d, unit_d = d_masks[(v0 * v1 - (v0 + v1) * (v0 + 2 * v1)) % q]
+        hit2, unit2 = q2_masks[(a * v0 * v0 + b * v1 * v1) % q]
+        row = hit0 & hit_d & hit2
+        if v0 % p == 0 and v1 % p == 0:
+            row &= unit_v2 | unit0 | unit_d | unit2
+        survivors += row.bit_count()
     return survivors
 
 
@@ -367,10 +378,8 @@ def _real_point(a: int, b: int, c: int) -> Optional[list]:
     return None
 
 
-def local_solvability(
-    a: int, b: int, c: int, prime_bound: int = DEFAULT_PRIME_BOUND
-) -> ConditionReport:
-    """Condition (7): points over R and over Q_p for all p <= prime_bound.
+def local_solvability(a: int, b: int, c: int) -> ConditionReport:
+    """Condition (7): points over R and over Q_p for all p <= PRIME_BOUND.
 
     The real place is certified by a rational point from a small grid, and
     obstructed when a, b, c < 0: then q2 is negative definite, w2^2 = q2
@@ -400,7 +409,7 @@ def local_solvability(
         places["real"] = {"status": "unresolved", "note": "grid search found no certificate"}
         rpt.notes.append("no real-point certificate found by the rational grid search")
 
-    primes = _primes_up_to(prime_bound)
+    primes = _primes_up_to(PRIME_BOUND)
     factors = nonsingularity_factors(a, b, c).values()
     bad = {2, 5} | {p for p in primes if any(v % p == 0 for v in factors)}
 
@@ -435,12 +444,12 @@ def local_solvability(
         primes_left = [pl for pl in uncertified if pl != "real"]
         where = "the real place and all" if real is not None else "all"
         rpt.detail = (
-            f"solvable at {where} p <= {prime_bound} "
+            f"solvable at {where} p <= {PRIME_BOUND} "
             f"(certified except {primes_left or 'none'})"
         )
         if real is None:
             rpt.detail += "; the real place is unresolved"
-        rpt.notes.append(f"primes beyond {prime_bound} were not examined")
+        rpt.notes.append(f"primes beyond {PRIME_BOUND} were not examined")
     return rpt
 
 
@@ -485,19 +494,12 @@ _CHEAP = {
 }
 
 
-def check_condition(
-    a: int,
-    b: int,
-    c: int,
-    index: int,
-    *,
-    prime_bound: int = DEFAULT_PRIME_BOUND,
-) -> ConditionReport:
+def check_condition(a: int, b: int, c: int, index: int) -> ConditionReport:
     """Evaluate a single numbered screening condition (1-8)."""
     if index in _CHEAP:
         return _CHEAP[index](a, b, c)
     if index == 7:
-        return local_solvability(a, b, c, prime_bound=prime_bound)
+        return local_solvability(a, b, c)
     if index == 8:
         return galois_generality_proxy(a, b, c)
     raise ValueError(f"no condition numbered {index}")
@@ -507,24 +509,19 @@ def evaluate_triplet(
     a: int,
     b: int,
     c: int,
-    prime_bound: int = DEFAULT_PRIME_BOUND,
     conditions: Optional[Sequence[int]] = None,
 ) -> TripletReport:
     """Run the requested screens (default: all eight) on one triplet."""
     wanted = sorted(set(conditions or range(1, 9)))
-    return _triplet_report(a, b, c, prime_bound, wanted, {},
-                           nonsingularity_factors(a, b, c))
+    return _triplet_report(a, b, c, wanted, {}, nonsingularity_factors(a, b, c))
 
 
-def _triplet_report(a: int, b: int, c: int, prime_bound: int, wanted: Sequence[int],
+def _triplet_report(a: int, b: int, c: int, wanted: Sequence[int],
                     done: dict, factors: dict) -> TripletReport:
     """The report on the screens in ``wanted``, reusing the reports in
     ``done`` (by index) and the given nonsingularity factors."""
-    reports = [
-        done[idx] if idx in done
-        else check_condition(a, b, c, idx, prime_bound=prime_bound)
-        for idx in wanted
-    ]
+    reports = [done[idx] if idx in done else check_condition(a, b, c, idx)
+               for idx in wanted]
     nonsingular = all(factors.values())
     verdicts = [r.verdict for r in reports]
     if not nonsingular:
@@ -541,7 +538,6 @@ def _triplet_report(a: int, b: int, c: int, prime_bound: int, wanted: Sequence[i
         a=a,
         b=b,
         c=c,
-        prime_bound=prime_bound,
         nonsingular=nonsingular,
         factors=factors,
         conditions=reports,
@@ -552,7 +548,6 @@ def _triplet_report(a: int, b: int, c: int, prime_bound: int, wanted: Sequence[i
 def search_triplets(
     box: Sequence[tuple[int, int]],
     conditions: Optional[Sequence[int]] = None,
-    prime_bound: int = DEFAULT_PRIME_BOUND,
 ) -> Iterator[TripletReport]:
     """Lexicographic scan of a box [a0..a1] x [b0..b1] x [c0..c1].
 
@@ -576,6 +571,6 @@ def search_triplets(
                         if done[idx].verdict != PASS:
                             break
                 else:
-                    report = _triplet_report(a, b, c, prime_bound, wanted, done, factors)
+                    report = _triplet_report(a, b, c, wanted, done, factors)
                     if report.overall in (PASS, PROBABLE):
                         yield report

@@ -192,15 +192,9 @@ def verify_induced_blocks() -> bool:
 
 def verify_non_splitness() -> bool:
     """No class of the shape {P_i, Q_j} is fixed by the whole table; the
-    extension of the trivial class by the two induced blocks is non-split."""
-    module = pullback_image_module()
-    for i in range(1, 5):
-        for j in range(1, 5):
-            coord = module.coordinates(
-                WeierstrassClass.from_points((f"P{i}", f"Q{j}")))
-            if all(module.act(name, coord) == coord for name in module.actions):
-                return False
-    return True
+    extension of the trivial class by the two induced blocks is non-split.
+    The 16 {P_i, Q_j} are exactly the odd elements of Jac[2]/kernel."""
+    return not fixed_odd_class_scan(actions.load_rows())
 
 
 @dataclass(frozen=True)
@@ -258,18 +252,17 @@ def fixed_odd_class_scan(rows=None) -> list[WeierstrassClass]:
     ``rows`` overrides the subgroup (names or row objects; the empty list
     is the trivial subgroup).  The candidates are the odd-P classes because
     those are the possible divisor-parity obstructions; invariance is
-    tested modulo the kernel since the pullback kills it.
+    tested modulo the kernel since the pullback kills it.  They are the two
+    lifts of each vector of ``pullback_image_module()``'s fixed subspace
+    whose extension bit (bit 4, {P1,Q1}) is set.
     """
     subgroup = default_scan_rows() if rows is None else _resolve_rows(rows)
-    perms = [row.point_permutation() for row in subgroup]
-    kernel = pullback_kernel()
-    out = []
-    for cls in jac2_group():
-        if not cls.odd_p_part():
-            continue
-        if all(cls + cls.transformed(perm) in (IDENTITY, kernel) for perm in perms):
-            out.append(cls)
-    return out
+    module = pullback_image_module()
+    fixed = [0]
+    for vec in module.fixed_subspace(row.name for row in subgroup):
+        fixed += [v ^ vec for v in fixed]
+    return sorted(cls for v in fixed if v >> 4 & 1
+                  for cls in (module.element(v), module.element(v) + pullback_kernel()))
 
 
 def scan_report(rows=None) -> dict:

@@ -14,13 +14,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enriq.arith import is_prime, legendre
 from enriq.conditions import (
     FAIL,
     PASS,
+    PRIME_BOUND,
     PROBABLE,
     UNKNOWN,
     WITNESS,
@@ -291,6 +292,17 @@ def test_orbit_count_matches_full_grid(p):
         assert _deep_search_mod_pk(*triplet, p, k) == _reference_deep_search(*triplet, p, k), triplet
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@settings(max_examples=8, deadline=None)
+@given(triplet=st.tuples(*[st.integers(-2000, 2000)] * 3),
+       divides=st.sampled_from([(), (2,), (0,), (1,), (0, 2), (0, 1, 2)]))
+def test_orbit_count_matches_full_grid_on_random_triplets(p, triplet, divides):
+    """Random triplets, with p dividing c, a or b (so p | ab) when drawn."""
+    triplet = tuple(x * p if i in divides else x for i, x in enumerate(triplet))
+    k = _deep_modulus_exponent(p)
+    assert _deep_search_mod_pk(*triplet, p, k) == _reference_deep_search(*triplet, p, k)
+
+
 @given(st.tuples(*[st.integers(-2000, 2000)] * 3))
 def test_walk_matches_row_major_scan(triplet):
     for p in _primes_up_to(31):
@@ -307,14 +319,13 @@ def test_deep_search_builds_one_slice_per_orbit(monkeypatch):
     from enriq import conditions
 
     built = []
-    slices = conditions._grid_slices
+    survivors = conditions._slice_survivors
 
     def counting(*args):
-        for piece in slices(*args):
-            built.append(piece[0])
-            yield piece
+        built.append(args[-1])
+        return survivors(*args)
 
-    monkeypatch.setattr(conditions, "_grid_slices", counting)
+    monkeypatch.setattr(conditions, "_slice_survivors", counting)
     assert _deep_search_mod_pk(1635, 1315, 408, 5, 3) == _reference_deep_search(1635, 1315, 408, 5, 3)
     assert sorted(built) == [0, 1, 5, 25]
 
@@ -355,9 +366,11 @@ def test_condition7_unresolved_real_place_is_uncertified():
 
 
 def test_condition7_small_bound():
-    rpt = check_condition(*WITNESS, 7, prime_bound=3)
-    assert set(rpt.data["places"]) == {"real", "2", "3"}
+    rpt = check_condition(*WITNESS, 7)
+    primes = {str(p) for p in range(2, PRIME_BOUND + 1) if is_prime(p)}
+    assert set(rpt.data["places"]) == {"real"} | primes
     assert rpt.verdict == PROBABLE
+    assert evaluate_triplet(*WITNESS, conditions=[7]).to_dict()["prime_bound"] == 100
 
 
 def test_condition8_witness(witness_report):

@@ -6,8 +6,11 @@ spot derivations for the fixed spaces and scan counts are in comments.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enriq import f2
+from enriq.actions import load_rows
 from enriq.twotorsion import (
     IDENTITY,
     P_MASK,
@@ -88,6 +91,7 @@ def test_induced_block_structure():
 
 def test_non_splitness_and_fixed_space():
     assert verify_non_splitness()
+    assert _class_walk({row.name for row in load_rows()}) == []
     m = pullback_image_module()
     fixed = m.fixed_subspace()
     # {P3,P4} = e1+e2 and {Q3,Q4} = e3+e4 survive everything (each only
@@ -155,6 +159,21 @@ def test_scan_sensitivity():
         fixed_odd_class_scan(["nope"])
 
 
+def _class_walk(names):
+    """The odd-P classes c with c + g(c) in {0, kernel} for every row g,
+    by walking all 64 classes and permuting their points."""
+    perms = [row.point_permutation() for row in load_rows() if row.name in names]
+    return [c for c in jac2_group() if c.odd_p_part()
+            and all(c + c.transformed(perm) in (IDENTITY, pullback_kernel())
+                    for perm in perms)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.sampled_from([row.name for row in load_rows()])))
+def test_scan_matches_the_class_walk(names):
+    assert fixed_odd_class_scan(sorted(names)) == _class_walk(names)
+
+
 def test_scan_report_audit_trail():
     report = scan_report()
     assert report["candidates"] == 32
@@ -170,8 +189,6 @@ def test_scan_report_audit_trail():
 def test_scan_respects_relabeling():
     # candidates are closed under every realized point permutation, so the
     # scan result cannot depend on which representative labelling is used
-    from enriq.actions import load_rows
-
     trivial = set(fixed_odd_class_scan([]))
     for row in load_rows():
         perm = row.point_permutation()
