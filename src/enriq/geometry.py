@@ -602,9 +602,10 @@ def induced_point_permutations(
 ) -> dict[str, dict[str, str]]:
     """Recompute each row's branch-point permutation from its field column.
 
-    Applies the row's validated field automorphism to the coordinates of
-    all eight points and matches the images projectively against the
-    list.  This is independent of the printed point-permutation column,
+    Applies the row's validated field automorphism to the projective
+    normal forms of all eight points and looks the images up among them;
+    an automorphism fixes 0 and 1, so the image of a normal form is again
+    one.  This is independent of the printed point-permutation column,
     so it can (and did) catch misprints there.
     """
     tw = tower if tower is not None else presets.k_tower(a, b, c)
@@ -612,21 +613,20 @@ def induced_point_permutations(
     env = _abc_env(tw, a, b, c)
     data = _branch_data()
 
-    coords = {
-        name: tuple(tower_expr(tw, text, env) for text in entry["coords"])
+    keys = {
+        name: _projective_key(tuple(tower_expr(tw, text, env) for text in entry["coords"]))
         for name, entry in data["points"].items()
     }
-    lookup = {_projective_key(triple): name for name, triple in coords.items()}
-    if len(lookup) != len(coords):
+    lookup = {key: name for name, key in keys.items()}
+    if len(lookup) != len(keys):
         raise ValueError("the listed points are not pairwise distinct")
 
     out: dict[str, dict[str, str]] = {}
     for row in load_rows():
         auto = tower_automorphism(tw, row, validate=False)
         perm: dict[str, str] = {}
-        for name, triple in coords.items():
-            key = _projective_key(tuple(auto(z) for z in triple))
-            target = lookup.get(key)
+        for name, key in keys.items():
+            target = lookup.get(tuple(auto(z) for z in key))
             if target is None:
                 raise ValueError(
                     f"row {row.name!r} maps {name} outside the listed points"

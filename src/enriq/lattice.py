@@ -8,12 +8,14 @@ provides
 
 * exact Gram pairing of arbitrary rational combinations (:func:`gram`);
 * coordinates over the integral basis LATTICE_BASIS
-  (:func:`lattice_coords`), one product with the basis-change inverse,
-  which is computed once by exact Gauss-Jordan elimination and cached;
+  (:func:`lattice_coords`), one product with the basis-change inverse
+  B^-1, which is computed once by exact Gauss-Jordan elimination, checked
+  to be integral and cached as an int matrix;
 * the rank-6 sublattice pulled back from the del Pezzo quotient
   (:func:`pullback_sublattice`) with an integral membership test through
-  the left inverse (G^T G)^-1 G^T of its 15x6 generator matrix G: the
-  coefficients c = L x must be integral and reproduce x = G c;
+  the left inverse (G^T G)^-1 G^T of its 15x6 generator matrix G, scaled
+  by its common denominator: the coefficients c = L x must be integral
+  and reproduce x = G c;
 * the 9-dimensional F2 quotient by that sublattice plus doubles
   (:func:`quotient_F2`), an ``f2.GaloisModule`` carrying the induced
   Galois action;
@@ -23,8 +25,16 @@ provides
 * consistency checks for the exceptional-curve pullback classes and for
   every Galois row acting as a lattice isometry.
 
-All queries are exact (``fractions.Fraction`` / bitmask F2) and cached;
-the shipped ``lattice_classes.json`` is the single source of class data.
+Every class is at most half-integral, so the arithmetic runs on integers:
+a class is stored as its doubled ambient vector, a rational combination
+as an int vector with one common denominator, the Gram matrix is an int
+table, and F2 vectors are bitmasks.  ``fractions.Fraction`` appears only
+in the public vector views (:func:`class_vector`, :func:`as_vector`,
+:func:`lattice_coords`, :func:`exceptional_pullback`,
+:func:`galois_matrix`, ``PullbackSublattice.generators``), in a
+non-integral :func:`gram` value, and in the one-time Gauss-Jordan
+inversions.  The shipped ``lattice_classes.json`` is the single source
+of class data.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import actions, datafiles, f2
@@ -59,6 +70,8 @@ GENERATORS: tuple[str, ...] = (
 CORE_CLASSES: tuple[str, ...] = ("F5", "F6", "F8", "F9", "F11")
 
 Vector = tuple[Fraction, ...]
+IntVector = tuple[int, ...]
+IntMatrix = tuple[IntVector, ...]
 ClassLike = Union[str, Mapping[str, int], Sequence]
 
 
@@ -85,51 +98,73 @@ def _pair_rule(x: str, y: str) -> int:
 
 
 @lru_cache(maxsize=1)
-def gram_matrix() -> tuple[tuple[Fraction, ...], ...]:
+def gram_matrix() -> IntMatrix:
     """Pairing matrix of the ambient unit classes G1, F1..F14."""
     amb = ambient_basis()
-    return tuple(
-        tuple(Fraction(_pair_rule(a, b)) for b in amb) for a in amb
-    )
+    return tuple(tuple(_pair_rule(a, b) for b in amb) for a in amb)
+
+
+@lru_cache(maxsize=None)
+def _doubled(name: str) -> IntVector:
+    """Twice the ambient coordinates of a class name (F*, G*, Z*); every
+    class is at most half-integral, so the entries are integers."""
+    idx = _ambient_index()
+    if name in idx:
+        v = [0] * RANK
+        v[idx[name]] = 2
+        return tuple(v)
+    half = _data()["half_classes"]
+    if name in half:
+        return _half_class(half[name])
+    if name.startswith("G") and name[1:].isdigit():
+        # companion classes: G_j = F1 + G1 - F_j
+        return tuple(
+            a + b - c
+            for a, b, c in zip(_doubled("F1"), _doubled("G1"), _doubled("F" + name[1:]))
+        )
+    raise KeyError(f"unknown lattice class {name!r}")
+
+
+def _half_class(members: Iterable[str]) -> IntVector:
+    """The doubled vector of half the sum of the named integral classes."""
+    total = [sum(col) for col in zip(*(_doubled(m) for m in members))]
+    if any(x % 2 for x in total):
+        raise ValueError("a half-class member is not an integral class")
+    return tuple(x // 2 for x in total)
+
+
+def _permuted(perm: Mapping[str, str], name: str) -> IntVector:
+    """Doubled vector of a generator after permuting the fibre classes."""
+    half = _data()["half_classes"]
+    if name in half:
+        return _half_class(perm[member] for member in half[name])
+    return _doubled(perm[name])
+
+
+def _scaled(x: ClassLike) -> tuple[IntVector, int]:
+    """``x`` as an integer vector n and a scale d > 0 with x = n / d; a
+    class name, or an integral combination of names, has d = 2."""
+    if isinstance(x, str):
+        return _doubled(x), 2
+    if isinstance(x, Mapping):
+        terms = [(c.as_integer_ratio(), _doubled(name)) for name, c in x.items()]
+        half = lcm(*(q for (_, q), _ in terms))
+        acc = [0] * RANK
+        for (p, q), v in terms:
+            f = p * (half // q)
+            acc = [a + f * b for a, b in zip(acc, v)]
+        return tuple(acc), 2 * half
+    ratios = [c.as_integer_ratio() for c in x]
+    if len(ratios) != RANK:
+        raise ValueError(f"expected {RANK} coordinates, got {len(ratios)}")
+    d = lcm(*(q for _, q in ratios))
+    return tuple(p * (d // q) for p, q in ratios), d
 
 
 @lru_cache(maxsize=None)
 def class_vector(name: str) -> Vector:
     """Ambient coordinates of a class name (F*, G*, Z*)."""
-    idx = _ambient_index()
-    if name in idx:
-        v = [Fraction(0)] * RANK
-        v[idx[name]] = Fraction(1)
-        return tuple(v)
-    half = _data()["half_classes"]
-    if name in half:
-        return _half_sum(class_vector(member) for member in half[name])
-    if name.startswith("G") and name[1:].isdigit():
-        # companion classes: G_j = F1 + G1 - F_j
-        acc = [
-            a + b - c
-            for a, b, c in zip(
-                class_vector("F1"), class_vector("G1"), class_vector("F" + name[1:])
-            )
-        ]
-        return tuple(acc)
-    raise KeyError(f"unknown lattice class {name!r}")
-
-
-def _half_sum(vectors: Iterable[Vector]) -> Vector:
-    """Half the sum of the given ambient vectors."""
-    acc = [Fraction(0)] * RANK
-    for v in vectors:
-        acc = [a + b for a, b in zip(acc, v)]
-    return tuple(x / 2 for x in acc)
-
-
-def _permuted_vector(perm: Mapping[str, str], name: str) -> Vector:
-    """Ambient vector of a generator after permuting the fibre classes."""
-    half = _data()["half_classes"]
-    if name in half:
-        return _half_sum(class_vector(perm[member]) for member in half[name])
-    return class_vector(perm[name])
+    return tuple(Fraction(x, 2) for x in _doubled(name))
 
 
 def as_vector(x: ClassLike) -> Vector:
@@ -137,29 +172,24 @@ def as_vector(x: ClassLike) -> Vector:
     coordinates into an ambient vector."""
     if isinstance(x, str):
         return class_vector(x)
-    if isinstance(x, Mapping):
-        acc = [Fraction(0)] * RANK
-        for name, coeff in x.items():
-            acc = [a + Fraction(coeff) * b for a, b in zip(acc, class_vector(name))]
-        return tuple(acc)
-    v = tuple(Fraction(c) for c in x)
-    if len(v) != RANK:
-        raise ValueError(f"expected {RANK} coordinates, got {len(v)}")
-    return v
+    n, d = _scaled(x)
+    return tuple(Fraction(c, d) for c in n)
+
+
+def _gram(s: tuple[IntVector, int], t: tuple[IntVector, int]):
+    """The pairing of n / d and m / e, given as (n, d) and (m, e)."""
+    (n, d), (m, e) = s, t
+    # the Gram matrix is symmetric, so its rows are its columns
+    total = sum(x * y for x, y in zip(n, _combine(gram_matrix(), m)))
+    den = d * e
+    q, r = divmod(total, den)
+    return Fraction(total, den) if r else q
 
 
 def gram(u: ClassLike, v: ClassLike):
     """Intersection pairing, bilinear over the ambient rules; returns an
     int when the value is integral (it always is on lattice elements)."""
-    uu, vv = as_vector(u), as_vector(v)
-    mat = gram_matrix()
-    total = Fraction(0)
-    for i, ui in enumerate(uu):
-        if not ui:
-            continue
-        row = mat[i]
-        total += ui * sum(row[j] * vj for j, vj in enumerate(vv) if vj)
-    return int(total) if total.denominator == 1 else total
+    return _gram(_scaled(u), _scaled(v))
 
 
 def exceptional_pullback(label: str) -> Vector:
@@ -176,7 +206,7 @@ def exceptional_pullback(label: str) -> Vector:
 Matrix = tuple[Vector, ...]
 
 
-def _transpose(rows: Sequence[Sequence[Fraction]]) -> Matrix:
+def _transpose(rows: Sequence[Sequence]) -> tuple[tuple, ...]:
     return tuple(zip(*rows))
 
 
@@ -202,12 +232,14 @@ def _inverse(matrix: Sequence[Sequence[Fraction]]) -> Matrix:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def _apply(matrix: Sequence[Sequence[Fraction]], vector: Sequence[Fraction]) -> Vector:
-    """Matrix-vector product."""
-    return tuple(
-        sum((m * v for m, v in zip(row, vector) if m and v), Fraction(0))
-        for row in matrix
-    )
+def _combine(columns: Sequence[Sequence], coeffs: Sequence) -> tuple:
+    """The sum of coeffs[j] * columns[j]: the product of the matrix with
+    these columns and the vector ``coeffs``."""
+    acc = [0] * len(columns[0])
+    for c, col in zip(coeffs, columns):
+        if c:
+            acc = [a + c * x for a, x in zip(acc, col)]
+    return tuple(acc)
 
 
 @lru_cache(maxsize=1)
@@ -215,54 +247,94 @@ def _basis_inverse() -> Matrix:
     return _inverse(_transpose([class_vector(n) for n in LATTICE_BASIS]))
 
 
+@lru_cache(maxsize=1)
+def _unit_coords() -> IntMatrix:
+    """The columns of B^-1: the LATTICE_BASIS coordinates of the ambient
+    unit classes.  These classes lie in the lattice, so B^-1 is integral;
+    that is checked with an explicit ArithmeticError (not an assert, so it
+    holds under ``python -O``)."""
+    inv = _basis_inverse()
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ArithmeticError("the basis inverse is not integral")
+    return tuple(tuple(int(x) for x in col) for col in _transpose(inv))
+
+
+def _scaled_coords(n: IntVector) -> IntVector:
+    """d times the LATTICE_BASIS coordinates of the vector n / d."""
+    return _combine(_unit_coords(), n)
+
+
 def lattice_coords(x: ClassLike) -> Vector:
     """Coordinates over LATTICE_BASIS (rational for arbitrary input;
     integral exactly when the element lies in the lattice)."""
-    return _apply(_basis_inverse(), as_vector(x))
+    n, d = _scaled(x)
+    return tuple(Fraction(c, d) for c in _scaled_coords(n))
+
+
+def _in_lattice(n: IntVector, d: int) -> bool:
+    return all(c % d == 0 for c in _scaled_coords(n))
 
 
 def in_lattice(x: ClassLike) -> bool:
-    return all(c.denominator == 1 for c in lattice_coords(x))
+    return _in_lattice(*_scaled(x))
 
 
-def _mod2_mask(x: ClassLike) -> int:
-    """LATTICE_BASIS coordinates of a lattice element reduced mod 2, as a
-    bitmask (bit i = coordinate i)."""
-    coords = lattice_coords(x)
-    if any(c.denominator != 1 for c in coords):
-        raise ValueError("element lies outside the lattice")
-    return sum((c.numerator & 1) << i for i, c in enumerate(coords))
+def _mod2_mask(n: IntVector, d: int) -> int:
+    """LATTICE_BASIS coordinates of the lattice element n / d reduced
+    mod 2, as a bitmask (bit i = coordinate i)."""
+    mask = 0
+    for i, c in enumerate(_scaled_coords(n)):
+        q, r = divmod(c, d)
+        if r:
+            raise ValueError("element lies outside the lattice")
+        mask |= (q & 1) << i
+    return mask
 
 
 @dataclass(frozen=True)
 class PullbackSublattice:
-    """The rank-6 image of the del Pezzo Picard lattice, as a Z-span."""
+    """The rank-6 image of the del Pezzo Picard lattice, as a Z-span of
+    generators given by their doubled ambient vectors."""
 
-    generators: tuple[Vector, ...]
+    doubled: tuple[IntVector, ...]
 
     @property
     def rank(self) -> int:
         return 6
 
+    @property
+    def generators(self) -> tuple[Vector, ...]:
+        return tuple(tuple(Fraction(x, 2) for x in g) for g in self.doubled)
+
     @cached_property
-    def _left_inverse(self) -> Matrix:
-        """(G^T G)^-1 G^T for the 15x6 generator matrix G; raises
-        ArithmeticError when the generators are Q-dependent."""
-        gram_gg = [[sum(a * b for a, b in zip(g, h)) for h in self.generators]
-                   for g in self.generators]
-        inv = _inverse(gram_gg)
-        return _transpose([_apply(inv, row) for row in _transpose(self.generators)])
+    def _left_inverse(self) -> tuple[IntMatrix, int]:
+        """(D L, D): the columns of the left inverse L = (H^T H)^-1 H^T of
+        the 15x6 matrix H of doubled generators, scaled by the common
+        denominator D of its entries; raises ArithmeticError when the
+        generators are Q-dependent."""
+        hth = [[sum(a * b for a, b in zip(g, h)) for h in self.doubled]
+               for g in self.doubled]
+        inv = _transpose(_inverse(hth))
+        left = [_combine(inv, row) for row in _transpose(self.doubled)]
+        den = lcm(*(x.denominator for col in left for x in col))
+        return tuple(tuple(int(x * den) for x in col) for col in left), den
 
     def membership_coordinates(self, x: ClassLike) -> Optional[tuple[int, ...]]:
         """Integer coefficients expressing ``x`` over the generators, or
         None when ``x`` is outside the span."""
-        target = as_vector(x)
-        coeffs = _apply(self._left_inverse, target)
-        if any(c.denominator != 1 for c in coeffs):
-            return None
-        if _apply(_transpose(self.generators), coeffs) != target:
+        n, d = _scaled(x)
+        left, den = self._left_inverse
+        # x = n / d and the generators are H / 2, so the coefficients
+        # are L (2 n / d) = (D L) (2 n) / (D d)
+        coeffs = []
+        for c in _combine(left, n):
+            q, r = divmod(2 * c, den * d)
+            if r:
+                return None
+            coeffs.append(q)
+        if _combine(self.doubled, [d * c for c in coeffs]) != tuple(2 * c for c in n):
             return None  # outside the rational span
-        return tuple(int(c) for c in coeffs)
+        return tuple(coeffs)
 
     def contains(self, x: ClassLike) -> bool:
         return self.membership_coordinates(x) is not None
@@ -279,14 +351,15 @@ def pullback_sublattice() -> PullbackSublattice:
     stay independent mod 2; both are checked with explicit errors (not
     asserts, so they hold under ``python -O``) raising ArithmeticError.
     """
-    gens = tuple(as_vector(d) for d in _data()["pi_star_pic_s"])
+    gens = [_scaled(d) for d in _data()["pi_star_pic_s"]]
     try:
-        masks = [_mod2_mask(g) for g in gens]
+        masks = [_mod2_mask(n, d) for n, d in gens]
     except ValueError as exc:
         raise ArithmeticError(f"pullback generator: {exc}") from exc
     if f2.rank(masks) != 6:
         raise ArithmeticError("pullback generators degenerate mod 2")
-    return PullbackSublattice(gens)
+    # a lattice element is half-integral, so 2 n / d is exact
+    return PullbackSublattice(tuple(tuple(2 * c // d for c in n) for n, d in gens))
 
 
 # -- the F2 quotient ----------------------------------------------------
@@ -307,16 +380,17 @@ class QuotientF2(f2.GaloisModule):
         images = {}
         for row in actions.load_rows():
             perm = row.class_permutation()
-            images[row.name] = [_mod2_mask(_permuted_vector(perm, n))
+            images[row.name] = [_mod2_mask(_permuted(perm, n), 2)
                                 for n in self.basis_names]
-        pi_masks = [_mod2_mask(v) for v in pullback_sublattice().generators]
-        super().__init__([_mod2_mask(n) for n in self.basis_names], pi_masks, images)
+        pi_masks = [_mod2_mask(g, 2) for g in pullback_sublattice().doubled]
+        basis = [_mod2_mask(_doubled(n), 2) for n in self.basis_names]
+        super().__init__(basis, pi_masks, images)
         if self.dimension + len(pi_masks) != RANK:
             raise ArithmeticError("quotient basis does not complement the pullback span")
 
     def image(self, x: ClassLike) -> int:
         """Quotient coordinates of a lattice element, as a 9-bit mask."""
-        return self._coordinates(_mod2_mask(x))
+        return self._coordinates(_mod2_mask(*_scaled(x)))
 
     def image_names(self, x: ClassLike) -> list[str]:
         mask = x if isinstance(x, int) else self.image(x)
@@ -325,7 +399,7 @@ class QuotientF2(f2.GaloisModule):
     def verify_relations(self) -> bool:
         """Every shipped reduction identity holds in the quotient."""
         for name, rel in _data()["quotient_relations"].items():
-            if self.image_names(class_vector(name)) != sorted(
+            if self.image_names(name) != sorted(
                 rel, key=self.basis_names.index
             ):
                 return False
@@ -444,20 +518,21 @@ def verify_decomposition(action_table: Optional[Mapping[str, Mapping[str, str]]]
 def verify_exceptional_pullbacks() -> bool:
     """Self-pairing -8, mutual orthogonality, and the constant pairing of
     every fibre-sum F_i + G_i against each pullback class."""
-    labels = sorted(_data()["exceptional_pullbacks"])
-    vectors = {lab: exceptional_pullback(lab) for lab in labels}
+    table = _data()["exceptional_pullbacks"]
+    labels = sorted(table)
+    vectors = {lab: _scaled(table[lab]) for lab in labels}
     for lab, vec in vectors.items():
-        if gram(vec, vec) != -8:
+        if _gram(vec, vec) != -8:
             return False
-        if not in_lattice(vec):
+        if not _in_lattice(*vec):
             return False
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
-            if gram(vectors[a], vectors[b]) != 0:
+            if _gram(vectors[a], vectors[b]) != 0:
                 return False
+    fibre_sums = [_scaled({f"F{i}": 1, f"G{i}": 1}) for i in range(1, 15)]
     for lab, vec in vectors.items():
-        sums = {gram({f"F{i}": 1, f"G{i}": 1}, vec) for i in range(1, 15)}
-        if sums != {4}:
+        if {_gram(s, vec) for s in fibre_sums} != {4}:
             return False
     return True
 
@@ -477,22 +552,21 @@ def galois_matrix(row) -> tuple[tuple[Fraction, ...], ...]:
 def verify_galois_isometries() -> bool:
     """Every row preserves the pairing, the lattice, and the fibre-sum
     relation F_i + G_i = F_j + G_j."""
-    mat = gram_matrix()
-    fibre_sum = as_vector({"F1": 1, "G1": 1})
+    # on doubled vectors: (2A)^T G (2A) = 4 G
+    mat4 = tuple(tuple(4 * g for g in row) for row in gram_matrix())
+    fibre_sum, _ = _scaled({"F1": 1, "G1": 1})
     for row in actions.load_rows():
-        at = _transpose(galois_matrix(row))  # rows = images of the unit classes
-        if tuple(_apply(at, _apply(mat, col)) for col in at) != mat:
-            return False
         perm = row.class_permutation()
+        images = [_doubled(perm[name]) for name in ambient_basis()]  # columns of 2A
+        at = _transpose(images)  # columns of (2A)^T
+        if tuple(_combine(at, _combine(gram_matrix(), col)) for col in images) != mat4:
+            return False
         for name in GENERATORS:
-            if not in_lattice(_permuted_vector(perm, name)):
+            if not _in_lattice(_permuted(perm, name), 2):
                 return False
         for i in range(1, 15):
-            img = [
-                x + y
-                for x, y in zip(class_vector(perm[f"F{i}"]), class_vector(perm[f"G{i}"]))
-            ]
-            if tuple(img) != fibre_sum:
+            img = tuple(x + y for x, y in zip(_doubled(perm[f"F{i}"]), _doubled(perm[f"G{i}"])))
+            if img != fibre_sum:
                 return False
     return True
 

@@ -233,6 +233,17 @@ def test_induced_permutations_are_permutations(k_tower_witness):
             assert src[0] == dst[0]
 
 
+def test_induced_permutations_reject_a_point_outside_the_list(k_tower_witness, monkeypatch):
+    from enriq.actions import GaloisRow
+
+    # eta0 -> 2*eta0 is no automorphism; it sends P1 = (c - eta0 : 10a : ...)
+    # to a point that is not listed
+    doctored = GaloisRow("doctored", {"eta0": "2*eta0"}, {}, ())
+    monkeypatch.setattr(geometry, "load_rows", lambda: (doctored,))
+    with pytest.raises(ValueError, match="outside the listed points"):
+        geometry.induced_point_permutations(*WITNESS, tower=k_tower_witness)
+
+
 # -- the whole suite ----------------------------------------------------
 
 

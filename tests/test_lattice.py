@@ -7,14 +7,21 @@ rule, and the invariant dimensions cross-checked against the published
 counts.
 """
 
+import functools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enriq import lattice
+from enriq import actions, lattice
+from enriq.actions import CLASS_NAMES as FIBRE_NAMES
+from enriq.actions import GaloisRow
 from enriq.lattice import (
     CORE_CLASSES,
     GENERATORS,
@@ -279,3 +286,202 @@ def test_verify_suite(k_tower_witness, k1_tower_witness):
     assert res["invariants_full_group_dim"] == 3
     assert res["ground_field_invariants_dim"] == 5
     assert res["ground_field_invariants_match"] is True
+
+
+# -- the integer path against Fraction and sympy oracles ----------------
+#
+# The oracle below redoes the lattice arithmetic in Fraction, apart from
+# the module's int path: ambient vectors built from the data table (unit
+# classes, halves of sums, companions G_j = F1 + G1 - F_j), the pairing
+# rule applied entry by entry, and coordinates through the sympy inverse
+# of the basis matrix.
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_class(name):
+    data = lattice._data()
+    amb = data["ambient_basis"]
+    if name in amb:
+        return tuple(Fraction(int(n == name)) for n in amb)
+    if name in data["half_classes"]:
+        members = [_oracle_class(m) for m in data["half_classes"][name]]
+        return tuple(sum(col, Fraction(0)) / 2 for col in zip(*members))
+    f1, g1, fj = _oracle_class("F1"), _oracle_class("G1"), _oracle_class("F" + name[1:])
+    return tuple(a + b - c for a, b, c in zip(f1, g1, fj))
+
+
+def _oracle_vector(x):
+    if isinstance(x, str):
+        return _oracle_class(x)
+    acc = [Fraction(0)] * RANK
+    for name, coeff in x.items():
+        acc = [a + Fraction(coeff) * b for a, b in zip(acc, _oracle_class(name))]
+    return tuple(acc)
+
+
+def _oracle_rule(x, y):
+    if x == y:
+        return 0
+    return 4 if x[1:] == y[1:] else 2
+
+
+def _oracle_gram(u, v):
+    amb = lattice._data()["ambient_basis"]
+    uu, vv = _oracle_vector(u), _oracle_vector(v)
+    return sum(a * b * _oracle_rule(x, y)
+               for a, x in zip(uu, amb) if a for b, y in zip(vv, amb) if b)
+
+
+@functools.lru_cache(maxsize=1)
+def _oracle_inverse():
+    cols = [_oracle_class(n) for n in LATTICE_BASIS]
+    inv = sympy.Matrix(RANK, RANK, lambda i, j: sympy.Rational(cols[j][i])).inv()
+    return [[Fraction(int(inv[i, j].p), int(inv[i, j].q)) for j in range(RANK)]
+            for i in range(RANK)]
+
+
+def _oracle_coords(vec):
+    return tuple(sum((m * v for m, v in zip(row, vec)), Fraction(0))
+                 for row in _oracle_inverse())
+
+
+def _oracle_isometry(row):
+    """The Fraction isometry check on one row: pairing, lattice membership
+    of every permuted generator, and the fibre-sum relation."""
+    data = lattice._data()
+    amb = data["ambient_basis"]
+    perm = row.class_permutation()
+    for x in amb:
+        for y in amb:
+            if _oracle_gram(perm[x], perm[y]) != _oracle_rule(x, y):
+                return False
+    for name in GENERATORS:
+        members = data["half_classes"].get(name)
+        image = ({perm[m]: Fraction(1, 2) for m in members} if members
+                 else perm[name])
+        if any(c.denominator != 1 for c in _oracle_coords(_oracle_vector(image))):
+            return False
+    fibre_sum = _oracle_vector({"F1": 1, "G1": 1})
+    return all(_oracle_vector({perm[f"F{i}"]: 1, perm[f"G{i}"]: 1}) == fibre_sum
+               for i in range(1, 15))
+
+
+rational_combinations = st.dictionaries(
+    st.sampled_from(list(GENERATORS) + [f"G{j}" for j in range(2, 15)]),
+    st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 1, 1, 2, 2, 3, 4, 5, 6])),
+    min_size=1, max_size=5,
+)
+
+
+@given(rational_combinations)
+def test_int_path_matches_the_fraction_and_sympy_oracles(x):
+    vec = as_vector(x)
+    assert vec == _oracle_vector(x)
+    coords = lattice_coords(x)
+    assert coords == _sympy_coords(x) == _oracle_coords(vec)
+    assert lattice_coords(vec) == coords
+    integral = all(c.denominator == 1 for c in coords)
+    assert in_lattice(x) is in_lattice(vec) is integral
+    for other in (x, "F1", "Z2", {"Z4": 1, "G9": Fraction(-1, 3)}):
+        assert gram(x, other) == _oracle_gram(x, other)
+    value = gram(x, x)
+    assert type(value) is (int if value == int(value) else Fraction)
+    q = quotient_F2()
+    if integral:
+        assert q.image(x) == q.image(vec)
+    else:
+        with pytest.raises(ValueError):
+            q.image(x)
+
+
+def test_oracle_and_int_path_agree_on_the_shipped_rows():
+    assert all(_oracle_isometry(row) for row in actions.load_rows())
+    assert verify_galois_isometries()
+
+
+class _DoctoredRow:
+    def __init__(self, perm):
+        self.name = "doctored"
+        self._perm = perm
+
+    def class_permutation(self):
+        return dict(self._perm)
+
+
+def _swap_f1_f2_fixing_g1_g2():
+    perm = {n: n for n in FIBRE_NAMES}
+    perm["F1"], perm["F2"] = "F2", "F1"
+    return _DoctoredRow(perm)
+
+
+def _swap_index_pairs_1_13():
+    return GaloisRow("doctored", {}, {"F1": "F13", "F13": "F1"}, ())
+
+
+@pytest.mark.parametrize(
+    "make_row",
+    [_swap_f1_f2_fixing_g1_g2, _swap_index_pairs_1_13],
+    ids=["breaks-F1.G1", "half-class-leaves-lattice"],
+)
+def test_isometry_check_rejects_doctored_rows(monkeypatch, make_row):
+    row = make_row()
+    assert not _oracle_isometry(row)
+    monkeypatch.setattr(actions, "load_rows", lambda: (row,))
+    assert verify_galois_isometries() is False
+
+
+def test_the_half_class_row_fails_only_lattice_membership():
+    row = _swap_index_pairs_1_13()
+    perm = row.class_permutation()
+    amb = lattice._data()["ambient_basis"]
+    assert all(gram(perm[x], perm[y]) == gram(x, y) for x in amb for y in amb)
+    fibre_sum = as_vector({"F1": 1, "G1": 1})
+    assert all(as_vector({perm[f"F{i}"]: 1, perm[f"G{i}"]: 1}) == fibre_sum
+               for i in range(1, 15))
+    members = lattice._data()["half_classes"]["Z1"]
+    assert not in_lattice({perm[m]: Fraction(1, 2) for m in members})
+
+
+def test_int_path_builds_no_fraction(monkeypatch):
+    """The isometry check, the quotient and the exceptional-curve check run
+    on integers; only the one-time Gauss-Jordan inverse uses Fraction."""
+    lattice._unit_coords()
+
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("a Fraction was built on the int path")
+
+    monkeypatch.setattr(lattice, "Fraction", no_fraction)
+    lattice.quotient_F2.cache_clear()
+    lattice.pullback_sublattice.cache_clear()
+    try:
+        assert lattice.QuotientF2().dimension == 9
+        assert verify_galois_isometries()
+        assert verify_exceptional_pullbacks()
+    finally:
+        lattice.quotient_F2.cache_clear()
+        lattice.pullback_sublattice.cache_clear()
+
+
+INTEGRALITY_PROBE = """
+from enriq import lattice
+inverse = lattice._basis_inverse()
+lattice._basis_inverse = lambda: tuple(tuple(x / 2 for x in row) for row in inverse)
+lattice._unit_coords.cache_clear()
+for query in (lattice.lattice_coords, lattice.in_lattice):
+    try:
+        query("F1")
+    except ArithmeticError:
+        print("raised")
+    else:
+        print("accepted")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_integrality_guard_raises_without_asserts(flags):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, *flags, "-c", INTEGRALITY_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["raised", "raised"]
