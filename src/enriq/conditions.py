@@ -11,8 +11,10 @@ arithmetic conditions under which the verification pipeline applies:
   (6) (a, b, c) = (1, 1, 2) modulo 11
   (7) the surface has points over R and over every Q_p (searched up to
       PRIME_BOUND; verdict at best "Probable"): a walk over P^2(F_p) for
-      a smooth F_p-point, then a survival count modulo p^k over the
-      unit-scaling orbits of v, on plain-int bitmasks (no numpy)
+      a smooth F_p-point, with at most one Jacobian rank test per point,
+      then a survival count modulo p^k over the unit-scaling orbits of v,
+      on plain-int bitmasks (no numpy); the per-prime tables both use are
+      built once per process (see local_solvability)
   (8) the splitting field is as large as possible; checked through the
       tower-independence proxy: every preset tower step stays quadratic.
 
@@ -24,7 +26,6 @@ degenerates there and the screen auto-passes with a note); the condition
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -192,6 +193,10 @@ def _primes_up_to(n: int) -> list[int]:
     return [p for p, prime in enumerate(sieve) if prime]
 
 
+#: The primes condition (7) examines, sieved once at import.
+_PRIMES = tuple(_primes_up_to(PRIME_BOUND))
+
+
 def _jacobian_rank_mod_p(a, b, c, v, w, p) -> int:
     """Rank over F_p of the 3x6 Jacobian of the defining system."""
     v0, v1, v2 = v
@@ -230,46 +235,106 @@ def _survival_masks(p: int, k: int, m: int, r: int) -> tuple[tuple[int, int], ..
     """For each x mod q = p^k, two bitmasks over v2 mod q: the v2 with
     x + m*v2^2 = r*w^2 for some w, and those for some unit w.
 
-    The cache is bounded: p is at most PRIME_BOUND, k is
-    _deep_modulus_exponent(p), m < p^k and r is 1 or 5.
+    A bytearray membership table keeps each value t = r*w^2 once; then
+    for each shift s = m*v2^2 the v2 with that shift land in the masks at
+    x = t - s, one pass over the (shift, value) pairs.
+
+    Process-lifetime cache, bounded: p is at most PRIME_BOUND, k is
+    _deep_modulus_exponent(p) (so q <= 125), m < q and r is 1 or 5; each
+    entry holds 2q ints of q bits.
     """
     q = p**k
-    values = {r * w * w % q for w in range(q)}
-    unit_values = {r * w * w % q for w in range(q) if w % p}
+    values, unit_values = bytearray(q), bytearray(q)
+    for w in range(q):
+        t = r * w * w % q
+        values[t] = 1
+        if w % p:
+            unit_values[t] = 1
     shifts: dict[int, int] = {}
     for v2 in range(q):
         s = m * v2 * v2 % q
         shifts[s] = shifts.get(s, 0) | 1 << v2
-    masks = []
-    for x in range(q):
-        hit = unit_hit = 0
+    hit, unit_hit = [0] * q, [0] * q
+    for table, masks in ((values, hit), (unit_values, unit_hit)):
+        members = [t for t in range(q) if table[t]]
         for s, bits in shifts.items():
-            if (x + s) % q in values:
-                hit |= bits
-            if (x + s) % q in unit_values:
-                unit_hit |= bits
-        masks.append((hit, unit_hit))
-    return tuple(masks)
+            for t in members:
+                masks[(t - s) % q] |= bits
+    return tuple(zip(hit, unit_hit))
 
 
-def _projective_points(p: int) -> Iterator[tuple[int, int, int]]:
-    """One representative of each point of P^2(F_p): (0, 0, 1), then
-    (0, 1, y) and (1, x, y) in increasing order."""
-    yield 0, 0, 1
-    for y in range(p):
-        yield 0, 1, y
+@functools.lru_cache(maxsize=None)
+def _pair_rows(p: int, k: int, v0: int) -> tuple[tuple, tuple]:
+    """The triplet-independent half of the slice at v0 modulo q = p^k.
+
+    For each v1 the row mask hit0 & hit_d of the v2 that solve the q0 and
+    d congruences, kept only when nonzero, with v1^2 mod q.  Returns
+    (rows, unit_rows): rows are (v1^2, mask); unit_rows are the rows where
+    v0 and v1 are non-units, as (v1^2, mask, unit), where unit holds the
+    v2 that are units or whose w0 or w1 can be a unit.
+
+    Process-lifetime cache, bounded: p is at most PRIME_BOUND, k is
+    _deep_modulus_exponent(p) and v0 is 0 or p^j with j < k, so k+1
+    entries per prime, each at most q rows.
+    """
+    q = p**k
+    q0_masks = _survival_masks(p, k, 5, 1)
+    d_masks = _survival_masks(p, k, 5, 5)
+    unit_v2 = sum(1 << v2 for v2 in range(q) if v2 % p)
+    rows, unit_rows = [], []
+    for v1 in range(q):
+        hit0, unit0 = q0_masks[v0 * v1 % q]
+        hit_d, unit_d = d_masks[(v0 * v1 - (v0 + v1) * (v0 + 2 * v1)) % q]
+        mask = hit0 & hit_d
+        if not mask:
+            continue
+        if v0 % p == 0 and v1 % p == 0:
+            unit_rows.append((v1 * v1 % q, mask, unit_v2 | unit0 | unit_d))
+        else:
+            rows.append((v1 * v1 % q, mask))
+    return tuple(rows), tuple(unit_rows)
+
+
+def _projective_rows(p: int) -> Iterator[tuple[int, int, range]]:
+    """One representative of each point of P^2(F_p), row by row as
+    (v0, v1, the v2 of the row): (0, 0, 1), then (0, 1, y) and (1, x, y)
+    in increasing order."""
+    yield 0, 0, range(1, 2)
+    yield 0, 1, range(p)
     for x in range(p):
-        for y in range(p):
-            yield 1, x, y
+        yield 1, x, range(p)
+
+
+@functools.lru_cache(maxsize=None)
+def _root_tables(p: int) -> tuple[tuple[int, ...], ...]:
+    """(square, root, five_root) over F_p: square[y] = y^2, and for each x
+    the largest w < p with w^2 = x, resp. 5*w^2 = x, or -1 when there is
+    none.
+
+    Process-lifetime cache, one entry per prime (at most PRIME_BOUND),
+    each three tuples of p ints.
+    """
+    root, five_root = [-1] * p, [-1] * p
+    for w in range(p):
+        root[w * w % p] = w
+        five_root[5 * w * w % p] = w
+    return tuple(w * w % p for w in range(p)), tuple(root), tuple(five_root)
 
 
 def _smooth_point_mod_p(a: int, b: int, c: int, p: int) -> Optional[dict]:
     """Search F_p for a point of the system; prefer one with rank-3 Jacobian.
 
-    The walk stops at the first sign choice of w whose Jacobian has rank 3
-    and returns {"point": ..., "smooth": True}.  Without one it returns the
-    first point seen with "smooth": False, or None if the system has no
-    F_p-point at all.
+    The walk stops at the first point whose Jacobian has rank 3 and
+    returns {"point": ..., "smooth": True}, with the first sign choice of
+    w in itertools.product order.  Without one it returns the first point
+    seen with "smooth": False, or None if the system has no F_p-point at
+    all.
+
+    Negating w_i negates the one Jacobian column holding w_i, so every
+    sign choice of w has the same rank: one rank test per point.  The
+    minor on the three w-columns is 40*w0*w1*w2, so the rank is 3 outright
+    when p is not 2 or 5 and no w_i vanishes; modulo 2 the rank is at most
+    1, so no point is smooth there.
 
     Scaling (v, w) by a unit multiplies q0, q0 - q1, q2 and the Jacobian by
     units, so one representative per point of P^2(F_p) decides everything,
@@ -277,28 +342,32 @@ def _smooth_point_mod_p(a: int, b: int, c: int, p: int) -> Optional[dict]:
     order would reach first.  Each root table keeps the largest w with
     m*w^2 = x, as a scan in increasing w does.
     """
-    root, five_root = [-1] * p, [-1] * p
-    for w in range(p):
-        root[w * w % p] = w
-        five_root[5 * w * w % p] = w
+    square, root, five_root = _root_tables(p)
     am, bm, cm = a % p, b % p, c % p
+    # modulo 2 rows 0 and 1 of the Jacobian agree and row 2 vanishes
+    rank3_possible, minor_unit = p != 2, p != 2 and p != 5
     found = None
-    for v in _projective_points(p):
-        v0, v1, v2 = v
-        q0 = (v0 * v1 + 5 * v2 * v2) % p
-        w0 = root[q0]
-        if w0 < 0:
-            continue
-        w1 = five_root[(q0 - (v0 + v1) * (v0 + 2 * v1)) % p]
-        w2 = root[(am * v0 * v0 + bm * v1 * v1 + cm * v2 * v2) % p]
-        if w1 < 0 or w2 < 0:
-            continue
-        w = (w0, w1, w2)
-        for signed in itertools.product(*({x, -x % p} for x in w)):
-            if _jacobian_rank_mod_p(a, b, c, v, signed, p) == 3:
-                return {"point": [list(v), list(signed)], "smooth": True}
-        if found is None:
-            found = {"point": [list(v), list(w)], "smooth": False}
+    for v0, v1, v2s in _projective_rows(p):
+        # q0, q0 - q1 and q2 less their v2 terms 5*v2^2, 5*v2^2, c*v2^2
+        r0 = v0 * v1
+        rd = r0 - (v0 + v1) * (v0 + 2 * v1)
+        r2 = am * v0 * v0 + bm * v1 * v1
+        for v2 in v2s:
+            sq = square[v2]
+            w0 = root[(r0 + 5 * sq) % p]
+            if w0 < 0:
+                continue
+            w1 = five_root[(rd + 5 * sq) % p]
+            w2 = root[(r2 + cm * sq) % p]
+            if w1 < 0 or w2 < 0:
+                continue
+            v, w = (v0, v1, v2), (w0, w1, w2)
+            if rank3_possible and ((minor_unit and w0 * w1 * w2 % p)
+                                   or _jacobian_rank_mod_p(a, b, c, v, w, p) == 3):
+                signed = [next(iter({x, -x % p})) for x in w]
+                return {"point": [list(v), signed], "smooth": True}
+            if found is None:
+                found = {"point": [list(v), list(w)], "smooth": False}
     return found
 
 
@@ -333,21 +402,19 @@ def _slice_survivors(a: int, b: int, c: int, p: int, k: int, v0: int) -> int:
     5*v2^2 and q2 is a*v0^2 + b*v1^2 + c*v2^2, so each is a lookup in
     _survival_masks and the row's survivors are the AND of three masks;
     when v0 and v1 are non-units, v2 or one of the w_i must be a unit.
+    The q0 and d halves do not depend on the triplet and come from
+    _pair_rows, so each row costs one q2 lookup.
     """
     q = p**k
-    q0_masks = _survival_masks(p, k, 5, 1)
-    d_masks = _survival_masks(p, k, 5, 5)
     q2_masks = _survival_masks(p, k, c % q, 1)
-    unit_v2 = sum(1 << v2 for v2 in range(q) if v2 % p)
+    rows, unit_rows = _pair_rows(p, k, v0)
+    av, bm = a * v0 * v0, b % q
     survivors = 0
-    for v1 in range(q):
-        hit0, unit0 = q0_masks[v0 * v1 % q]
-        hit_d, unit_d = d_masks[(v0 * v1 - (v0 + v1) * (v0 + 2 * v1)) % q]
-        hit2, unit2 = q2_masks[(a * v0 * v0 + b * v1 * v1) % q]
-        row = hit0 & hit_d & hit2
-        if v0 % p == 0 and v1 % p == 0:
-            row &= unit_v2 | unit0 | unit_d | unit2
-        survivors += row.bit_count()
+    for v1_sq, mask in rows:
+        survivors += (mask & q2_masks[(av + bm * v1_sq) % q][0]).bit_count()
+    for v1_sq, mask, unit in unit_rows:
+        hit2, unit2 = q2_masks[(av + bm * v1_sq) % q]
+        survivors += (mask & hit2 & (unit | unit2)).bit_count()
     return survivors
 
 
@@ -363,8 +430,12 @@ def _deep_modulus_exponent(p: int) -> int:
 
 
 def _real_point(a: int, b: int, c: int) -> Optional[list]:
-    """Exact rational point certificate for the archimedean place."""
-    grid = [Fraction(n) for n in (-2, -1, 0, 1, 2)] + [Fraction(1, 2), Fraction(-1, 2)]
+    """Exact rational point certificate for the archimedean place, from
+    the grid -2, -1, 0, 1, 2, 1/2, -1/2 in each coordinate.
+
+    The three conditions are homogeneous quadratic, so they are tested on
+    the doubled grid, in ints."""
+    grid = (-4, -2, 0, 2, 4, 1, -1)
     for v0 in grid:
         for v1 in grid:
             for v2 in grid:
@@ -373,8 +444,8 @@ def _real_point(a: int, b: int, c: int) -> Optional[list]:
                 q0 = v0 * v1 + 5 * v2 * v2
                 q1 = (v0 + v1) * (v0 + 2 * v1)
                 q2 = a * v0 * v0 + b * v1 * v1 + c * v2 * v2
-                if q0 >= 0 and (q0 - q1) / 5 >= 0 and q2 >= 0:
-                    return [str(v0), str(v1), str(v2)]
+                if q0 >= 0 and q0 - q1 >= 0 and q2 >= 0:
+                    return [str(Fraction(v, 2)) for v in (v0, v1, v2)]
     return None
 
 
@@ -384,16 +455,25 @@ def local_solvability(a: int, b: int, c: int) -> ConditionReport:
     The real place is certified by a rational point from a small grid, and
     obstructed when a, b, c < 0: then q2 is negative definite, w2^2 = q2
     forces v = 0 and so w = 0.  Otherwise it stays unresolved and
-    uncertified.  The primes up to the bound are sieved once, and the bad
-    ones (2, 5 and the divisors of the nonsingularity factors) collected in
-    one pass.  Per prime: a smooth F_p-point, found by a walk over
-    P^2(F_p) that stops at the first one, certifies a Q_p-point by Hensel
-    lifting; no F_p-point at a prime of good reduction certifies failure;
-    otherwise a survival count modulo p^k (k capped at 4, scaled to the
-    prime), summed over the k+1 unit-scaling orbits of v0, is reported as
-    uncertified survival, or as an obstruction when it is 0.  Overall
-    verdict is at best Probable because primes beyond the bound are never
-    examined.
+    uncertified.  The primes up to the bound are sieved once at import, and
+    the bad ones (2, 5 and the divisors of the nonsingularity factors)
+    collected in one pass.  Per prime: a smooth F_p-point, found by a walk
+    over P^2(F_p) that stops at the first one, certifies a Q_p-point by
+    Hensel lifting; no F_p-point at a prime of good reduction certifies
+    failure; otherwise a survival count modulo p^k (k capped at 4, scaled
+    to the prime), summed over the k+1 unit-scaling orbits of v0, is
+    reported as uncertified survival, or as an obstruction when it is 0.
+    Overall verdict is at best Probable because primes beyond the bound
+    are never examined.
+
+    Three process-lifetime caches hold what depends on the prime alone
+    (or on c mod p^k), never on the order triplets come in; each is
+    bounded because p <= PRIME_BOUND and q = p^k <= 125:
+      _root_tables(p): squares and square roots mod p, one per prime;
+      _pair_rows(p, k, v0): the q0 and d half of each survival slice,
+        k+1 per prime (v0 = 0 or p^j);
+      _survival_masks(p, k, m, r): row masks per value class, for m = 5
+        and for each c mod p^k met, so at most q + 2 per prime.
     """
     rpt = ConditionReport(7, PROBABLE, "", data={})
     places: dict[str, dict] = {}
@@ -409,11 +489,10 @@ def local_solvability(a: int, b: int, c: int) -> ConditionReport:
         places["real"] = {"status": "unresolved", "note": "grid search found no certificate"}
         rpt.notes.append("no real-point certificate found by the rational grid search")
 
-    primes = _primes_up_to(PRIME_BOUND)
     factors = nonsingularity_factors(a, b, c).values()
-    bad = {2, 5} | {p for p in primes if any(v % p == 0 for v in factors)}
+    bad = {2, 5} | {p for p in _PRIMES if any(v % p == 0 for v in factors)}
 
-    for p in primes:
+    for p in _PRIMES:
         hit = _smooth_point_mod_p(a, b, c, p)
         if hit is not None and hit["smooth"]:
             places[str(p)] = {"status": "certified", "point": hit["point"]}

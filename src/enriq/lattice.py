@@ -32,9 +32,9 @@ table, and F2 vectors are bitmasks.  ``fractions.Fraction`` appears only
 in the public vector views (:func:`class_vector`, :func:`as_vector`,
 :func:`lattice_coords`, :func:`exceptional_pullback`,
 :func:`galois_matrix`, ``PullbackSublattice.generators``), in a
-non-integral :func:`gram` value, and in the one-time Gauss-Jordan
-inversions.  The shipped ``lattice_classes.json`` is the single source
-of class data.
+non-integral :func:`gram` value, and in the entries of the two one-time
+inverses, which are eliminated on ints and divided once at the end.  The
+shipped ``lattice_classes.json`` is the single source of class data.
 """
 
 from __future__ import annotations
@@ -210,26 +210,34 @@ def _transpose(rows: Sequence[Sequence]) -> tuple[tuple, ...]:
     return tuple(zip(*rows))
 
 
-def _inverse(matrix: Sequence[Sequence[Fraction]]) -> Matrix:
-    """Inverse of a square matrix by exact Gauss-Jordan elimination;
-    raises ArithmeticError when the matrix is singular."""
+def _inverse(matrix: Sequence[Sequence]) -> Matrix:
+    """Inverse of a square rational matrix; raises ArithmeticError when
+    the matrix is singular.
+
+    The matrix is N / D with N integral and D the common denominator.
+    Fraction-free (Bareiss) Gauss-Jordan elimination turns [N | I] into
+    [d I | d N^-1] on ints, every division exact, so the inverse is
+    D (d N^-1) / d: one division per entry, at the end."""
     n = len(matrix)
+    den = lcm(*(x.denominator for row in matrix for x in row))
     aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        [x.numerator * (den // x.denominator) for x in row] + [int(i == j) for j in range(n)]
         for i, row in enumerate(matrix)
     ]
+    prev = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
             raise ArithmeticError("singular matrix")
         aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
+        top = aug[col]
+        d = top[col]
         for r in range(n):
-            if r != col and aug[r][col]:
+            if r != col:
                 f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+                aug[r] = [(d * x - f * y) // prev for x, y in zip(aug[r], top)]
+        prev = d
+    return tuple(tuple(Fraction(den * x, prev) for x in row[n:]) for row in aug)
 
 
 def _combine(columns: Sequence[Sequence], coeffs: Sequence) -> tuple:

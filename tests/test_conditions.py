@@ -29,6 +29,7 @@ from enriq.conditions import (
     _deep_search_mod_pk,
     _jacobian_rank_mod_p,
     _primes_up_to,
+    _real_point,
     _smooth_point_mod_p,
     check_condition,
     condition3,
@@ -309,6 +310,63 @@ def test_walk_matches_row_major_scan(triplet):
         assert _smooth_point_mod_p(*triplet, p) == _reference_smooth_point(*triplet, p), p
 
 
+@pytest.mark.parametrize("p", [p for p in _primes_up_to(PRIME_BOUND) if p >= 37])
+def test_walk_matches_row_major_scan_at_large_primes(p):
+    """The long walks, and most of the one-rank-test shortcut's work, are
+    at the primes the random test above does not reach."""
+    for triplet in ORACLE_TRIPLETS:
+        assert _smooth_point_mod_p(*triplet, p) == _reference_smooth_point(*triplet, p), triplet
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from(_primes_up_to(PRIME_BOUND)),
+       triplet=st.tuples(*[st.integers(-2000, 2000)] * 3),
+       v=st.tuples(*[st.integers(0, PRIME_BOUND)] * 3),
+       w=st.tuples(*[st.integers(0, PRIME_BOUND)] * 3))
+def test_jacobian_rank_ignores_signs_of_w(p, triplet, v, w):
+    """The rank facts the walk relies on: negating w_i negates one column,
+    the minor on the w-columns is 40*w0*w1*w2, and modulo 2 rows 0 and 1
+    agree while row 2 vanishes."""
+    v, w = tuple(x % p for x in v), tuple(x % p for x in w)
+    rank = _jacobian_rank_mod_p(*triplet, v, w, p)
+    assert (rank == 3) == _full_rank_mod_p(_jacobian(*triplet, v, w), p)
+    for signs in itertools.product((1, -1), repeat=3):
+        signed = tuple(s * x % p for s, x in zip(signs, w))
+        assert _jacobian_rank_mod_p(*triplet, v, signed, p) == rank
+    if p not in (2, 5) and w[0] * w[1] * w[2] % p:
+        assert rank == 3
+    if p == 2:
+        assert rank <= 1
+
+
+def test_condition7_does_not_depend_on_cache_order():
+    """The process-lifetime caches are shared: triplets with one c share
+    the c-row survival masks, and all triplets share the pair rows and root
+    tables.  Filling them in either order gives the same counts and the
+    pinned reports."""
+    from enriq import conditions
+
+    triplets = ORACLE_TRIPLETS + [(a + 1, b + 2, c) for a, b, c in ORACLE_TRIPLETS[:3]]
+    primes = (2, 3, 5, 7)
+    expected = {(t, p): _reference_deep_search(*t, p, _deep_modulus_exponent(p))
+                for t in triplets for p in primes}
+    reports = []
+    for order in (triplets, triplets[::-1]):
+        for cache in (conditions._survival_masks, conditions._pair_rows,
+                      conditions._root_tables):
+            cache.cache_clear()
+        texts = {}
+        for t in order:
+            for p in primes:
+                k = _deep_modulus_exponent(p)
+                assert _deep_search_mod_pk(*t, p, k) == expected[t, p], (t, p)
+            texts[t] = json.dumps(local_solvability(*t).to_dict(), sort_keys=True)
+            if t in PINNED_REPORTS:
+                assert hashlib.sha256(texts[t].encode()).hexdigest() == PINNED_REPORTS[t], t
+        reports.append(texts)
+    assert reports[0] == reports[1]
+
+
 def test_primes_up_to():
     assert _primes_up_to(1) == []
     assert _primes_up_to(2) == [2]
@@ -354,6 +412,26 @@ def test_condition7_negative_definite_real_place():
     assert rpt.verdict == FAIL
     assert rpt.data["places"]["real"]["status"] == "obstructed"
     assert rpt.detail.startswith("local obstruction certified at real")
+
+
+def _reference_real_point(a, b, c):
+    """The first point of the Fraction grid with q0, (q0 - q1)/5, q2 >= 0."""
+    grid = [Fraction(n) for n in (-2, -1, 0, 1, 2)] + [Fraction(1, 2), Fraction(-1, 2)]
+    for v in itertools.product(grid, repeat=3):
+        v0, v1, v2 = v
+        if v0 == v1 == v2 == 0:
+            continue
+        q0 = v0 * v1 + 5 * v2 * v2
+        q1 = (v0 + v1) * (v0 + 2 * v1)
+        q2 = a * v0 * v0 + b * v1 * v1 + c * v2 * v2
+        if q0 >= 0 and (q0 - q1) / 5 >= 0 and q2 >= 0:
+            return [str(x) for x in v]
+    return None
+
+
+@given(st.tuples(*[st.integers(-50, 50)] * 3))
+def test_real_point_matches_fraction_grid(triplet):
+    assert _real_point(*triplet) == _reference_real_point(*triplet)
 
 
 def test_condition7_unresolved_real_place_is_uncertified():
