@@ -248,15 +248,17 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly(self.field, [], inner=True)
-        out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if self.field.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out, inner=True)
+        field, xs, ys = self.field, self.coeffs, other.coeffs
+        if len(xs) < 2 or len(ys) < 2:  # zero, or a scale by one term
+            return Poly(field, [x * y for x in xs for y in ys], inner=True)
+        # a slot starts from its first product: over Q(t), a sum with zero
+        # would cost three polynomial products
+        out = [None] * (len(xs) + len(ys) - 1)
+        for i, x in enumerate(xs):
+            if not field.is_zero(x):
+                for k, y in enumerate(ys, i):
+                    out[k] = x * y if out[k] is None else out[k] + x * y
+        return Poly(field, [field.zero() if c is None else c for c in out], inner=True)
 
     def scale(self, c) -> "Poly":
         c = self.field.coerce(c)
@@ -279,18 +281,19 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         field = self.field
         inv_lead = field.invert(other.leading)
-        rem = list(self.coeffs)
+        rem, low = list(self.coeffs), other.coeffs[:-1]
         deg_o = other.degree
         if self.degree < deg_o:
             return Poly(field, [], inner=True), self
-        quot = [field.zero()] * (self.degree - deg_o + 1)
+        quot = [None] * (self.degree - deg_o + 1)
+        # step i cancels slot i + deg_o, so it is left as is and dropped
         for i in range(self.degree - deg_o, -1, -1):
             c = rem[i + deg_o] * inv_lead
             quot[i] = c
             if not field.is_zero(c):
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(low):
                     rem[i + j] = rem[i + j] - c * b
-        return Poly(field, quot, inner=True), Poly(field, rem, inner=True)
+        return Poly(field, quot, inner=True), Poly(field, rem[:deg_o], inner=True)
 
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
@@ -400,7 +403,10 @@ class RatFunc:
     polynomials coefficient by coefficient.  The Euclidean gcd runs only
     when both sides have positive degree; a constant side is coprime to
     anything.  Negation, inversion and powers start from an already
-    coprime pair and skip it altogether.
+    coprime pair and skip it, and so do a zero operand and a product with
+    a nonzero constant c, since (c*n, d) stays coprime with d monic.  A
+    sum over one denominator d adds the numerators over d, so the gcd runs
+    only when d is not constant.
     """
 
     __slots__ = ("field", "num", "den")
@@ -496,6 +502,10 @@ class RatFunc:
         if pair is None:
             return NotImplemented
         a, b = pair
+        if a.is_zero() or b.is_zero():
+            return b if a.is_zero() else a
+        if a.den == b.den:
+            return RatFunc(a.num + b.num, a.den)
         return RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)
 
     __radd__ = __add__
@@ -518,6 +528,12 @@ class RatFunc:
         if pair is None:
             return NotImplemented
         a, b = pair
+        if a.is_zero() or b.is_zero():
+            return a if a.is_zero() else b
+        if a.is_constant():
+            return RatFunc._coprime(a.num * b.num, b.den)
+        if b.is_constant():
+            return RatFunc._coprime(a.num * b.num, a.den)
         return RatFunc(a.num * b.num, a.den * b.den)
 
     __rmul__ = __mul__
@@ -663,18 +679,30 @@ def valuation(f: Union[RatFunc, Poly], place: Place) -> int:
         raise ZeroDivisionError("the zero function has no valuation")
     if place.is_infinite:
         return f.den.degree - f.num.degree
-    return _poly_order(f.num, place.poly) - _poly_order(f.den, place.poly)
+    # num and den are coprime, so at most one of them vanishes at the place
+    return _poly_order(f.num, place.poly) or -_poly_order(f.den, place.poly)
 
 
 def _poly_order(p: Poly, q: Poly) -> int:
+    """The multiplicity in p of q, which is monic (``Place._validate``): a
+    division step subtracts c*q for the top slot c, with no inverse, and
+    leaves c in place as the quotient coefficient instead of cancelling it;
+    the remainder is the low ``deg q`` slots."""
     if p.is_zero():
         raise ZeroDivisionError("zero polynomial")
-    order = 0
-    quot, rem = p.divmod(q)
-    while rem.is_zero():
-        order += 1
-        p = quot
-        quot, rem = p.divmod(q)
+    field, d = p.field, q.degree
+    low = [(j, b) for j, b in enumerate(q.coeffs[:d]) if not field.is_zero(b)]
+    coeffs, order = p.coeffs, 0
+    while len(coeffs) > d:
+        rem = list(coeffs)
+        for i in range(len(rem) - d - 1, -1, -1):
+            c = rem[i + d]
+            if not field.is_zero(c):
+                for j, b in low:
+                    rem[i + j] = rem[i + j] - c * b
+        if not all(field.is_zero(r) for r in rem[:d]):
+            break
+        coeffs, order = rem[d:], order + 1
     return order
 
 
@@ -956,7 +984,8 @@ def support_places(f: RatFunc, *, include_infinity: bool = True) -> dict[Place, 
         raise ZeroDivisionError("the zero function has no divisor")
     out: dict[Place, int] = {}
     for poly, mult in factor_poly(f.num):
-        out[Place.finite(poly)] = out.get(Place.finite(poly), 0) + mult
+        place = Place.finite(poly)
+        out[place] = out.get(place, 0) + mult
     for poly, mult in factor_poly(f.den):
         place = Place.finite(poly)
         out[place] = out.get(place, 0) - mult

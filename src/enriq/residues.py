@@ -252,13 +252,25 @@ def _class_field_of(rf) -> CoefficientField:
 
 
 def _unit_part(fn: RatFunc, place: Place, v: int) -> RatFunc:
-    """``fn`` divided by the ``v``-th power of a uniformizer at the place."""
+    """``fn`` divided by the ``v``-th power of a uniformizer at the place.
+
+    At a finite place of fn's own field, v is fn's valuation there: the
+    place polynomial to the |v| divides the numerator (v > 0) or the
+    denominator (v < 0) exactly, and the quotient pair stays coprime with
+    a monic denominator, so no gcd is taken.  At infinity, and at a
+    t-place under a symbol over k(t)(x), whose v is a Gauss valuation, the
+    product with the uniformizer's power is reduced as usual.
+    """
     if v == 0:
         return fn
     if place.is_infinite:
         pi = RatFunc.variable(place.field).inv()
-    else:
+    elif place.field is not fn.field:
         pi = RatFunc.from_poly(place.poly)
+    elif v > 0:
+        return RatFunc._coprime(fn.num // place.poly ** v, fn.den)
+    else:
+        return RatFunc._coprime(fn.num, fn.den // place.poly ** -v)
     return fn * pi ** (-v)
 
 

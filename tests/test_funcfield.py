@@ -3,7 +3,10 @@
 ``RatFunc`` arithmetic is checked against ``sympy.cancel``, and every
 result against the canonical form equality relies on: coprime numerator
 and denominator, monic denominator, zero as 0/1.  ``factor_poly`` over Q
-is checked against ``sympy.Poly.factor_list``.
+is checked against ``sympy.Poly.factor_list``.  The kernels under the
+residue calculus (polynomial products and division, orders at a place,
+the shortcuts of ``RatFunc`` sums and products, and unit parts) are
+checked against sympy over Q and over Q(t).
 """
 
 from collections import Counter
@@ -11,11 +14,21 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from enriq import arith, funcfield
-from enriq.funcfield import QQ, Place, Poly, RatFunc, TowerCoefficients, factor_poly
+from enriq.funcfield import (
+    QQ,
+    Place,
+    Poly,
+    RatFunc,
+    RationalFunctions,
+    TowerCoefficients,
+    factor_poly,
+    valuation,
+)
+from enriq.residues import _unit_part
 from enriq.towers import Tower
 
 T = sympy.Symbol("T")
@@ -224,3 +237,133 @@ def test_factoring_over_a_tower_base():
         factor_poly(Poly(K, [-5, 0, 1]))  # (t - sqrt 5)(t + sqrt 5)
     with pytest.raises(NotImplementedError):
         factor_poly(Poly(K, [-2, 0, 0, 1]))
+
+
+# -- the kernels under the residue calculus --------------------------------
+
+X = sympy.Symbol("X")
+QT = RationalFunctions("t", QQ)
+
+
+def _sympy_poly(p: Poly) -> sympy.Poly:
+    return sympy.Poly(_sym(p), T, domain="QQ")
+
+
+@given(polys, polys, nonzero_polys)
+def test_poly_product_and_divmod_match_sympy(p, q, d):
+    assert (p * q).coeffs == _coeff_list(_sympy_poly(p) * _sympy_poly(q))
+    quot, rem = p.divmod(d)
+    sympy_quot, sympy_rem = _sympy_poly(p).div(_sympy_poly(d))
+    assert quot.coeffs == _coeff_list(sympy_quot)
+    assert rem.coeffs == _coeff_list(sympy_rem)
+
+
+linear_places = small_rationals.map(lambda r: Poly(QQ, [-r, 1]))
+quadratic_places = st.tuples(small_rationals, small_rationals).map(
+    lambda uv: Poly(QQ, [uv[1], uv[0], 1])
+).filter(lambda q: not arith.rational_is_square(q.coeff(1) ** 2 - 4 * q.coeff(0)))
+
+
+def _sympy_order(p: Poly, q: Poly) -> int:
+    rest, divisor, order = _sympy_poly(p), _sympy_poly(q), 0
+    while True:
+        quot, rem = rest.div(divisor)
+        if not rem.is_zero:
+            return order
+        rest, order = quot, order + 1
+
+
+@given(st.one_of(linear_places, quadratic_places), nonzero_polys, nonzero_polys,
+       st.integers(0, 3), st.integers(0, 2))
+# t^3 = 2t mod t^2 - 2: a remainder whose constant slot alone is zero
+@example(Poly(QQ, [-2, 0, 1]), Poly(QQ, [0, 0, 0, 1]), Poly(QQ, [1]), 0, 1)
+def test_orders_at_linear_and_quadratic_places_match_sympy(q, a, b, k, m):
+    num, den = a * q**k, b * q**m
+    assert funcfield._poly_order(num, q) == _sympy_order(num, q)
+    place = Place.finite(q)
+    expected = _sympy_order(num, q) - _sympy_order(den, q)
+    assert valuation(RatFunc(num, den), place) == expected
+    # the unit part divides the place polynomial out exactly, with no gcd,
+    # and agrees with the product by the uniformizer's power
+    f = RatFunc(num, den)
+    unit = _unit_part(f, place, expected)
+    assert_canonical(unit)
+    assert valuation(unit, place) == 0
+    assert unit == f * RatFunc.from_poly(q) ** -expected
+
+
+@st.composite
+def operand_pairs(draw, elements, constants):
+    """(f, g) with g, on purpose, zero, a constant, over f's denominator,
+    or drawn alone; in either order."""
+    f = draw(elements)
+    kind = draw(st.sampled_from(["any", "zero", "constant", "same-den"]))
+    if kind == "any":
+        g = draw(elements)
+    elif kind == "zero":
+        g = f - f
+    elif kind == "constant":
+        g = RatFunc.constant(f.field, draw(constants))
+    else:
+        g = f + RatFunc.from_poly(draw(elements).num)
+        assert g.den == f.den
+    return (f, g) if draw(st.booleans()) else (g, f)
+
+
+def _generic_results(f: RatFunc, g: RatFunc) -> tuple:
+    """f + g, f - g and f * g through the gcd of the generic constructor."""
+    return (
+        RatFunc(f.num * g.den + g.num * f.den, f.den * g.den),
+        RatFunc(f.num * g.den - g.num * f.den, f.den * g.den),
+        RatFunc(f.num * g.num, f.den * g.den),
+    )
+
+
+def _assert_canonical_over(field, f: RatFunc):
+    one = field.one()
+    if f.is_zero():
+        assert f.den.coeffs == [one]
+        return
+    assert f.den.leading == one
+    assert f.num.gcd(f.den).degree == 0
+
+
+@given(operand_pairs(ratfuncs, small_rationals))
+def test_sum_difference_product_shortcuts_over_q(pair):
+    f, g = pair
+    a, b = to_sympy(f), to_sympy(g)
+    for got, generic, expr in zip((f + g, f - g, f * g), _generic_results(f, g),
+                                  (a + b, a - b, a * b)):
+        assert_matches(got, expr)
+        assert got == generic
+
+
+short_polys = st.lists(coefficients, max_size=2).map(lambda cs: Poly(QQ, cs))
+short_ratfuncs = st.builds(
+    RatFunc, short_polys, short_polys.filter(lambda p: not p.is_zero())
+)
+#: rational functions in x over Q(t), of degree <= 1 in x and in t
+qt_ratfuncs = st.builds(
+    RatFunc,
+    st.lists(short_ratfuncs, max_size=2).map(lambda cs: Poly(QT, cs)),
+    st.lists(short_ratfuncs, min_size=1, max_size=2)
+    .map(lambda cs: Poly(QT, cs))
+    .filter(lambda p: not p.is_zero()),
+)
+
+
+def _sym_qt(f: RatFunc):
+    def poly(p: Poly):
+        return sum(to_sympy(c) * X**i for i, c in enumerate(p.coeffs))
+    return poly(f.num) / poly(f.den)
+
+
+@given(operand_pairs(qt_ratfuncs, short_ratfuncs))
+def test_sum_difference_product_shortcuts_over_q_of_t(pair):
+    f, g = pair
+    a, b = _sym_qt(f), _sym_qt(g)
+    for got, generic, expr in zip((f + g, f - g, f * g), _generic_results(f, g),
+                                  (a + b, a - b, a * b)):
+        _assert_canonical_over(QT, got)
+        assert got == generic
+        assert sympy.expand(sympy.numer(sympy.together(_sym_qt(got) - expr))) == 0

@@ -345,25 +345,37 @@ def _oracle_coords(vec):
                  for row in _oracle_inverse())
 
 
-def _oracle_isometry(row):
-    """The Fraction isometry check on one row: pairing, lattice membership
-    of every permuted generator, and the fibre-sum relation."""
+def _oracle_sum(names, coeff):
+    """coeff * (sum of the named classes), repeats counted."""
+    out = {}
+    for name in names:
+        out[name] = out.get(name, 0) + coeff
+    return out
+
+
+def _oracle_halves(row):
+    """The Fraction isometry check on one row, part by part: (pairing,
+    lattice membership of every permuted generator, fibre-sum relation)."""
     data = lattice._data()
     amb = data["ambient_basis"]
     perm = row.class_permutation()
-    for x in amb:
-        for y in amb:
-            if _oracle_gram(perm[x], perm[y]) != _oracle_rule(x, y):
-                return False
+    pairing = all(_oracle_gram(perm[x], perm[y]) == _oracle_rule(x, y)
+                  for x in amb for y in amb)
+    membership = True
     for name in GENERATORS:
         members = data["half_classes"].get(name)
-        image = ({perm[m]: Fraction(1, 2) for m in members} if members
+        image = (_oracle_sum((perm[m] for m in members), Fraction(1, 2)) if members
                  else perm[name])
         if any(c.denominator != 1 for c in _oracle_coords(_oracle_vector(image))):
-            return False
+            membership = False
     fibre_sum = _oracle_vector({"F1": 1, "G1": 1})
-    return all(_oracle_vector({perm[f"F{i}"]: 1, perm[f"G{i}"]: 1}) == fibre_sum
-               for i in range(1, 15))
+    fibres = all(_oracle_vector(_oracle_sum((perm[f"F{i}"], perm[f"G{i}"]), 1)) == fibre_sum
+                 for i in range(1, 15))
+    return pairing, membership, fibres
+
+
+def _oracle_isometry(row):
+    return all(_oracle_halves(row))
 
 
 rational_combinations = st.dictionaries(
@@ -428,6 +440,51 @@ def test_isometry_check_rejects_doctored_rows(monkeypatch, make_row):
     assert not _oracle_isometry(row)
     monkeypatch.setattr(actions, "load_rows", lambda: (row,))
     assert verify_galois_isometries() is False
+
+
+def _fold_fibre_pairs():
+    """A map of fibre pairs that is not injective: pair i goes to pair j
+    (F_i -> F_j, G_i -> G_j), or swapped for -j (F_i -> G_j, G_i -> F_j).
+    Every F_i + G_i still maps to F1 + G1, and each Z image stays a half
+    sum of the lattice, so only the pairing check rejects it."""
+    fold = {2: 13, 3: 14, 5: 13, 6: -14, 8: 13, 9: -14, 10: 7, 11: 1, 12: 4}
+    perm = {name: name for name in FIBRE_NAMES}
+    for i, j in fold.items():
+        f, g = (f"F{j}", f"G{j}") if j > 0 else (f"G{-j}", f"F{-j}")
+        perm[f"F{i}"], perm[f"G{i}"] = f, g
+    return _DoctoredRow(perm)
+
+
+def _swap_g2_g3():
+    """G2 <-> G3 fixes the ambient basis G1, F1..F14 and so every pairing
+    and every generator, but F2 + G3 is not F1 + G1."""
+    perm = {name: name for name in FIBRE_NAMES}
+    perm["G2"], perm["G3"] = "G3", "G2"
+    return _DoctoredRow(perm)
+
+
+@pytest.mark.parametrize(
+    "make_row, halves",
+    [(_fold_fibre_pairs, (False, True, True)), (_swap_g2_g3, (True, True, False))],
+    ids=["only-pairing", "only-fibre-sums"],
+)
+def test_each_isometry_half_rejects_a_row_alone(monkeypatch, make_row, halves):
+    row = make_row()
+    assert _oracle_halves(row) == halves
+    monkeypatch.setattr(actions, "load_rows", lambda: (row,))
+    assert verify_galois_isometries() is False
+
+
+@given(st.permutations(range(1, 15)), st.lists(st.sampled_from("FG"), min_size=28, max_size=28))
+def test_galois_rows_always_keep_pairing_and_fibre_sums(targets, letters):
+    """Why only doctored rows can fail those two halves: a GaloisRow moves
+    each class with its partner, so F_i + G_i goes to some F_j + G_j, and
+    its moves must form a permutation.  The pairing of two classes is 0,
+    4 or 2 as they are equal, partners or in different fibres, which such
+    a permutation keeps.  Only lattice membership is left to fail."""
+    moves = {f"{letters[i]}{i + 1}": f"{letters[14 + i]}{j}" for i, j in enumerate(targets)}
+    pairing, _, fibres = _oracle_halves(GaloisRow("drawn", {}, moves, ()))
+    assert pairing and fibres
 
 
 def test_the_half_class_row_fails_only_lattice_membership():
