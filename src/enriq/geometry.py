@@ -155,7 +155,8 @@ class _FormalPoly:
     def __add__(self, other: "_FormalPoly") -> "_FormalPoly":
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, self.tower.zero()) + coeff
+            prev = terms.get(mono)
+            terms[mono] = coeff if prev is None else prev + coeff
         return _FormalPoly(self.tower, terms)
 
     def __neg__(self) -> "_FormalPoly":
@@ -173,28 +174,11 @@ class _FormalPoly:
                 terms[mono] = terms[mono] + prod if mono in terms else prod
         return _FormalPoly(self.tower, terms)
 
-    def __truediv__(self, other: "_FormalPoly") -> "_FormalPoly":
-        if set(other.terms) - {(0,) * len(_VAR_NAMES)}:
-            raise ValueError("can only divide by a constant polynomial")
-        inv = other.terms[(0,) * len(_VAR_NAMES)].inv()
-        return _FormalPoly(self.tower, {m: c * inv for m, c in self.terms.items()})
-
-    def __pow__(self, n: int) -> "_FormalPoly":
-        if n < 0:
-            raise ValueError("negative exponents are not supported")
-        out = _FormalPoly.const(self.tower, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, _FormalPoly) and self.terms == other.terms
 
     def __hash__(self):  # pragma: no cover - polynomials are not dict keys
         raise TypeError("unhashable")
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # -- the two consumers ----------------------------------------------
 

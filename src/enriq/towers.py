@@ -565,14 +565,52 @@ class _ResidueMap:
         return pow(a * a + b * b, (self.p - 1) // 2, self.p) != 1
 
 
+#: The empty monomial: the key of an element's rational part.
+_RATIONAL = frozenset()
+
+
+def _add_term(out: dict, tower: Tower, s: frozenset, t: frozenset, c: Fraction) -> None:
+    """Add c * root^s * root^t into ``out``, where root^(s & t) squared is
+    the cached radicand product; its monomials may meet s ^ t in turn.
+    Keys whose sums cancel are left for ``_settled``."""
+    sym = s ^ t
+    for u, r in tower._mono_product(s & t).coeffs.items():
+        if u & sym:
+            _add_term(out, tower, u, sym, r * c)
+        else:
+            v = out.get(m := u | sym)
+            out[m] = r * c if v is None else v + r * c
+
+
+def _settled(tower: Tower, out: dict) -> "TowerElem":
+    """Drop the keys whose sums cancelled and wrap ``out`` as an element."""
+    for m in [m for m, v in out.items() if not v]:
+        del out[m]
+    return TowerElem._of(tower, out)
+
+
 class TowerElem:
-    """An element of a Tower; immutable in practice."""
+    """An element of a Tower; immutable in practice.
+
+    ``coeffs`` maps a frozenset of step indices (the monomial prod root_i)
+    to a nonzero Fraction; no key carries a zero.  The ring kernels keep
+    that invariant while filling one result dict each, and reduce every
+    root_i^2 to the radicand d_i through ``Tower._mono_product``.
+    """
 
     __slots__ = ("tower", "coeffs")
 
     def __init__(self, tower: Tower, coeffs: Mapping[frozenset, Fraction]):
         self.tower = tower
-        self.coeffs = {k: v for k, v in coeffs.items() if v != 0}
+        self.coeffs = {k: v for k, v in coeffs.items() if v}
+
+    @classmethod
+    def _of(cls, tower: Tower, coeffs: dict) -> "TowerElem":
+        """Wrap a dict that already holds the invariant, without a copy."""
+        elem = object.__new__(cls)
+        elem.tower = tower
+        elem.coeffs = coeffs
+        return elem
 
     # -- basics --------------------------------------------------------
 
@@ -580,12 +618,12 @@ class TowerElem:
         return not self.coeffs
 
     def is_rational(self) -> bool:
-        return all(not k for k in self.coeffs)
+        return not self.coeffs or (len(self.coeffs) == 1 and _RATIONAL in self.coeffs)
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is irrational")
-        return self.coeffs.get(frozenset(), Fraction(0))
+        return self.coeffs.get(_RATIONAL, Fraction(0))
 
     def top_index(self) -> int:
         """Largest step index appearing in any monomial; -1 for rationals."""
@@ -603,7 +641,7 @@ class TowerElem:
                 b[mono - {idx}] = c
             else:
                 a[mono] = c
-        return TowerElem(self.tower, a), TowerElem(self.tower, b)
+        return TowerElem._of(self.tower, a), TowerElem._of(self.tower, b)
 
     # -- ring operations ----------------------------------------------
 
@@ -614,47 +652,54 @@ class TowerElem:
             return other
         return self.tower.rational(other)
 
-    def __add__(self, other) -> "TowerElem":
-        other = self._coerce(other)
+    def _plus(self, terms) -> "TowerElem":
         out = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return TowerElem(self.tower, out)
+        for mono, c in terms:
+            v = out.get(mono)
+            v = c if v is None else v + c
+            if v:
+                out[mono] = v
+            else:
+                del out[mono]
+        return TowerElem._of(self.tower, out)
+
+    def __add__(self, other) -> "TowerElem":
+        return self._plus(self._coerce(other).coeffs.items())
 
     __radd__ = __add__
 
     def __neg__(self) -> "TowerElem":
-        return TowerElem(self.tower, {k: -v for k, v in self.coeffs.items()})
+        return TowerElem._of(self.tower, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other) -> "TowerElem":
-        return self + (-self._coerce(other))
+        return self._plus((k, -v) for k, v in self._coerce(other).coeffs.items())
 
     def __rsub__(self, other) -> "TowerElem":
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
+
+    def _scaled(self, x: Fraction) -> "TowerElem":
+        if not x:
+            return self.tower.zero()
+        return TowerElem._of(self.tower, {k: v * x for k, v in self.coeffs.items()})
 
     def __mul__(self, other) -> "TowerElem":
+        if not isinstance(other, TowerElem):
+            return self._scaled(Fraction(other))
         other = self._coerce(other)
-        tower = self.tower
         if other.is_rational():
-            x = other.coeffs.get(frozenset(), Fraction(0))
-            return TowerElem(tower, {k: v * x for k, v in self.coeffs.items()})
+            return self._scaled(other.coeffs.get(_RATIONAL, 0))
         if self.is_rational():
-            x = self.coeffs.get(frozenset(), Fraction(0))
-            return TowerElem(tower, {k: v * x for k, v in other.coeffs.items()})
-        acc = tower.zero()
-        plain: dict[frozenset, Fraction] = {}
+            return other._scaled(self.coeffs.get(_RATIONAL, 0))
+        tower = self.tower
+        out: dict[frozenset, Fraction] = {}
         for s, cs in self.coeffs.items():
             for t, ct in other.coeffs.items():
-                common = s & t
-                sym = s ^ t
-                if not common:
-                    plain[sym] = plain.get(sym, Fraction(0)) + cs * ct
+                if s & t:
+                    _add_term(out, tower, s, t, cs * ct)
                 else:
-                    term = tower._mono_product(common) * TowerElem(
-                        tower, {sym: cs * ct}
-                    )
-                    acc = acc + term
-        return acc + TowerElem(tower, plain)
+                    v = out.get(m := s | t)
+                    out[m] = cs * ct if v is None else v + cs * ct
+        return _settled(tower, out)
 
     __rmul__ = __mul__
 
@@ -690,8 +735,9 @@ class TowerElem:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other) -> bool:
@@ -777,7 +823,12 @@ class TowerAuto:
                 )
 
     def apply(self, z: TowerElem) -> TowerElem:
-        out = self.tower.zero()
+        """The image of z: sum of c * image(root^mono) over z's monomials.
+
+        Each monomial's image is a product of root images, cached per
+        automorphism; the scaled images are added into one dict.
+        """
+        out: dict[frozenset, Fraction] = {}
         for mono, c in z.coeffs.items():
             img = self._mono_cache.get(mono)
             if img is None:
@@ -785,8 +836,10 @@ class TowerAuto:
                 for i in sorted(mono):
                     img = img * self.root_images[i]
                 self._mono_cache[mono] = img
-            out = out + img * c
-        return out
+            for m, x in img.coeffs.items():
+                v = out.get(m)
+                out[m] = x * c if v is None else v + x * c
+        return _settled(self.tower, out)
 
     def __call__(self, z: TowerElem) -> TowerElem:
         return self.apply(z)

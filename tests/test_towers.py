@@ -369,3 +369,110 @@ def test_sieve_refuses_a_map_at_a_bad_prime(t, how, root):
     top = len(t.steps) - 1
     assert all(phi.p != p for phi in t._residue_maps(top))
     assert t._sieve_pool[0].p == p and len(t._sieve_pool[0].images) <= top
+
+
+# -- the ring kernels against a reference product and exact ring maps ---------
+
+
+def reference_add(x, y):
+    out = dict(x.coeffs)
+    for mono, c in y.coeffs.items():
+        out[mono] = out.get(mono, Fraction(0)) + c
+    return TowerElem(x.tower, out)
+
+
+def reference_mul(x, y):
+    """A reference product, recursive on whole elements: each pair of
+    monomials that share roots becomes its own element, multiplied by the
+    product of the shared radicands and added to an accumulator."""
+    t = x.tower
+    acc, plain = t.zero(), {}
+    for s, cs in x.coeffs.items():
+        for u, cu in y.coeffs.items():
+            common, sym = s & u, s ^ u
+            if not common:
+                plain[sym] = plain.get(sym, Fraction(0)) + cs * cu
+                continue
+            rad = t.one()
+            for i in sorted(common):
+                rad = reference_mul(rad, t.steps[i].radicand)
+            acc = reference_add(acc, reference_mul(rad, TowerElem(t, {sym: cs * cu})))
+    return reference_add(acc, TowerElem(t, plain))
+
+
+@st.composite
+def towers_with_three(draw):
+    t = draw(towers())
+    return t, draw(elements(t)), draw(elements(t)), draw(elements(t))
+
+
+def holds_invariant(z):
+    return all(
+        type(m) is frozenset and type(c) is Fraction and c for m, c in z.coeffs.items()
+    )
+
+
+@given(towers_with_three())
+def test_product_matches_the_reference_coefficient_for_coefficient(case):
+    t, x, y, w = case
+    for a, b in ((x, y), (x * y, w), (x + w, x - y), (x, t.rational(3)), (x, t.zero())):
+        got = a * b
+        assert holds_invariant(got)
+        assert got.coeffs == reference_mul(a, b).coeffs
+
+
+@given(towers_with_three())
+def test_ring_laws(case):
+    t, x, y, w = case
+    assert x * y == y * x
+    assert (x * y) * w == x * (y * w)
+    assert x * (y + w) == x * y + x * w
+    assert (x - y) + y == x
+    assert x - x == t.zero() and holds_invariant(x - y) and holds_invariant(x + y)
+    assert 2 - x == -(x - 2)
+    assert x ** 0 == t.one() and x ** 1 == x and x ** 3 == x * x * x
+    assume(not x.is_zero() and not t.unverified)
+    assert x * x.inv() == t.one()
+
+
+@given(towers_with_three())
+def test_residue_maps_respect_sum_and_product(case):
+    """phi(x + y) and phi(x * y) against F_{p^2} arithmetic on phi(x) and
+    phi(y): the expected side never calls TowerElem.__mul__."""
+    t, x, y, _ = case
+    for phi in t._residue_maps(len(t.steps) - 1):
+        p = phi.p
+        (a, b), (c, d) = phi(x), phi(y)
+        assert phi(x + y) == ((a + c) % p, (b + d) % p)
+        assert phi(x - y) == ((a - c) % p, (b - d) % p)
+        assert phi(x * y) == towers_mod._fp2_mul((a, b), (c, d), p)
+
+
+@given(towers_with_three())
+def test_top_conjugation_is_a_ring_involution(case):
+    t, x, y, _ = case
+    assume(t.steps)
+    top = len(t.steps) - 1
+    sigma = TowerAuto(t, {t.steps[top].name: -t.root(top)})
+    assert sigma(x + y) == sigma(x) + sigma(y)
+    assert sigma(x * y) == sigma(x) * sigma(y)
+    assert holds_invariant(sigma(x)) and sigma(sigma(x)) == x
+    a, b = x.split(top)
+    assert sigma(x) == a - t.root(top) * b
+
+
+@given(towers_with_three())
+def test_apply_adds_up_the_monomial_images(case):
+    """``apply`` is the Q-linear map sending root^s to the product of the
+    root images; unvalidated images that are sums make the terms overlap."""
+    t, x, y, _ = case
+    assume(t.steps)
+    rho = TowerAuto(t, {t.steps[0].name: y}, validate=False)
+    want = t.zero()
+    for mono, c in x.coeffs.items():
+        img = t.rational(c)
+        for i in sorted(mono):
+            img = reference_mul(img, rho.root_images[i])
+        want = reference_add(want, img)
+    got = rho(x)
+    assert holds_invariant(got) and got.coeffs == want.coeffs
