@@ -11,10 +11,12 @@ arithmetic conditions under which the verification pipeline applies:
   (6) (a, b, c) = (1, 1, 2) modulo 11
   (7) the surface has points over R and over every Q_p (searched up to
       PRIME_BOUND; verdict at best "Probable"): a walk over P^2(F_p) for
-      a smooth F_p-point, with at most one Jacobian rank test per point,
-      then a survival count modulo p^k over the unit-scaling orbits of v,
-      on plain-int bitmasks (no numpy); the per-prime tables both use are
-      built once per process (see local_solvability)
+      a smooth F_p-point, over cached rows of the points where the
+      triplet-free forms q0 and q0 - q1 have roots, with one q2 lookup
+      per such point and a mostly closed-form Jacobian rank, then a
+      survival count modulo p^k over the unit-scaling orbits of v, on
+      plain-int bitmasks (no numpy); the per-prime tables both use are
+      built once per process, lazily (see local_solvability)
   (8) the splitting field is as large as possible; checked through the
       tower-independence proxy: every preset tower step stays quadratic.
 
@@ -295,21 +297,11 @@ def _pair_rows(p: int, k: int, v0: int) -> tuple[tuple, tuple]:
     return tuple(rows), tuple(unit_rows)
 
 
-def _projective_rows(p: int) -> Iterator[tuple[int, int, range]]:
-    """One representative of each point of P^2(F_p), row by row as
-    (v0, v1, the v2 of the row): (0, 0, 1), then (0, 1, y) and (1, x, y)
-    in increasing order."""
-    yield 0, 0, range(1, 2)
-    yield 0, 1, range(p)
-    for x in range(p):
-        yield 1, x, range(p)
-
-
 @functools.lru_cache(maxsize=None)
 def _root_tables(p: int) -> tuple[tuple[int, ...], ...]:
-    """(square, root, five_root) over F_p: square[y] = y^2, and for each x
-    the largest w < p with w^2 = x, resp. 5*w^2 = x, or -1 when there is
-    none.
+    """(root, five_root, sign) over F_p: for each x the largest w < p with
+    w^2 = x, resp. 5*w^2 = x, or -1 when there is none; and sign[w], the
+    first of w, -w mod p that iterating the set {w, -w mod p} gives.
 
     Process-lifetime cache, one entry per prime (at most PRIME_BOUND),
     each three tuples of p ints.
@@ -318,7 +310,71 @@ def _root_tables(p: int) -> tuple[tuple[int, ...], ...]:
     for w in range(p):
         root[w * w % p] = w
         five_root[5 * w * w % p] = w
-    return tuple(w * w % p for w in range(p)), tuple(root), tuple(five_root)
+    return tuple(root), tuple(five_root), tuple(next(iter({w, -w % p})) for w in range(p))
+
+
+@functools.lru_cache(maxsize=None)
+def _candidate_rows(p: int) -> list[tuple[int, int, int, int, tuple]]:
+    """The triplet-independent half of the walk over P^2(F_p), filled
+    lazily by _smooth_point_mod_p: entry i is _candidate_row(p, i).
+
+    Process-lifetime cache, one list per prime (at most PRIME_BOUND), each
+    at most p + 2 entries, one per row.
+    """
+    return []
+
+
+def _candidate_row(p: int, i: int) -> tuple[int, int, int, int, tuple]:
+    """(v0, v1, v0^2 mod p, v1^2 mod p, candidates) for row i of P^2(F_p),
+    where the candidates are the (v2, v2^2 mod p, w0, w1) of the row with
+    q0 = w0^2 and d = q0 - q1 = 5*w1^2, each w the largest root below p.
+
+    One representative per point: row 0 is (0, 0, 1), row 1 is (0, 1, y)
+    and row i >= 2 is (1, i - 2, y), so rows 0 .. p + 1 list the points in
+    increasing order."""
+    root, five_root, _ = _root_tables(p)
+    v0, v1 = (0, 0) if i == 0 else (0, 1) if i == 1 else (1, i - 2)
+    v2s = range(1, 2) if i == 0 else range(p)
+    r0 = v0 * v1  # q0 and q0 - q1 less their v2 term 5*v2^2
+    rd = r0 - (v0 + v1) * (v0 + 2 * v1)
+    candidates = []
+    for v2 in v2s:
+        sq = v2 * v2 % p
+        w0 = root[(r0 + 5 * sq) % p]
+        if w0 < 0:
+            continue
+        w1 = five_root[(rd + 5 * sq) % p]
+        if w1 >= 0:
+            candidates.append((v2, sq, w0, w1))
+    return v0, v1, v0 * v0 % p, v1 * v1 % p, tuple(candidates)
+
+
+def _rank_is_three(a: int, b: int, c: int, v, w, p: int) -> bool:
+    """Whether the Jacobian at a point (v, w) of the system over F_p, with
+    v != 0, has rank 3.
+
+    Negating w_i negates the one column holding w_i, so the sign of w does
+    not matter.  Modulo 2 rows 0 and 1 agree and row 2 vanishes, so the
+    rank is at most 1.  For p not 2 or 5:
+      - no w_i is 0: the minor on the three w-columns is 40*w0*w1*w2;
+      - w0 = 0 alone: rows 1 and 2 are independent on the w-columns, so a
+        dependency needs row 0 = (v1, v0, 10*v2, 0, 0, 0) = 0, so v = 0;
+      - w1 = 0 alone: rows 0 and 1 agree on the w-columns and row 2 is
+        independent of them, so a dependency is a multiple of row 0 -
+        row 1 = (-2v0 - 2v1, -2v0 - 4v1, 10v2, 0, 0, 0), zero only at v = 0;
+      - w2 = 0 alone: rows 0 and 1 are independent on the w-columns, so
+        the rank is 3 unless row 2 = (2a*v0, 2b*v1, 2c*v2, 0, 0, 0) = 0,
+        i.e. a*v0 = b*v1 = c*v2 = 0 mod p.
+    At p = 5, or with two or more w_i zero, _jacobian_rank_mod_p decides.
+    """
+    if p == 2:
+        return False
+    zeros = (w[0] == 0) + (w[1] == 0) + (w[2] == 0)
+    if p != 5 and zeros == 0:
+        return True
+    if p != 5 and zeros == 1:
+        return w[2] != 0 or any(x * y % p for x, y in zip((a, b, c), v))
+    return _jacobian_rank_mod_p(a, b, c, v, w, p) == 3
 
 
 def _smooth_point_mod_p(a: int, b: int, c: int, p: int) -> Optional[dict]:
@@ -330,44 +386,36 @@ def _smooth_point_mod_p(a: int, b: int, c: int, p: int) -> Optional[dict]:
     seen with "smooth": False, or None if the system has no F_p-point at
     all.
 
-    Negating w_i negates the one Jacobian column holding w_i, so every
-    sign choice of w has the same rank: one rank test per point.  The
-    minor on the three w-columns is 40*w0*w1*w2, so the rank is 3 outright
-    when p is not 2 or 5 and no w_i vanishes; modulo 2 the rank is at most
-    1, so no point is smooth there.
-
     Scaling (v, w) by a unit multiplies q0, q0 - q1, q2 and the Jacobian by
     units, so one representative per point of P^2(F_p) decides everything,
     and the walk returns the point a scan of all of F_p^3 in row-major
     order would reach first.  Each root table keeps the largest w with
     m*w^2 = x, as a scan in increasing w does.
+
+    q0 and d = q0 - q1 do not depend on the triplet, so the rows of
+    _candidate_rows keep only the v2 where both have a root, and each
+    candidate costs one q2 root lookup.  The rank of each point found is
+    decided by _rank_is_three, mostly in closed form; every sign choice of
+    w has the same rank, so one test per point does.
     """
-    square, root, five_root = _root_tables(p)
+    root, _, sign = _root_tables(p)
+    rows = _candidate_rows(p)
     am, bm, cm = a % p, b % p, c % p
-    # modulo 2 rows 0 and 1 of the Jacobian agree and row 2 vanishes
-    rank3_possible, minor_unit = p != 2, p != 2 and p != 5
     found = None
-    for v0, v1, v2s in _projective_rows(p):
-        # q0, q0 - q1 and q2 less their v2 terms 5*v2^2, 5*v2^2, c*v2^2
-        r0 = v0 * v1
-        rd = r0 - (v0 + v1) * (v0 + 2 * v1)
-        r2 = am * v0 * v0 + bm * v1 * v1
-        for v2 in v2s:
-            sq = square[v2]
-            w0 = root[(r0 + 5 * sq) % p]
-            if w0 < 0:
-                continue
-            w1 = five_root[(rd + 5 * sq) % p]
+    for i in range(p + 2):
+        if i == len(rows):
+            rows.append(_candidate_row(p, i))
+        v0, v1, v0_sq, v1_sq, candidates = rows[i]
+        r2 = am * v0_sq + bm * v1_sq  # q2 less its v2 term c*v2^2
+        for v2, sq, w0, w1 in candidates:
             w2 = root[(r2 + cm * sq) % p]
-            if w1 < 0 or w2 < 0:
+            if w2 < 0:
                 continue
-            v, w = (v0, v1, v2), (w0, w1, w2)
-            if rank3_possible and ((minor_unit and w0 * w1 * w2 % p)
-                                   or _jacobian_rank_mod_p(a, b, c, v, w, p) == 3):
-                signed = [next(iter({x, -x % p})) for x in w]
-                return {"point": [list(v), signed], "smooth": True}
+            v, w = [v0, v1, v2], [w0, w1, w2]
+            if _rank_is_three(am, bm, cm, v, w, p):
+                return {"point": [v, [sign[w0], sign[w1], sign[w2]]], "smooth": True}
             if found is None:
-                found = {"point": [list(v), list(w)], "smooth": False}
+                found = {"point": [v, w], "smooth": False}
     return found
 
 
@@ -455,21 +503,23 @@ def local_solvability(a: int, b: int, c: int) -> ConditionReport:
     The real place is certified by a rational point from a small grid, and
     obstructed when a, b, c < 0: then q2 is negative definite, w2^2 = q2
     forces v = 0 and so w = 0.  Otherwise it stays unresolved and
-    uncertified.  The primes up to the bound are sieved once at import, and
-    the bad ones (2, 5 and the divisors of the nonsingularity factors)
-    collected in one pass.  Per prime: a smooth F_p-point, found by a walk
-    over P^2(F_p) that stops at the first one, certifies a Q_p-point by
-    Hensel lifting; no F_p-point at a prime of good reduction certifies
-    failure; otherwise a survival count modulo p^k (k capped at 4, scaled
-    to the prime), summed over the k+1 unit-scaling orbits of v0, is
-    reported as uncertified survival, or as an obstruction when it is 0.
+    uncertified.  The primes up to the bound are sieved once at import.
+    Per prime: a smooth F_p-point, found by a walk over P^2(F_p) that
+    stops at the first one, certifies a Q_p-point by Hensel lifting; no
+    F_p-point at a prime of good reduction (not 2, 5 or a divisor of a
+    nonsingularity factor, tested only then) certifies failure; otherwise
+    a survival count modulo p^k (k capped at 4, scaled to the prime),
+    summed over the k+1 unit-scaling orbits of v0, is reported as
+    uncertified survival, or as an obstruction when it is 0.
     Overall verdict is at best Probable because primes beyond the bound
     are never examined.
 
-    Three process-lifetime caches hold what depends on the prime alone
+    Four process-lifetime caches hold what depends on the prime alone
     (or on c mod p^k), never on the order triplets come in; each is
     bounded because p <= PRIME_BOUND and q = p^k <= 125:
-      _root_tables(p): squares and square roots mod p, one per prime;
+      _root_tables(p): square roots and sign choices mod p, one per prime;
+      _candidate_rows(p): the q0 and d half of the walk, one list per
+        prime, filled row by row as walks reach it, at most p + 2 rows;
       _pair_rows(p, k, v0): the q0 and d half of each survival slice,
         k+1 per prime (v0 = 0 or p^j);
       _survival_masks(p, k, m, r): row masks per value class, for m = 5
@@ -490,14 +540,12 @@ def local_solvability(a: int, b: int, c: int) -> ConditionReport:
         rpt.notes.append("no real-point certificate found by the rational grid search")
 
     factors = nonsingularity_factors(a, b, c).values()
-    bad = {2, 5} | {p for p in _PRIMES if any(v % p == 0 for v in factors)}
-
     for p in _PRIMES:
         hit = _smooth_point_mod_p(a, b, c, p)
         if hit is not None and hit["smooth"]:
             places[str(p)] = {"status": "certified", "point": hit["point"]}
             continue
-        if hit is None and p not in bad:
+        if hit is None and p not in (2, 5) and all(v % p for v in factors):
             places[str(p)] = {"status": "obstructed", "note": "no F_p point at good reduction"}
             rpt.verdict = FAIL
             continue

@@ -1029,13 +1029,42 @@ def ratfunc_square_free(f: RatFunc) -> tuple[Poly, object]:
     return poly_square_free(combined), combined.leading
 
 
+def _is_monic_square(g: Poly) -> bool:
+    """Whether the monic g of even degree 2m > 0 is r*r for a monic r.
+
+    r's coefficients come from the top half of g, from the top down: the
+    t^(2m-k) coefficient of r^2 is 2*r_(m-k) plus products of the r_i
+    already known."""
+    field, m = g.field, g.degree // 2
+    half = field.invert(field.coerce(2))
+    r = [None] * m + [field.one()]
+    for k in range(1, m + 1):
+        acc = g.coeffs[2 * m - k]
+        for i in range(1, k):
+            acc = acc - r[m - i] * r[m - k + i]
+        r[m - k] = acc * half
+    root = Poly(field, r, inner=True)
+    return root * root == g
+
+
 def ratfunc_is_square(f: RatFunc) -> bool:
+    """Whether the nonzero f is a square in k(t).
+
+    num and den are coprime and den is monic, so f = num * den / den^2 is
+    a square iff num = lead * r^2 and den = s^2 with r, s monic and lead a
+    square in k (the same answer as ratfunc_square_free, without Yun's
+    gcds).  The degrees are tested first, then the two monic roots, and the
+    base field's square test last, so a base field that can raise (an
+    inconclusive tower) is asked only about a lead that decides it."""
     if f.is_zero():
         raise ZeroDivisionError("0 is not classified")
-    sf, const = ratfunc_square_free(f)
-    if sf.degree > 0:
+    num, den = f.num, f.den
+    if num.degree % 2 or den.degree % 2:
         return False
-    return f.field.is_square(const)
+    for g in (num, den):
+        if g.degree and not _is_monic_square(g.monic()):
+            return False
+    return f.field.is_square(num.leading)
 
 
 # --------------------------------------------------------------------------

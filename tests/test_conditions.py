@@ -10,6 +10,7 @@ coordinate-by-coordinate.
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from enriq.conditions import (
     _deep_search_mod_pk,
     _jacobian_rank_mod_p,
     _primes_up_to,
+    _rank_is_three,
     _real_point,
     _smooth_point_mod_p,
     check_condition,
@@ -339,6 +341,30 @@ def test_jacobian_rank_ignores_signs_of_w(p, triplet, v, w):
         assert rank <= 1
 
 
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from(_primes_up_to(PRIME_BOUND)),
+       triplet=st.tuples(*[st.integers(-2000, 2000)] * 3),
+       p_divides=st.sets(st.sampled_from([0, 1, 2])),
+       v=st.tuples(*[st.integers(0, PRIME_BOUND)] * 3),
+       v_zero=st.sets(st.sampled_from([0, 1, 2]), max_size=2),
+       w=st.tuples(*[st.integers(1, PRIME_BOUND)] * 3),
+       w_zero=st.sampled_from([0, 1, 2]))
+def test_rank_closed_form_with_one_zero_w(p, triplet, p_divides, v, v_zero, w, w_zero):
+    """Exactly one w_i is 0 mod p; p divides the a, b, c and v is 0 at the
+    v_i drawn, so the exception a*v0 = b*v1 = c*v2 = 0 comes up often."""
+    triplet = tuple(x * p if i in p_divides else x for i, x in enumerate(triplet))
+    v = [0 if i in v_zero else x % p for i, x in enumerate(v)]
+    if not any(v):
+        v[2] = 1
+    w = [0 if i == w_zero else x % p or 1 for i, x in enumerate(w)]
+    full = _full_rank_mod_p(_jacobian(*triplet, v, w), p)
+    assert (_jacobian_rank_mod_p(*triplet, v, w, p) == 3) == full
+    assert _rank_is_three(*triplet, v, w, p) == full
+    if p not in (2, 5):
+        degenerate = w[2] == 0 and not any(x * y % p for x, y in zip(triplet, v))
+        assert full != degenerate
+
+
 def test_condition7_does_not_depend_on_cache_order():
     """The process-lifetime caches are shared: triplets with one c share
     the c-row survival masks, and all triplets share the pair rows and root
@@ -365,6 +391,33 @@ def test_condition7_does_not_depend_on_cache_order():
                 assert hashlib.sha256(texts[t].encode()).hexdigest() == PINNED_REPORTS[t], t
         reports.append(texts)
     assert reports[0] == reports[1]
+
+
+def test_walk_rows_do_not_depend_on_cache_order():
+    """The walk fills its candidate rows lazily, as far as each triplet's
+    walk reaches: after all four condition-(7) caches are cleared, the
+    oracle triplets forward and then reversed walk to the full-grid
+    oracle's point at every prime, the pinned reports hold, and every
+    prime keeps at most p + 2 rows, each as a fresh build gives it.  No
+    point is smooth modulo 2, so there every walk reads all the rows."""
+    from enriq import conditions
+
+    primes = _primes_up_to(PRIME_BOUND)
+    expected = {(t, p): _reference_smooth_point(*t, p) for t in ORACLE_TRIPLETS for p in primes}
+    for order in (ORACLE_TRIPLETS, ORACLE_TRIPLETS[::-1]):
+        for cache in (conditions._candidate_rows, conditions._root_tables,
+                      conditions._pair_rows, conditions._survival_masks):
+            cache.cache_clear()
+        for t in order:
+            for p in primes:
+                assert _smooth_point_mod_p(*t, p) == expected[t, p], (t, p)
+            text = json.dumps(local_solvability(*t).to_dict(), sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[t], t
+        for p in primes:
+            rows = conditions._candidate_rows(p)
+            assert len(rows) <= p + 2, p
+            assert rows == [conditions._candidate_row(p, i) for i in range(len(rows))], p
+        assert len(conditions._candidate_rows(2)) == 4
 
 
 def test_unit_w_masks_change_counts_only_at_five_to_the_first(monkeypatch):
@@ -581,3 +634,28 @@ def test_search_box_runs_each_screen_once(monkeypatch):
     assert calls["factors"] == Counter({(12, b, 13): 1 for b in range(30, 41)})
     assert calls[5] == Counter(dict.fromkeys(nonsingular, 1))
     assert set(calls[6].values()) == {1}
+
+
+def _seeded_triplets(n=200):
+    """n nonsingular triplets drawn from [-2000, 2000]^3 with a fixed seed."""
+    rng = random.Random(1501)
+    out = []
+    while len(out) < n:
+        triplet = tuple(rng.randint(-2000, 2000) for _ in range(3))
+        if is_nonsingular(*triplet):
+            out.append(triplet)
+    return out
+
+
+#: sha256 over the concatenated json.dumps(evaluate_triplet(*t,
+#: conditions=range(1, 8)).to_dict(), sort_keys=True) of _seeded_triplets(),
+#: recorded before the walk ran on cached candidate rows.
+SEEDED_REPORTS_SHA256 = "e48a30f827ef23d2e4ec77d788a231816f3232f36ab1629f3f5ce25327149943"
+
+
+def test_seeded_triplet_reports_pinned():
+    digest = hashlib.sha256()
+    for triplet in _seeded_triplets():
+        report = evaluate_triplet(*triplet, conditions=range(1, 8)).to_dict()
+        digest.update(json.dumps(report, sort_keys=True).encode())
+    assert digest.hexdigest() == SEEDED_REPORTS_SHA256

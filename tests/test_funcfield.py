@@ -367,3 +367,72 @@ def test_sum_difference_product_shortcuts_over_q_of_t(pair):
         _assert_canonical_over(QT, got)
         assert got == generic
         assert sympy.expand(sympy.numer(sympy.together(_sym_qt(got) - expr))) == 0
+
+
+# -- the square test against Yun's square-free parts -----------------------
+
+
+def _square_free_verdict(f: RatFunc) -> bool:
+    """f is a square iff its square-free part is constant and the constant
+    is a square in the base field (the Yun route)."""
+    sf, const = funcfield.ratfunc_square_free(f)
+    return sf.degree == 0 and f.field.is_square(const)
+
+
+@st.composite
+def near_squares(draw, elements, constants):
+    """c * g^2 / h^2, as it is or times or over a drawn element: squares,
+    and non-squares of even degree on either side, come up often."""
+    g, h = draw(elements), draw(elements)
+    f = RatFunc.constant(g.field, draw(constants)) * (g / h) ** 2
+    how = draw(st.sampled_from(["as is", "times", "over"]))
+    if how == "as is":
+        return f
+    return f * draw(elements) if how == "times" else f / draw(elements)
+
+
+square_constants = st.sampled_from([Fraction(1), Fraction(4), Fraction(9, 4),
+                                    Fraction(-1), Fraction(2), Fraction(3, 5)])
+
+
+@given(st.one_of(nonzero_ratfuncs, near_squares(nonzero_ratfuncs, square_constants)))
+@example(RatFunc(Poly(QQ, [4]), Poly(QQ, [1, 0, 1])))  # a square over a non-square
+def test_square_test_matches_square_free_path_over_q(f):
+    assert funcfield.ratfunc_is_square(f) == _square_free_verdict(f)
+
+
+qt_polys = st.lists(short_ratfuncs, min_size=1, max_size=2).map(
+    lambda cs: Poly(QT, cs)).filter(lambda p: not p.is_zero())
+
+
+@given(qt_polys, qt_polys, st.one_of(st.just(Poly(QT, [1])), qt_polys),
+       st.sampled_from([1, 4, -1, 2]).map(lambda c: RatFunc.constant(QQ, c)))
+def test_square_test_matches_square_free_path_over_q_of_t(g, h, extra, c):
+    """c * g^2 * extra / h^2 over Q(t), with g, h and extra of degree <= 1
+    in x and in t (products of drawn elements grow too fast for Euclid's
+    gcd over Q(t))."""
+    f = RatFunc((g * g * extra).scale(c), h * h)
+    assert funcfield.ratfunc_is_square(f) == _square_free_verdict(f)
+
+
+class _UndecidedRationals(funcfield.RationalField):
+    """Q with a square test that never decides, like an exhausted tower."""
+
+    def is_square(self, c):
+        raise ArithmeticError("undecided")
+
+
+UNDECIDED = _UndecidedRationals()
+
+
+@given(st.one_of(nonzero_ratfuncs, near_squares(nonzero_ratfuncs, square_constants)))
+def test_square_test_asks_the_base_field_only_where_the_yun_route_does(f):
+    """The base field's square test comes last: over a field whose test
+    raises, the answer is False exactly where the square-free part is not
+    constant, and it raises everywhere else."""
+    f = RatFunc(Poly(UNDECIDED, f.num.coeffs), Poly(UNDECIDED, f.den.coeffs))
+    if funcfield.ratfunc_square_free(f)[0].degree > 0:
+        assert funcfield.ratfunc_is_square(f) is False
+    else:
+        with pytest.raises(ArithmeticError, match="undecided"):
+            funcfield.ratfunc_is_square(f)
