@@ -14,9 +14,9 @@ arithmetic conditions under which the verification pipeline applies:
       a smooth F_p-point, over cached rows of the points where the
       triplet-free forms q0 and q0 - q1 have roots, with one q2 lookup
       per such point and a mostly closed-form Jacobian rank, then a
-      survival count modulo p^k over the unit-scaling orbits of v, on
-      plain-int bitmasks (no numpy); the per-prime tables both use are
-      built once per process, lazily (see local_solvability)
+      count of the primitive v surviving modulo p^k over unit-scaling
+      orbits, one plain-int bitmask per value; the per-prime tables both
+      use are built once per process, lazily (see local_solvability)
   (8) the splitting field is as large as possible; checked through the
       tower-independence proxy: every preset tower step stays quadratic.
 
@@ -233,47 +233,38 @@ def _jacobian_rank_mod_p(a, b, c, v, w, p) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _survival_masks(p: int, k: int, m: int, r: int) -> tuple[tuple[int, int], ...]:
-    """For each x mod q = p^k, two bitmasks over v2 mod q: the v2 with
-    x + m*v2^2 = r*w^2 for some w, and those for some unit w.
+def _survival_masks(p: int, k: int, m: int, r: int) -> tuple[int, ...]:
+    """For each x mod q = p^k, the bitmask over v2 mod q of the v2 with
+    x + m*v2^2 = r*w^2 for some w.
 
-    A bytearray membership table keeps each value t = r*w^2 once; then
-    for each shift s = m*v2^2 the v2 with that shift land in the masks at
-    x = t - s, one pass over the (shift, value) pairs.
+    The values t = r*w^2 are collected once; then for each shift
+    s = m*v2^2 the v2 with that shift land in the masks at x = t - s, one
+    pass over the (shift, value) pairs.
 
     Process-lifetime cache, bounded: p is at most PRIME_BOUND, k is
     _deep_modulus_exponent(p) (so q <= 125), m < q and r is 1 or 5; each
-    entry holds 2q ints of q bits.
+    entry holds q ints of q bits.
     """
     q = p**k
-    values, unit_values = bytearray(q), bytearray(q)
-    for w in range(q):
-        t = r * w * w % q
-        values[t] = 1
-        if w % p:
-            unit_values[t] = 1
+    values = {r * w * w % q for w in range(q)}
     shifts: dict[int, int] = {}
     for v2 in range(q):
         s = m * v2 * v2 % q
         shifts[s] = shifts.get(s, 0) | 1 << v2
-    hit, unit_hit = [0] * q, [0] * q
-    for table, masks in ((values, hit), (unit_values, unit_hit)):
-        members = [t for t in range(q) if table[t]]
-        for s, bits in shifts.items():
-            for t in members:
-                masks[(t - s) % q] |= bits
-    return tuple(zip(hit, unit_hit))
+    masks = [0] * q
+    for s, bits in shifts.items():
+        for t in values:
+            masks[(t - s) % q] |= bits
+    return tuple(masks)
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_rows(p: int, k: int, v0: int) -> tuple[tuple, tuple]:
-    """The triplet-independent half of the slice at v0 modulo q = p^k.
-
-    For each v1 the row mask hit0 & hit_d of the v2 that solve the q0 and
-    d congruences, kept only when nonzero, with v1^2 mod q.  Returns
-    (rows, unit_rows): rows are (v1^2, mask); unit_rows are the rows where
-    v0 and v1 are non-units, as (v1^2, mask, unit), where unit holds the
-    v2 that are units or whose w0 or w1 can be a unit.
+def _pair_rows(p: int, k: int, v0: int) -> tuple[tuple[int, int], ...]:
+    """The triplet-independent half of the slice at v0 modulo q = p^k:
+    for each v1, (v1^2 mod q, mask), where the mask holds the v2 that
+    solve the q0 and d congruences and, when p divides v0 and v1, are
+    units (so v is primitive; see _deep_search_mod_pk).  Rows with an
+    empty mask are left out.
 
     Process-lifetime cache, bounded: p is at most PRIME_BOUND, k is
     _deep_modulus_exponent(p) and v0 is 0 or p^j with j < k, so k+1
@@ -283,18 +274,14 @@ def _pair_rows(p: int, k: int, v0: int) -> tuple[tuple, tuple]:
     q0_masks = _survival_masks(p, k, 5, 1)
     d_masks = _survival_masks(p, k, 5, 5)
     unit_v2 = sum(1 << v2 for v2 in range(q) if v2 % p)
-    rows, unit_rows = [], []
+    rows = []
     for v1 in range(q):
-        hit0, unit0 = q0_masks[v0 * v1 % q]
-        hit_d, unit_d = d_masks[(v0 * v1 - (v0 + v1) * (v0 + 2 * v1)) % q]
-        mask = hit0 & hit_d
-        if not mask:
-            continue
+        mask = q0_masks[v0 * v1 % q] & d_masks[(v0 * v1 - (v0 + v1) * (v0 + 2 * v1)) % q]
         if v0 % p == 0 and v1 % p == 0:
-            unit_rows.append((v1 * v1 % q, mask, unit_v2 | unit0 | unit_d))
-        else:
+            mask &= unit_v2
+        if mask:
             rows.append((v1 * v1 % q, mask))
-    return tuple(rows), tuple(unit_rows)
+    return tuple(rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -424,8 +411,11 @@ def _deep_search_mod_pk(a: int, b: int, c: int, p: int, k: int) -> int:
     congruences with (v, w) primitive (not all divisible by p).
 
     The congruences fix w0^2, 5*w1^2 and w2^2 separately, so v survives iff
-    each value is reached, and (when v is not primitive) some one of them
-    is reached by a unit.
+    each value is reached, and (v, w) is primitive.  Primitive means p does
+    not divide v: if p divides v0, v1 and v2, then q0, q0 - q1 and q2 are
+    0 mod p^min(k, 2), so w0^2 = 5*w1^2 = w2^2 = 0 mod p^min(k, 2) forces
+    p to divide w0, w1 and w2, except at k = 1, p = 5, where w1 is free.
+    There v = 0 adds exactly one survivor, with w = (0, 1, 0).
 
     Survival is invariant under v -> lam*v for a unit lam: q0, q0 - q1 and
     q2 are multiplied by lam^2, which w -> lam*w matches, and units stay
@@ -439,31 +429,25 @@ def _deep_search_mod_pk(a: int, b: int, c: int, p: int, k: int) -> int:
     k+1 slices instead of p^k.
     """
     orbit = {0: 1} | {p**j: (p - 1) * p ** (k - j - 1) for j in range(k)}
-    return sum(n * _slice_survivors(a, b, c, p, k, v0) for v0, n in orbit.items())
+    return (p == 5 and k == 1) + sum(
+        n * _slice_survivors(a, b, c, p, k, v0) for v0, n in orbit.items())
 
 
 def _slice_survivors(a: int, b: int, c: int, p: int, k: int, v0: int) -> int:
-    """S(v0): the survivors (v1, v2) mod p^k of the slice at v0.
+    """S(v0): the survivors (v1, v2) mod p^k of the slice at v0, v primitive.
 
     A point is q0 = w0^2, d = q0 - q1 = 5*w1^2 and q2 = w2^2.  In the row
     at v1, q0 is v0*v1 + 5*v2^2, d is v0*v1 - (v0 + v1)*(v0 + 2*v1) +
     5*v2^2 and q2 is a*v0^2 + b*v1^2 + c*v2^2, so each is a lookup in
-    _survival_masks and the row's survivors are the AND of three masks;
-    when v0 and v1 are non-units, v2 or one of the w_i must be a unit.
-    The q0 and d halves do not depend on the triplet and come from
-    _pair_rows, so each row costs one q2 lookup.
+    _survival_masks and the row's survivors are the AND of three masks.
+    The q0 and d halves, and the unit-v2 restriction, do not depend on the
+    triplet and come from _pair_rows, so each row costs one q2 lookup.
     """
     q = p**k
     q2_masks = _survival_masks(p, k, c % q, 1)
-    rows, unit_rows = _pair_rows(p, k, v0)
     av, bm = a * v0 * v0, b % q
-    survivors = 0
-    for v1_sq, mask in rows:
-        survivors += (mask & q2_masks[(av + bm * v1_sq) % q][0]).bit_count()
-    for v1_sq, mask, unit in unit_rows:
-        hit2, unit2 = q2_masks[(av + bm * v1_sq) % q]
-        survivors += (mask & hit2 & (unit | unit2)).bit_count()
-    return survivors
+    return sum((mask & q2_masks[(av + bm * v1_sq) % q]).bit_count()
+               for v1_sq, mask in _pair_rows(p, k, v0))
 
 
 def _deep_modulus_exponent(p: int) -> int:
@@ -522,8 +506,8 @@ def local_solvability(a: int, b: int, c: int) -> ConditionReport:
         prime, filled row by row as walks reach it, at most p + 2 rows;
       _pair_rows(p, k, v0): the q0 and d half of each survival slice,
         k+1 per prime (v0 = 0 or p^j);
-      _survival_masks(p, k, m, r): row masks per value class, for m = 5
-        and for each c mod p^k met, so at most q + 2 per prime.
+      _survival_masks(p, k, m, r): q ints, one row mask per value, for
+        m = 5 and for each c mod p^k met, so at most q + 2 per prime.
     """
     rpt = ConditionReport(7, PROBABLE, "", data={})
     places: dict[str, dict] = {}

@@ -50,30 +50,21 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 class CoefficientField:
-    """What Poly/RatFunc need to know about their coefficients."""
+    """What Poly/RatFunc need to know about their coefficients.
+
+    Each field provides coerce, is_zero, invert and is_square (True or
+    False, or raise if undecidable).
+    """
 
     name = "?"
     #: variable name used when printing polynomials over this field
     poly_var = "t"
-
-    def coerce(self, x):
-        raise NotImplementedError
 
     def zero(self):
         return self.coerce(0)
 
     def one(self):
         return self.coerce(1)
-
-    def is_zero(self, c) -> bool:
-        raise NotImplementedError
-
-    def invert(self, c):
-        raise NotImplementedError
-
-    def is_square(self, c):
-        """True/False, or raise if undecidable."""
-        raise NotImplementedError
 
     def __repr__(self):
         return f"<{self.name}>"
@@ -165,10 +156,6 @@ class RationalFunctions(CoefficientField):
 
     def is_square(self, c) -> bool:
         return ratfunc_is_square(self.coerce(c))
-
-    def variable(self) -> "RatFunc":
-        """The inner variable (an element of this coefficient field)."""
-        return RatFunc.variable(self.base)
 
 
 # --------------------------------------------------------------------------
@@ -520,9 +507,6 @@ class RatFunc:
         a, b = pair
         return a + (-b)
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         pair = self._level_pair(other)
         if pair is None:
@@ -810,16 +794,6 @@ class ResidueField:
             return element.as_rational()
         base_tower = self.place.field.tower
         return TowerElem(base_tower, element.coeffs)
-
-    def is_square(self, element) -> bool:
-        if self.kind == "base":
-            return self.place.field.is_square(element)
-        verdict = self.tower.is_square(element)
-        if verdict.verdict is None:
-            raise ArithmeticError(
-                f"square test inconclusive in residue field at {self.place}"
-            )
-        return verdict.verdict
 
 
 # --------------------------------------------------------------------------

@@ -177,9 +177,6 @@ class _FormalPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, _FormalPoly) and self.terms == other.terms
 
-    def __hash__(self):  # pragma: no cover - polynomials are not dict keys
-        raise TypeError("unhashable")
-
     # -- the two consumers ----------------------------------------------
 
     def flip_signs(self, var_indices) -> "_FormalPoly":

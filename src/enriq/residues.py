@@ -203,9 +203,6 @@ class FunctionFieldSymbol:
     def field(self) -> CoefficientField:
         return self.f.field
 
-    def __iter__(self):
-        return iter((self.f, self.g))
-
     def __str__(self):
         return f"({self.f}, {self.g})"
 
@@ -223,9 +220,6 @@ class SymbolSum:
         for term in self.terms:
             if not isinstance(term, FunctionFieldSymbol):
                 raise TypeError(f"not a symbol: {term!r}")
-
-    def __add__(self, other: "SymbolSum") -> "SymbolSum":
-        return SymbolSum(self.terms + list(other.terms))
 
     def __iter__(self):
         return iter(self.terms)
@@ -905,13 +899,11 @@ def ramification_profile(cover, func: DeclaredFunction) -> SurfaceProfile:
 
     # horizontal: component places and the section at infinity
     norm = RatFunc.constant(QQ, 1)
-    for i, ell in enumerate(slots):
-        spot = SurfacePlace("x", cover.component_place(i))
+    for spot, cls in _component_classes(cover, func):
         support.append(spot)
-        cls = SquareClass(XCOEFF, ell)
         if not cls.is_trivial():
             entries[spot] = cls
-        norm = norm * ell
+        norm = norm * cls.value
     spot = SurfacePlace("x", Place.infinite(XCOEFF))
     support.append(spot)
     norm_cls = SquareClass(XCOEFF, norm)
@@ -1013,9 +1005,8 @@ def _kummer_structured_profile(cover: KummerCover, func: DeclaredFunction) -> Su
     certificates: dict = {"form": "(l, h) with l from the base field"}
     syms = expand_corestriction(cover, func)
 
-    spot = SurfacePlace("x", cover.branch_place())
+    [(spot, pushed)] = _component_classes(cover, func)
     support.append(spot)
-    pushed = SquareClass(cover.s_field, cover.branch_reduce(func.base))
     if not pushed.is_trivial():
         entries[spot] = pushed
 
@@ -1050,14 +1041,7 @@ def compare_routes(cover, func: DeclaredFunction) -> dict:
     for spot in sorted(places, key=SurfacePlace.sort_key):
         s_cls = structured.entry(spot)
         o_cls = oracle.entry(spot)
-        if s_cls is None and o_cls is None:
-            agree = True
-        elif s_cls is None:
-            agree = o_cls.is_trivial()
-        elif o_cls is None:
-            agree = s_cls.is_trivial()
-        else:
-            agree = s_cls.same_class(o_cls)
+        agree = _agree(s_cls, o_cls)
         rows.append({
             "place": str(spot),
             "structured": "1" if s_cls is None else str(s_cls),
@@ -1075,25 +1059,33 @@ def check_component_residues(cover, func: DeclaredFunction) -> dict:
     horizontal, _ = _horizontal_residues(cover, expand_corestriction(cover, func))
     rows = []
     ok = True
-    if isinstance(cover, KummerCover):
-        spot = SurfacePlace("x", cover.branch_place())
-        expected = SquareClass(cover.s_field, cover.branch_reduce(func.base))
+    for spot, expected in _component_classes(cover, func):
         got = horizontal.get(spot)
-        agree = expected.is_trivial() if got is None else got.same_class(expected)
+        agree = _agree(got, expected)
         rows.append({"place": str(spot), "expected": str(expected),
                      "got": "1" if got is None else str(got), "agree": agree})
         ok = ok and agree
-    else:
-        slots = func.slot_functions(cover)
-        for i, ell in enumerate(slots):
-            spot = SurfacePlace("x", cover.component_place(i))
-            expected = SquareClass(XCOEFF, ell)
-            got = horizontal.get(spot)
-            agree = expected.is_trivial() if got is None else got.same_class(expected)
-            rows.append({"place": str(spot), "expected": str(expected),
-                         "got": "1" if got is None else str(got), "agree": agree})
-            ok = ok and agree
     return {"rows": rows, "ok": ok}
+
+
+def _component_classes(cover, func: DeclaredFunction) -> list[tuple[SurfacePlace, SquareClass]]:
+    """The class route A puts on each branch component: a split cover's
+    component i carries the section function of slot i, and the branch
+    curve of a Kummer cover carries the base function pushed to it."""
+    if isinstance(cover, KummerCover):
+        return [(SurfacePlace("x", cover.branch_place()),
+                 SquareClass(cover.s_field, cover.branch_reduce(func.base)))]
+    return [(SurfacePlace("x", cover.component_place(i)), SquareClass(XCOEFF, ell))
+            for i, ell in enumerate(func.slot_functions(cover))]
+
+
+def _agree(x: Optional[SquareClass], y: Optional[SquareClass]) -> bool:
+    """Whether two residue entries agree, None standing for the trivial class."""
+    if x is None:
+        return y is None or y.is_trivial()
+    if y is None:
+        return x.is_trivial()
+    return x.same_class(y)
 
 
 # ==========================================================================

@@ -724,9 +724,6 @@ class TowerElem:
     def __truediv__(self, other) -> "TowerElem":
         return self * self._coerce(other).inv()
 
-    def __rtruediv__(self, other) -> "TowerElem":
-        return self._coerce(other) * self.inv()
-
     def __pow__(self, n: int) -> "TowerElem":
         if n < 0:
             return self.inv() ** (-n)

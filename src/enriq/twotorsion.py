@@ -209,12 +209,6 @@ class Submodule:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def contains(self, coord_mask: int) -> bool:
-        return f2.in_span(self.basis, coord_mask)
-
-    def __contains__(self, coord_mask: int) -> bool:
-        return self.contains(coord_mask)
-
 
 def enumerate_invariant_submodules(module: F2GModule, index: int) -> list[Submodule]:
     """All Galois-invariant submodules of the given index, exhaustively.

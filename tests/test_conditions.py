@@ -420,39 +420,25 @@ def test_walk_rows_do_not_depend_on_cache_order():
         assert len(conditions._candidate_rows(2)) == 4
 
 
-def test_unit_w_masks_change_counts_only_at_five_to_the_first(monkeypatch):
-    """The unit-w half of the survival masks only acts when p divides v0,
-    v1 and v2.  Then q0, q0 - q1 and q2 are 0 mod p^min(k, 2), so w0 and
-    w2 cannot be units, and w1 can only when p = 5 and k = 1.  So with the
-    unit masks zeroed, every count at the exponents _deep_modulus_exponent
-    picks stays, and at 5^1 the point v = 0, w = (0, 1, 0) is lost."""
-    from enriq import conditions
-
-    real = conditions._survival_masks
-    triplets = ORACLE_TRIPLETS + [(1, 1, 1), (5, 10, 25), (6, 9, 50)]
+def test_p_dividing_v_forces_p_dividing_w_except_at_five_to_the_first():
+    """The lemma that lets the survival count keep only the v that p does
+    not divide: if p divides v0, v1 and v2, then q0, q0 - q1 and q2 are
+    0 mod p^min(k, 2), and w^2 = 0 or 5*w^2 = 0 mod p^min(k, 2) forces p
+    to divide w, except 5*w^2 at 5^1.  Checked on plain residues at every
+    exponent _deep_modulus_exponent picks, and at 5^1."""
     cases = [(p, _deep_modulus_exponent(p)) for p in _primes_up_to(PRIME_BOUND)]
     assert cases[:5] == [(2, 4), (3, 4), (5, 3), (7, 2), (11, 2)]
     assert all(k == 1 for p, k in cases[5:])
-    cases.append((5, 1))
-
-    def counts():
-        conditions._pair_rows.cache_clear()
-        return {(t, p, k): _deep_search_mod_pk(*t, p, k) for t in triplets for p, k in cases}
-
-    try:
-        with_units = counts()
-        monkeypatch.setattr(conditions, "_survival_masks", lambda *key: tuple(
-            (hit, 0) for hit, _ in real(*key)))
-        without_units = counts()
-    finally:
-        monkeypatch.undo()
-        conditions._pair_rows.cache_clear()
-    for t in triplets:
-        for p, k in cases:
-            if (p, k) == (5, 1):
-                assert without_units[t, p, k] == with_units[t, p, k] - 1, t
-            else:
-                assert without_units[t, p, k] == with_units[t, p, k], (t, p, k)
+    for p, k in cases + [(5, 1)]:
+        zero = p ** min(k, 2)
+        for a, b, c in ORACLE_TRIPLETS:
+            for v0, v1, v2 in itertools.product(range(0, 3 * p, p), repeat=3):
+                q0, q1 = v0 * v1 + 5 * v2 * v2, (v0 + v1) * (v0 + 2 * v1)
+                q2 = a * v0 * v0 + b * v1 * v1 + c * v2 * v2
+                assert q0 % zero == (q0 - q1) % zero == q2 % zero == 0
+        for m in (1, 5):
+            units = [w for w in range(p**k) if m * w * w % zero == 0 and w % p]
+            assert units == (list(range(1, 5)) if (p, k, m) == (5, 1, 5) else []), (p, k, m)
 
 
 def test_primes_up_to():
