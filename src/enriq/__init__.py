@@ -36,7 +36,7 @@ oracles, in the ``test`` extra with pytest and hypothesis.
 
 There is no command-line module yet, so ``pyproject.toml`` declares no
 console script; the ``enriq`` script comes back with ``cli.py``, the
-certificate entry point of ROADMAP item 4.
+certificate entry point of ROADMAP item 2.
 """
 
 __version__ = "0.1.0"

@@ -18,10 +18,9 @@ trivially on a given subfield) instead of hard-coding it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from . import datafiles
 from .towers import Tower, TowerAuto, TowerElem, tower_expr
@@ -41,8 +40,7 @@ def partner(name: str) -> str:
     raise ValueError(f"not a fibre class name: {name!r}")
 
 
-@dataclass(frozen=True)
-class GaloisRow:
+class GaloisRow(NamedTuple):
     name: str
     field_map: Mapping[str, str]
     picard_moves: Mapping[str, str]

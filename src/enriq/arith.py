@@ -9,9 +9,8 @@ symbols are computed by closed formulas rather than floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 #: Exact rational scalar used throughout the package.
 Rational = Fraction
@@ -103,7 +102,6 @@ def _rho_brent(n: int) -> int:
     return n
 
 
-@dataclass
 class Factorization:
     """Multiset of prime factors plus an explicit honesty marker.
 
@@ -112,9 +110,17 @@ class Factorization:
     remaining (composite or uncertified) part and ``complete`` is False.
     """
 
-    n: int
-    factors: dict[int, int] = field(default_factory=dict)
-    cofactor: int = 1
+    __slots__ = ("n", "factors", "cofactor")
+
+    def __init__(self, n: int, factors: Optional[dict[int, int]] = None, cofactor: int = 1):
+        self.n = n
+        self.factors = {} if factors is None else factors
+        self.cofactor = cofactor
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.factors, self.cofactor) == (other.n, other.factors, other.cofactor)
 
     @property
     def complete(self) -> bool:

@@ -28,7 +28,6 @@ degenerates there and the screen auto-passes with a note); the condition
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -44,13 +43,22 @@ PRIME_BOUND = 100
 PASS, FAIL, PROBABLE, UNKNOWN = "Pass", "Fail", "Probable", "Unknown"
 
 
-@dataclass
 class ConditionReport:
-    index: int
-    verdict: str
-    detail: str
-    notes: list[str] = field(default_factory=list)
-    data: dict = field(default_factory=dict)
+    __slots__ = ("index", "verdict", "detail", "notes", "data")
+
+    def __init__(self, index: int, verdict: str, detail: str,
+                 notes: Optional[list[str]] = None, data: Optional[dict] = None):
+        self.index = index
+        self.verdict = verdict
+        self.detail = detail
+        self.notes = [] if notes is None else notes
+        self.data = {} if data is None else data
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.index, self.verdict, self.detail, self.notes, self.data)
+                == (other.index, other.verdict, other.detail, other.notes, other.data))
 
     def to_dict(self) -> dict:
         return {
@@ -62,15 +70,24 @@ class ConditionReport:
         }
 
 
-@dataclass
 class TripletReport:
-    a: int
-    b: int
-    c: int
-    nonsingular: bool
-    factors: dict
-    conditions: list[ConditionReport]
-    overall: str
+    __slots__ = ("a", "b", "c", "nonsingular", "factors", "conditions", "overall")
+
+    def __init__(self, a: int, b: int, c: int, nonsingular: bool, factors: dict,
+                 conditions: list[ConditionReport], overall: str):
+        self.a, self.b, self.c = a, b, c
+        self.nonsingular = nonsingular
+        self.factors = factors
+        self.conditions = conditions
+        self.overall = overall
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.a, self.b, self.c, self.nonsingular, self.factors,
+                 self.conditions, self.overall)
+                == (other.a, other.b, other.c, other.nonsingular, other.factors,
+                    other.conditions, other.overall))
 
     def to_dict(self) -> dict:
         return {

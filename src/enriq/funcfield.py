@@ -162,6 +162,17 @@ class RationalFunctions(CoefficientField):
 # polynomials
 # --------------------------------------------------------------------------
 
+def _is_one(c) -> bool:
+    """Whether a coefficient is 1, without coercing 1 into its field.
+
+    A Q(t) coefficient is canonical with a monic denominator, so it is 1
+    iff both sides are constant and the numerator's constant is 1.
+    """
+    if isinstance(c, RatFunc):
+        return c.num.degree == 0 and c.den.degree == 0 and _is_one(c.num.coeffs[0])
+    return c == 1
+
+
 class Poly:
     """Dense univariate polynomial; ``coeffs[i]`` multiplies the i-th power."""
 
@@ -205,7 +216,7 @@ class Poly:
         return self.coeffs[i] if i < len(self.coeffs) else self.field.zero()
 
     def is_one(self) -> bool:
-        return self.degree == 0 and self.field.is_zero(self.coeffs[0] - self.field.one())
+        return self.degree == 0 and _is_one(self.coeffs[0])
 
     def __eq__(self, other) -> bool:
         # coefficients are canonical (stripped, coerced into the field), so
@@ -411,7 +422,7 @@ class RatFunc:
 
     def _set_monic(self, num: Poly, den: Poly) -> None:
         lead = den.leading
-        if lead != 1:
+        if not _is_one(lead):
             lead_inv = den.field.invert(lead)
             num, den = num.scale(lead_inv), den.scale(lead_inv)
         self.field = num.field
@@ -599,7 +610,7 @@ class Place:
         if poly.degree < 1:
             raise ValueError("a finite place needs a non-constant polynomial")
         field = poly.field
-        if not field.is_zero(poly.leading - field.one()):
+        if not _is_one(poly.leading):
             raise ValueError("finite places must be monic")
         if poly.degree == 1:
             return

@@ -25,7 +25,6 @@ corrections recorded in the ``galois_actions.json`` notes.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -65,28 +64,32 @@ _AMBIENT_SHAPES = {
 }
 
 
-@dataclass(frozen=True, eq=False)
 class ProjPoint:
     """A point of a product of projective spaces, with tower coordinates.
 
     ``blocks`` holds one coordinate tuple per projective factor; equality
-    of points is projective per factor (``same_as``), never structural.
+    of points is projective per factor (``same_as``), never structural, so
+    ``==`` is identity.  Points are immutable.
     """
 
-    ambient: str
-    blocks: tuple[tuple[TowerElem, ...], ...]
+    __slots__ = ("ambient", "blocks")
 
-    def __post_init__(self):
-        shape = _AMBIENT_SHAPES.get(self.ambient)
+    def __init__(self, ambient: str, blocks: tuple[tuple[TowerElem, ...], ...]):
+        shape = _AMBIENT_SHAPES.get(ambient)
         if shape is None:
-            raise ValueError(f"unknown ambient {self.ambient!r}")
-        if tuple(len(b) for b in self.blocks) != shape:
+            raise ValueError(f"unknown ambient {ambient!r}")
+        if tuple(len(b) for b in blocks) != shape:
             raise ValueError(
-                f"{self.ambient} point needs coordinate blocks of sizes {shape}"
+                f"{ambient} point needs coordinate blocks of sizes {shape}"
             )
-        for block in self.blocks:
+        for block in blocks:
             if all(z.is_zero() for z in block):
                 raise ValueError("projective coordinates cannot be all zero")
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "blocks", blocks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def same_as(self, other: "ProjPoint") -> bool:
         """Projective equality: all 2x2 minors vanish, factor by factor."""

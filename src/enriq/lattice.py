@@ -39,11 +39,10 @@ shipped ``lattice_classes.json`` is the single source of class data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import actions, datafiles, f2
 
@@ -299,12 +298,24 @@ def _mod2_mask(n: IntVector, d: int) -> int:
     return mask
 
 
-@dataclass(frozen=True)
 class PullbackSublattice:
     """The rank-6 image of the del Pezzo Picard lattice, as a Z-span of
-    generators given by their doubled ambient vectors."""
+    generators given by their doubled ambient vectors.  Immutable; equal
+    generator tuples give equal sublattices."""
 
-    doubled: tuple[IntVector, ...]
+    def __init__(self, doubled: tuple[IntVector, ...]):
+        object.__setattr__(self, "doubled", doubled)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.doubled == other.doubled
+
+    def __hash__(self):
+        return hash((self.doubled,))
 
     @property
     def rank(self) -> int:
@@ -422,8 +433,7 @@ def quotient_F2() -> QuotientF2:
 # -- invariants ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """An F2 subspace of the quotient, echelon basis + readable names."""
 
     basis_masks: tuple[int, ...]

@@ -26,7 +26,6 @@ elements, and residue-field arithmetic goes through the tower engine.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -492,21 +491,33 @@ def constant_part(cls: SquareClass) -> Optional[SquareClass]:
 # places and profiles on the ruled surface
 # ==========================================================================
 
-@dataclass(frozen=True)
 class SurfacePlace:
     """A codimension-1 locus of the ruled surface over the t-line.
 
     ``axis='x'``: horizontal curves (finite: an irreducible polynomial in
     x over k(t); infinite: the section x = infinity).  ``axis='t'``:
-    vertical fibers over places of the t-line.
+    vertical fibers over places of the t-line.  Immutable and hashable,
+    equal when axis and place are equal.
     """
 
-    axis: str
-    place: Place
+    __slots__ = ("axis", "place")
 
-    def __post_init__(self):
-        if self.axis not in ("x", "t"):
-            raise ValueError(f"unknown axis {self.axis!r}")
+    def __init__(self, axis: str, place: Place):
+        if axis not in ("x", "t"):
+            raise ValueError(f"unknown axis {axis!r}")
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "place", place)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.axis, self.place) == (other.axis, other.place)
+
+    def __hash__(self):
+        return hash((self.axis, self.place))
 
     def __str__(self):
         if self.axis == "x":
@@ -1189,14 +1200,23 @@ def parity_generators(cover: SplitCover) -> list[dict]:
 # desk covers
 # ==========================================================================
 
-@dataclass
 class DeskCover:
     """A small worked cover with hand-checked expectations (see tests)."""
 
-    name: str
-    cover: object
-    functions: dict[str, DeclaredFunction]
-    notes: str = ""
+    __slots__ = ("name", "cover", "functions", "notes")
+
+    def __init__(self, name: str, cover: object,
+                 functions: dict[str, DeclaredFunction], notes: str = ""):
+        self.name = name
+        self.cover = cover
+        self.functions = functions
+        self.notes = notes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.cover, self.functions, self.notes)
+                == (other.name, other.cover, other.functions, other.notes))
 
 
 def standard_desks() -> dict[str, DeskCover]:

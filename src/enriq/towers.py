@@ -27,9 +27,8 @@ from __future__ import annotations
 import ast
 import json
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .arith import MR_BOUND, factorize, is_prime, rational_is_square, rational_sqrt
 from .f2 import express
@@ -51,8 +50,7 @@ class DegenerateStepError(ArithmeticError):
     """Raised when arithmetic runs into a radicand that is itself a square."""
 
 
-@dataclass(frozen=True)
-class SquareVerdict:
+class SquareVerdict(NamedTuple):
     """Outcome of a square test: True / False are certified, None = unknown."""
 
     verdict: Optional[bool]

@@ -14,9 +14,8 @@ sqrt(ab).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from functools import lru_cache, total_ordering
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import actions, f2
 from .actions import POINT_NAMES, GaloisRow
@@ -42,17 +41,37 @@ def _canonical(mask: int) -> int:
     return mask if mask & 1 else mask ^ OMEGA
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class WeierstrassClass:
-    """An even subset of the 8 Weierstrass points modulo complementation."""
+    """An even subset of the 8 Weierstrass points modulo complementation.
 
-    mask: int
+    Immutable and hashable; classes compare and sort by mask.
+    """
 
-    def __post_init__(self):
-        if self.mask != _canonical(self.mask):
-            raise ValueError(f"mask {self.mask:#04x} is not a canonical representative")
-        if bin(self.mask).count("1") % 2:
+    __slots__ = ("mask",)
+
+    def __init__(self, mask: int):
+        if mask != _canonical(mask):
+            raise ValueError(f"mask {mask:#04x} is not a canonical representative")
+        if bin(mask).count("1") % 2:
             raise ValueError("2-torsion classes have even representatives")
+        object.__setattr__(self, "mask", mask)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mask == other.mask
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mask < other.mask
+
+    def __hash__(self):
+        return hash((self.mask,))
 
     @classmethod
     def from_mask(cls, mask: int) -> "WeierstrassClass":
@@ -197,8 +216,7 @@ def verify_non_splitness() -> bool:
     return not fixed_odd_class_scan(actions.load_rows())
 
 
-@dataclass(frozen=True)
-class Submodule:
+class Submodule(NamedTuple):
     """A Galois-invariant subspace, echelon coordinate basis + classes."""
 
     basis: tuple[int, ...]

@@ -369,6 +369,22 @@ def test_sum_difference_product_shortcuts_over_q_of_t(pair):
         assert sympy.expand(sympy.numer(sympy.together(_sym_qt(got) - expr))) == 0
 
 
+def test_tests_against_one_read_both_sides_of_a_q_of_t_coefficient():
+    """1/(t+1) has the constant numerator 1 and is not 1: the monic
+    normalisation, ``Poly.is_one`` and the monic check of places must see
+    its denominator."""
+    t = RatFunc.variable(QQ)
+    inv = (t + 1).inv()
+    assert Poly(QT, [RatFunc.constant(QQ, 1)]).is_one()
+    assert not Poly(QT, [inv]).is_one() and not Poly(QT, [t + 1]).is_one()
+    f = RatFunc(Poly(QT, [1, 1]), Poly(QT, [0, inv]))  # (1 + x) / (x / (t+1))
+    _assert_canonical_over(QT, f)
+    assert f.den == Poly(QT, [0, 1]) and f.num == Poly(QT, [t + 1, t + 1])
+    with pytest.raises(ValueError, match="monic"):
+        Place.finite(Poly(QT, [1, inv]))
+    assert Place.finite(Poly(QT, [inv, 1])).degree == 1
+
+
 # -- the square test against Yun's square-free parts -----------------------
 
 

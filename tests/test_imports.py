@@ -1,4 +1,6 @@
-"""Runtime import hygiene: sympy and numpy are test oracles, not dependencies."""
+"""Runtime import hygiene: sympy and numpy are test oracles, not
+dependencies, and the package defines its records without the
+dataclasses machinery (which also pulls in inspect)."""
 
 import functools
 import os
@@ -10,12 +12,16 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# The modules are listed from the directory, not with pkgutil.iter_modules,
+# which imports inspect itself.
 PROBE = """
-import importlib, pkgutil, sys
+import importlib, os, sys
 import enriq
-for mod in pkgutil.iter_modules(enriq.__path__):
-    importlib.import_module(f"enriq.{mod.name}")
-print(" ".join(m for m in ("sympy", "mpmath", "numpy") if m in sys.modules))
+for name in sorted(os.listdir(enriq.__path__[0])):
+    if name.endswith(".py") and name != "__init__.py":
+        importlib.import_module(f"enriq.{name[:-3]}")
+print(" ".join(m for m in ("sympy", "mpmath", "numpy", "dataclasses", "inspect")
+               if m in sys.modules))
 """
 
 
@@ -36,3 +42,8 @@ def test_importing_every_module_pulls_in_no_sympy(flags):
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_importing_every_module_pulls_in_no_numpy(flags):
     assert "numpy" not in _heavy_modules_loaded(tuple(flags))
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_importing_every_module_pulls_in_no_dataclasses_or_inspect(flags):
+    assert not _heavy_modules_loaded(tuple(flags)) & {"dataclasses", "inspect"}
