@@ -4,10 +4,20 @@ Everything here is deterministic and certified: primality is proven (for
 inputs below a hard bound), factorizations either complete or carry an
 explicit ``incomplete`` marker with the unfactored cofactor, and the local
 symbols are computed by closed formulas rather than floating point.
+
+Primality is proven in one of three ways.  A number up to SMALL_TRIAL is
+looked up in the sieved table of the primes up to SMALL_TRIAL.  A number
+whose prime factors up to SMALL_TRIAL have all been divided out, and which
+is below TRIAL_PROOF_BOUND, the square of the least prime above
+SMALL_TRIAL, is 1 or prime: a composite has a prime factor at most its
+square root, which would be below that least prime and so in the table.
+Anything else below MR_BOUND goes through Miller-Rabin on bases that are
+proven sufficient there.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -36,17 +46,44 @@ TRIAL_LIMIT = 10**6
 RHO_STEPS = 1 << 17
 
 
+def primes_up_to(n: int) -> list[int]:
+    """The primes p <= n, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p, prime in enumerate(sieve) if prime]
+
+
+#: The primes up to SMALL_TRIAL: the trial divisors of ``factorize`` and
+#: the primality table of ``is_prime`` up to SMALL_TRIAL.
+_SMALL_PRIMES = tuple(primes_up_to(SMALL_TRIAL))
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+
+#: A number below this bound with no prime factor up to SMALL_TRIAL is 1
+#: or prime.  The bound is the square of the least prime above SMALL_TRIAL:
+#: the least number above SMALL_TRIAL that no prime in the table divides,
+#: which is prime because it is below SMALL_TRIAL**2.
+TRIAL_PROOF_BOUND = next(
+    m for m in itertools.count(SMALL_TRIAL + 1) if all(m % p for p in _SMALL_PRIMES)
+) ** 2
+
+
 def is_prime(n: int) -> bool:
-    """Certified primality for 1 < n < MR_BOUND; raises beyond the bound."""
+    """Certified primality for n < MR_BOUND; raises beyond the bound.
+
+    Up to SMALL_TRIAL the answer is a lookup in the sieved table; above
+    it, Miller-Rabin on bases proven sufficient below MR_BOUND.
+    """
+    if n <= SMALL_TRIAL:
+        return n in _SMALL_PRIME_SET
     if n >= MR_BOUND:
         raise ValueError(
             f"is_prime is only certified below {MR_BOUND}; got {n}"
         )
-    if n < 2:
-        return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
-            return n == p
+            return False
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -142,9 +179,10 @@ class Factorization:
         return " * ".join(parts) if parts else "1"
 
 
-def _trial_divide(fz: Factorization, m: int, start: int, stop: int) -> int:
-    """Move the primes start..stop dividing m into fz; returns the rest."""
-    for p in range(start, stop + 1):
+def _trial_divide(fz: Factorization, m: int, divisors: Iterable[int]) -> int:
+    """Move the ``divisors`` (increasing) that divide m into fz, stopping
+    once one exceeds the square root of what is left; returns the rest."""
+    for p in divisors:
         if p * p > m:
             break
         while m % p == 0:
@@ -204,7 +242,7 @@ def _factor_rest(m: int) -> Factorization:
         if rest.complete:
             return rest
     fz = Factorization(m)
-    rest = _split(_trial_divide(fz, m, SMALL_TRIAL + 1, TRIAL_LIMIT))
+    rest = _split(_trial_divide(fz, m, range(SMALL_TRIAL + 1, TRIAL_LIMIT + 1)))
     for q, e in rest.factors.items():
         fz.factors[q] = fz.factors.get(q, 0) + e
     fz.cofactor = rest.cofactor
@@ -214,17 +252,25 @@ def _factor_rest(m: int) -> Factorization:
 def factorize(n: int) -> Factorization:
     """Factor a positive integer; never guesses.
 
-    Trial division up to SMALL_TRIAL, then ``_factor_rest`` on what is
-    left.  A rest at or above MR_BOUND that is an exact power b**k is
-    factored through b, which is often below MR_BOUND and so goes to rho
-    instead of trial division to TRIAL_LIMIT.  Any part that cannot be certified prime (too large
-    for is_prime, or rho stalls) is reported in ``cofactor`` instead of
-    being mislabelled.
+    Trial division by the primes up to SMALL_TRIAL comes first.  A rest
+    below TRIAL_PROOF_BOUND is then 1 or prime by the division alone: a
+    composite rest would have a prime factor at most its square root, below
+    the least prime above SMALL_TRIAL, which the division would have taken
+    out.  A larger rest goes to ``_factor_rest``; if it is at or above
+    MR_BOUND and an exact power b**k, it is factored through b, which is
+    often below MR_BOUND and so goes to rho instead of trial division to
+    TRIAL_LIMIT.  Any part that cannot be certified prime (too large for
+    is_prime, or rho stalls) is reported in ``cofactor`` instead of being
+    mislabelled.
     """
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
     fz = Factorization(n)
-    m = _trial_divide(fz, n, 2, SMALL_TRIAL)
+    m = _trial_divide(fz, n, _SMALL_PRIMES)
+    if m < TRIAL_PROOF_BOUND:
+        if m > 1:
+            fz.factors[m] = 1
+        return fz
     base, k = _exact_root(m) if m >= MR_BOUND else (m, 1)
     rest = _factor_rest(base)
     for q, e in rest.factors.items():
@@ -256,10 +302,9 @@ def legendre(a: int, p: int) -> int:
 
 def _square_free_parts(x: RationalLike) -> tuple[int, int]:
     """Return (sign, |num*den|) -- an integer representative of x mod squares."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("square class of 0 is undefined")
     n = x.numerator * x.denominator
+    if n == 0:
+        raise ValueError("square class of 0 is undefined")
     return (1 if n > 0 else -1), abs(n)
 
 
@@ -327,7 +372,7 @@ def is_anisotropic_diag4(coeffs: Iterable[RationalLike], place) -> bool:
     when its discriminant is a square and its Hasse invariant is the
     negative of (-1, -1) at that place.
     """
-    d = [Fraction(c) for c in coeffs]
+    d = list(coeffs)
     if len(d) != 4 or any(c == 0 for c in d):
         raise ValueError("need four nonzero coefficients")
     if place == REAL:

@@ -31,7 +31,7 @@ import functools
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .arith import is_anisotropic_diag4, legendre, prime_divisors
+from .arith import is_anisotropic_diag4, legendre, prime_divisors, primes_up_to
 from .presets import k_tower
 
 #: The published example triplet used throughout the tests.
@@ -204,16 +204,8 @@ def condition6(a: int, b: int, c: int) -> ConditionReport:
 # -- condition (7): everywhere-local solvability ------------------------
 
 
-def _primes_up_to(n: int) -> list[int]:
-    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 1)
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return [p for p, prime in enumerate(sieve) if prime]
-
-
 #: The primes condition (7) examines, sieved once at import.
-_PRIMES = tuple(_primes_up_to(PRIME_BOUND))
+_PRIMES = tuple(primes_up_to(PRIME_BOUND))
 
 
 def _jacobian_rank_mod_p(a, b, c, v, w, p) -> int:

@@ -39,7 +39,12 @@ def rank(vectors: Iterable[int]) -> int:
 
 
 def in_span(vectors: Sequence[int], v: int) -> bool:
-    for b in echelon(vectors):
+    return _in_echelon_span(echelon(vectors), v)
+
+
+def _in_echelon_span(basis: Sequence[int], v: int) -> bool:
+    """Is v in the span of ``basis``, an output of :func:`echelon`?"""
+    for b in basis:
         v = min(v, v ^ b)
     return v == 0
 
@@ -172,6 +177,7 @@ class GaloisModule:
         """Echelon basis of every dim-dimensional subspace that every row
         maps into itself, in the order of :func:`all_subspaces`."""
         for basis in all_subspaces(self.dimension, dim):
-            if all(in_span(basis, self.act(name, b))
+            pivots = echelon(basis)
+            if all(_in_echelon_span(pivots, self.act(name, b))
                    for name in self.actions for b in basis):
                 yield basis

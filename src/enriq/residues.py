@@ -596,6 +596,7 @@ class SplitCover:
         self.c_prime = QQ_ratfunc(c_prime)
         if self.c_prime.is_zero():
             raise ValueError("c' must be nonzero")
+        self._places = tuple(Place.finite(Poly(XCOEFF, [-r, 1])) for r in roots)
 
     @property
     def genus(self) -> int:
@@ -609,10 +610,10 @@ class SplitCover:
         return h.num
 
     def component_place(self, i: int) -> Place:
-        return Place.finite(Poly(XCOEFF, [-self.roots[i], 1]))
+        return self._places[i]
 
     def horizontal_places(self) -> list[Place]:
-        return [self.component_place(i) for i in range(len(self.roots))]
+        return list(self._places)
 
     def __repr__(self):
         return f"SplitCover(roots=[{', '.join(map(str, self.roots))}])"

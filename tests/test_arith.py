@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enriq import arith
@@ -184,14 +184,78 @@ def test_is_prime_certified_range_and_guard():
         arith.is_prime(arith.MR_BOUND)
 
 
+# 997 is the largest prime up to SMALL_TRIAL and 1009 the least above it:
+# a rest below 1009**2 left by trial division is proven prime, 1009**2 is not
+_PRIME_BELOW_BOUND = sympy.prevprime(1009**2)
+_PRIME_ABOVE_BOUND = sympy.nextprime(1009**2)
+
+
 @pytest.mark.parametrize("n", [1, 2, 628, 821, 5 * 5 * 13, 2**20, 1000003 * 1000033,
                                999999929 * 999999937, 1000003**2, 1000003**3,
-                               1009 * 1000003**2])
+                               1009 * 1000003**2,
+                               997**2, 997 * 1009, 1009**2, 1009 * 1013, 2 * 1009**2,
+                               _PRIME_BELOW_BOUND, _PRIME_ABOVE_BOUND,
+                               3 * _PRIME_BELOW_BOUND, 3 * _PRIME_ABOVE_BOUND])
 def test_factorize_matches_sympy(n):
     fz = arith.factorize(n)
     assert fz.complete
     assert fz.factors == sympy.factorint(n)
     assert fz.product() == n
+
+
+def test_is_prime_table_and_miller_rabin_agree_with_sympy():
+    # the table answers up to SMALL_TRIAL, Miller-Rabin above it
+    got = [n for n in range(-3, 3 * arith.SMALL_TRIAL) if arith.is_prime(n)]
+    assert got == list(sympy.primerange(2, 3 * arith.SMALL_TRIAL))
+
+
+def test_trial_proof_bound_is_the_square_of_the_next_prime():
+    assert arith.TRIAL_PROOF_BOUND == sympy.nextprime(arith.SMALL_TRIAL) ** 2 == 1009**2
+
+
+# Products of two primes around SMALL_TRIAL sit on both sides of the bound
+# below which a rest left by trial division is prime without a test.
+_PRIMES_NEAR_SMALL_TRIAL = list(sympy.primerange(900, 1200))
+
+
+@settings(max_examples=400)
+@given(st.one_of(
+    st.integers(1, 10**7),
+    st.builds(lambda p, q: p * q, st.sampled_from(_PRIMES_NEAR_SMALL_TRIAL),
+              st.sampled_from(_PRIMES_NEAR_SMALL_TRIAL)),
+))
+def test_factorize_and_prime_divisors_match_sympy_up_to_ten_million(n):
+    fz = arith.factorize(n)
+    assert fz.complete and fz.factors == sympy.factorint(n)
+    assert arith.prime_divisors(-n) == sympy.primefactors(n)
+
+
+@pytest.mark.parametrize("m", [9, 561, 961, 1001, 1003])
+def test_symbols_reject_composite_moduli_on_both_sides_of_small_trial(m):
+    assert not sympy.isprime(m)
+    with pytest.raises(ValueError):
+        arith.legendre(2, m)
+    with pytest.raises(ValueError):
+        arith.hilbert_symbol(2, 3, m)
+
+
+_SYMBOL_PLACES = [arith.REAL, 2, 3, 5, 7, 11, 997, 1009]
+
+
+@given(st.lists(st.integers(-10**6, 10**6).filter(bool), min_size=4, max_size=4),
+       st.lists(st.integers(1, 10**3), min_size=4, max_size=4),
+       st.sampled_from(_SYMBOL_PLACES))
+def test_int_and_fraction_inputs_give_the_same_symbols(nums, dens, place):
+    # n * d as an int, the same number as a Fraction, and the Fraction
+    # n / d = n * d / d**2 all lie in one square class
+    ints = [n * d for n, d in zip(nums, dens)]
+    same = [Fraction(m) for m in ints]
+    quotients = [Fraction(n, d) for n, d in zip(nums, dens)]
+    for xs in (same, quotients):
+        assert arith.hilbert_symbol(xs[0], xs[1], place) \
+            == arith.hilbert_symbol(ints[0], ints[1], place)
+        assert arith.is_anisotropic_diag4(xs, place) == arith.is_anisotropic_diag4(ints, place)
+        assert arith.qp_is_square(xs[2], place) == arith.qp_is_square(ints[2], place)
 
 
 def test_factorize_splits_two_large_primes_by_rho():

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enriq.arith import is_prime, legendre
+from enriq.arith import is_prime, legendre, primes_up_to
 from enriq.conditions import (
     FAIL,
     PASS,
@@ -29,7 +29,6 @@ from enriq.conditions import (
     _deep_modulus_exponent,
     _deep_search_mod_pk,
     _jacobian_rank_mod_p,
-    _primes_up_to,
     _rank_is_three,
     _real_point,
     _smooth_point_mod_p,
@@ -308,11 +307,11 @@ def test_orbit_count_matches_full_grid_on_random_triplets(p, triplet, divides):
 
 @given(st.tuples(*[st.integers(-2000, 2000)] * 3))
 def test_walk_matches_row_major_scan(triplet):
-    for p in _primes_up_to(31):
+    for p in primes_up_to(31):
         assert _smooth_point_mod_p(*triplet, p) == _reference_smooth_point(*triplet, p), p
 
 
-@pytest.mark.parametrize("p", [p for p in _primes_up_to(PRIME_BOUND) if p >= 37])
+@pytest.mark.parametrize("p", [p for p in primes_up_to(PRIME_BOUND) if p >= 37])
 def test_walk_matches_row_major_scan_at_large_primes(p):
     """The long walks, and most of the one-rank-test shortcut's work, are
     at the primes the random test above does not reach."""
@@ -321,7 +320,7 @@ def test_walk_matches_row_major_scan_at_large_primes(p):
 
 
 @settings(max_examples=300, deadline=None)
-@given(p=st.sampled_from(_primes_up_to(PRIME_BOUND)),
+@given(p=st.sampled_from(primes_up_to(PRIME_BOUND)),
        triplet=st.tuples(*[st.integers(-2000, 2000)] * 3),
        v=st.tuples(*[st.integers(0, PRIME_BOUND)] * 3),
        w=st.tuples(*[st.integers(0, PRIME_BOUND)] * 3))
@@ -342,7 +341,7 @@ def test_jacobian_rank_ignores_signs_of_w(p, triplet, v, w):
 
 
 @settings(max_examples=300, deadline=None)
-@given(p=st.sampled_from(_primes_up_to(PRIME_BOUND)),
+@given(p=st.sampled_from(primes_up_to(PRIME_BOUND)),
        triplet=st.tuples(*[st.integers(-2000, 2000)] * 3),
        p_divides=st.sets(st.sampled_from([0, 1, 2])),
        v=st.tuples(*[st.integers(0, PRIME_BOUND)] * 3),
@@ -402,7 +401,7 @@ def test_walk_rows_do_not_depend_on_cache_order():
     point is smooth modulo 2, so there every walk reads all the rows."""
     from enriq import conditions
 
-    primes = _primes_up_to(PRIME_BOUND)
+    primes = primes_up_to(PRIME_BOUND)
     expected = {(t, p): _reference_smooth_point(*t, p) for t in ORACLE_TRIPLETS for p in primes}
     for order in (ORACLE_TRIPLETS, ORACLE_TRIPLETS[::-1]):
         for cache in (conditions._candidate_rows, conditions._root_tables,
@@ -426,7 +425,7 @@ def test_p_dividing_v_forces_p_dividing_w_except_at_five_to_the_first():
     0 mod p^min(k, 2), and w^2 = 0 or 5*w^2 = 0 mod p^min(k, 2) forces p
     to divide w, except 5*w^2 at 5^1.  Checked on plain residues at every
     exponent _deep_modulus_exponent picks, and at 5^1."""
-    cases = [(p, _deep_modulus_exponent(p)) for p in _primes_up_to(PRIME_BOUND)]
+    cases = [(p, _deep_modulus_exponent(p)) for p in primes_up_to(PRIME_BOUND)]
     assert cases[:5] == [(2, 4), (3, 4), (5, 3), (7, 2), (11, 2)]
     assert all(k == 1 for p, k in cases[5:])
     for p, k in cases + [(5, 1)]:
@@ -442,9 +441,11 @@ def test_p_dividing_v_forces_p_dividing_w_except_at_five_to_the_first():
 
 
 def test_primes_up_to():
-    assert _primes_up_to(1) == []
-    assert _primes_up_to(2) == [2]
-    assert _primes_up_to(100) == [p for p in range(101) if is_prime(p)]
+    assert primes_up_to(1) == []
+    assert primes_up_to(2) == [2]
+    # by definition, not through is_prime, which looks small numbers up in
+    # a table that primes_up_to builds
+    assert primes_up_to(100) == [p for p in range(2, 101) if all(p % d for d in range(2, p))]
 
 
 def test_deep_search_builds_one_slice_per_orbit(monkeypatch):

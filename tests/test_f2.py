@@ -135,3 +135,23 @@ def test_galois_module_rejects_a_non_invertible_row():
 def test_galois_module_rejects_an_unknown_row():
     with pytest.raises(ValueError):
         swap_module().fixed_subspace(["swap", "nope"])
+
+
+def _invertible_rows(n):
+    row = st.lists(st.integers(0, 2**n - 1), min_size=n, max_size=n).filter(
+        lambda cols: len(span_set(cols)) == 2**n)
+    return st.lists(row, min_size=1, max_size=2)
+
+
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), _invertible_rows(n))))
+def test_invariant_subspaces_match_element_set_closure(case):
+    # a subspace is invariant iff every row maps each of its elements into
+    # its element set, built by brute-force XOR closure
+    n, rows = case
+    m = f2.GaloisModule([1 << i for i in range(n)], [],
+                        {f"g{j}": cols for j, cols in enumerate(rows)})
+    for dim in range(n + 1):
+        expected = [basis for basis in f2.all_subspaces(n, dim)
+                    if all({m.act(name, x) for x in span_set(basis)} <= span_set(basis)
+                           for name in m.actions)]
+        assert list(m.invariant_subspaces(dim)) == expected

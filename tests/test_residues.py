@@ -542,3 +542,14 @@ def test_split_cover_genus():
     assert SplitCover([t, -t, t + 1, -(t + 1)]).genus == 1
     one = RatFunc.constant(QQ, 1)
     assert SplitCover([one, -one]).genus == 0
+
+
+def test_split_cover_component_places_are_the_sections():
+    t = _t()
+    roots = [t, -t, t + 1, -(t + 1)]
+    cover = SplitCover(roots)
+    places = cover.horizontal_places()
+    assert places == [Place.finite(Poly(XCOEFF, [-r, 1])) for r in roots]
+    assert [cover.component_place(i) for i in range(4)] == places
+    places.pop()  # the caller's list is its own
+    assert len(cover.horizontal_places()) == 4
