@@ -175,9 +175,9 @@ class GaloisModule:
 
     def invariant_subspaces(self, dim: int) -> Iterator[list[int]]:
         """Echelon basis of every dim-dimensional subspace that every row
-        maps into itself, in the order of :func:`all_subspaces`."""
+        maps into itself, in the order of :func:`all_subspaces`, whose
+        bases are already reduced echelon bases."""
         for basis in all_subspaces(self.dimension, dim):
-            pivots = echelon(basis)
-            if all(_in_echelon_span(pivots, self.act(name, b))
+            if all(_in_echelon_span(basis, self.act(name, b))
                    for name in self.actions for b in basis):
                 yield basis

@@ -319,7 +319,10 @@ class PullbackSublattice:
 
     @property
     def rank(self) -> int:
-        return 6
+        """The number of generators, once :attr:`_left_inverse` has shown
+        them independent over Q (it raises ArithmeticError otherwise)."""
+        self._left_inverse
+        return len(self.doubled)
 
     @property
     def generators(self) -> tuple[Vector, ...]:

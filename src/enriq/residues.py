@@ -539,11 +539,9 @@ class SurfaceProfile:
         self,
         entries: dict[SurfacePlace, SquareClass],
         support: Sequence[SurfacePlace],
-        certificates: Optional[dict] = None,
     ):
         self.entries = dict(entries)
         self.support = sorted(support, key=SurfacePlace.sort_key)
-        self.certificates = certificates or {}
 
     def entry(self, place: SurfacePlace) -> Optional[SquareClass]:
         return self.entries.get(place)
@@ -580,12 +578,12 @@ class SplitCover:
 
     ``h`` is the monic product of ``x - a_i`` over the declared roots
     a_i in k(t); the branch curve B = {h = 0} is the disjoint union of
-    the component sections x = a_i.  ``c_prime`` is carried for the
-    cover's definition but does not enter the residue calculus of the
-    corestricted classes computed here.
+    the component sections x = a_i.  The factor c'(t) does not enter the
+    residues of the corestricted classes computed here, so it is not
+    stored.
     """
 
-    def __init__(self, roots: Sequence[RatFunc], c_prime: Union[RatFunc, int] = 1):
+    def __init__(self, roots: Sequence[RatFunc]):
         roots = tuple(QQ_ratfunc(r) for r in roots)
         if len(roots) < 2 or len(roots) % 2:
             raise ValueError("need an even number (>= 2) of roots: deg h = 2g + 2")
@@ -593,9 +591,6 @@ class SplitCover:
             if roots[i] == roots[j]:
                 raise ValueError(f"h is not square-free: roots {i} and {j} coincide")
         self.roots = roots
-        self.c_prime = QQ_ratfunc(c_prime)
-        if self.c_prime.is_zero():
-            raise ValueError("c' must be nonzero")
         self._places = tuple(Place.finite(Poly(XCOEFF, [-r, 1])) for r in roots)
 
     @property
@@ -622,13 +617,11 @@ class SplitCover:
 class KummerCover:
     """A double cover y^2 = c'(t) (x^2 - m(t)) whose branch curve is
     rational: reduction at the branch place is realised by an explicit
-    parametrisation (x(s), t(s)) with x(s)^2 = m(t(s))."""
+    parametrisation (x(s), t(s)) with x(s)^2 = m(t(s)).  As for
+    :class:`SplitCover`, the factor c'(t) is not stored."""
 
-    def __init__(self, m: RatFunc, c_prime=1, *, x_of_s: RatFunc, t_of_s: RatFunc):
+    def __init__(self, m: RatFunc, *, x_of_s: RatFunc, t_of_s: RatFunc):
         self.m = QQ_ratfunc(m)
-        self.c_prime = QQ_ratfunc(c_prime)
-        if self.c_prime.is_zero():
-            raise ValueError("c' must be nonzero")
         self.x_of_s = QQ_ratfunc(x_of_s)
         self.t_of_s = QQ_ratfunc(t_of_s)
         if not (self.x_of_s * self.x_of_s == _compose(self.m, self.t_of_s)):
@@ -789,22 +782,32 @@ def expand_corestriction(cover, func: DeclaredFunction) -> SymbolSum:
 
 
 def _vertical_support(cover, func: DeclaredFunction) -> list[Place]:
+    """The fibers where a residue can sit: t = infinity and the finite
+    zeros and poles of the section functions, plus the poles of a split
+    cover's roots or the zeros and poles of a Kummer cover's m."""
+    fns = [func.base] if func.is_base_form else list(func.components)
+    if isinstance(cover, KummerCover):
+        fns.append(cover.m)
     places: dict[Place, None] = {}
-    for fn in func.slot_functions(cover) if isinstance(cover, SplitCover) else [func.base]:
+    for fn in fns:
         for place in support_places(fn, include_infinity=False):
             places.setdefault(place, None)
-    roots = cover.roots if isinstance(cover, SplitCover) else []
-    for a in roots:
+    for a in cover.roots if isinstance(cover, SplitCover) else ():
         for place, mult in support_places(a, include_infinity=False).items():
             if mult < 0:
                 places.setdefault(place, None)
-    if isinstance(cover, KummerCover):
-        for place in support_places(cover.m, include_infinity=False):
-            places.setdefault(place, None)
     out = list(places)
     out.append(Place.infinite(QQ))
     out.sort(key=_place_sort_key)
     return out
+
+
+def _profile(classes: list) -> SurfaceProfile:
+    """The profile of (surface place, class or None) pairs: every place is
+    in the support, and the nontrivial classes are its entries."""
+    entries = {spot: cls for spot, cls in classes
+               if cls is not None and not cls.is_trivial()}
+    return SurfaceProfile(entries, [spot for spot, _ in classes])
 
 
 def expanded_symbol_profile(cover, func: DeclaredFunction) -> SurfaceProfile:
@@ -816,36 +819,33 @@ def expanded_symbol_profile(cover, func: DeclaredFunction) -> SurfaceProfile:
     fibers via Gauss valuations (:func:`vertical_residue`).  No appeal to
     the structure of the corestriction.
     """
-    syms = expand_corestriction(cover, func)
-    entries, support = _horizontal_residues(cover, syms)
-    for tplace in _vertical_support(cover, func):
-        spot = SurfacePlace("t", tplace)
-        support.append(spot)
-        cls = vertical_residue(syms, tplace)
-        if not cls.is_trivial():
-            entries[spot] = cls
-    return SurfaceProfile(entries, support)
+    return _bruteforce(cover, expand_corestriction(cover, func),
+                       _vertical_support(cover, func))
 
 
-def _horizontal_residues(cover, syms):
-    """Route B on the horizontal curves and the section at infinity:
-    (nontrivial entries, support), with no fiber computed."""
-    entries: dict[SurfacePlace, SquareClass] = {}
-    support: list[SurfacePlace] = []
-    for place in cover.horizontal_places() + [Place.infinite(XCOEFF)]:
-        spot = SurfacePlace("x", place)
-        support.append(spot)
+def _bruteforce(cover, syms: SymbolSum, fibers: Sequence[Place]) -> SurfaceProfile:
+    """Route B on an expansion that has been validated, at the horizontal
+    curves, the section at infinity and the given fibers."""
+    places = cover.horizontal_places() + [Place.infinite(XCOEFF)]
+    return _profile(_horizontal_residues(cover, syms, places)
+                    + [(SurfacePlace("t", tplace), vertical_residue(syms, tplace))
+                       for tplace in fibers])
+
+
+def _horizontal_residues(cover, syms: SymbolSum, places: Sequence[Place]):
+    """Route B at the given places of k(t)(x): (surface place, class)
+    pairs, with no fiber computed."""
+    out = []
+    for place in places:
         if isinstance(cover, KummerCover) and not place.is_infinite:
             cls = _kummer_branch_residue(cover, syms, place)
         else:
-            total: Optional[SquareClass] = None
+            cls = None
             for sym in syms:
                 c = residue_symbol(sym, place)
-                total = c if total is None else total * c
-            cls = total
-        if cls is not None and not cls.is_trivial():
-            entries[spot] = cls
-    return entries, support
+                cls = c if cls is None else cls * c
+        out.append((SurfacePlace("x", place), cls))
+    return out
 
 
 def _kummer_branch_residue(cover: KummerCover, syms, place: Place) -> SquareClass:
@@ -890,58 +890,57 @@ def ramification_profile(cover, func: DeclaredFunction) -> SurfaceProfile:
 
     Horizontal: component places carry the class of the matching section
     function, all other horizontal curves are unramified, and the section
-    at infinity carries the norm (the product over the slots).  Vertical:
-    each fiber is handled slot by slot -- slots whose root stays finite
-    must cancel in pairs through the identified points (else
-    :class:`ResidueParityError`), and slots whose root has a pole are
-    cleared against the matching power of the fiber polynomial, i.e.
-    ``(l_i, x - a_i) = (l_i, p^mu (x - a_i)) - (l_i, p^mu)``; the
-    coordinate change on the fiber is the identity Moebius map, and the
-    clearing data is recorded in the certificates.
+    at infinity carries the norm (the product over the slots) on a split
+    cover and nothing on a Kummer cover, where v(h) = -deg h is even.
+    Vertical: on a split cover each fiber is handled slot by slot --
+    slots whose root stays finite must cancel in pairs through the
+    identified points (else :class:`ResidueParityError`), and slots whose
+    root has a pole are cleared against the matching power of the fiber
+    polynomial, i.e. ``(l_i, x - a_i) = (l_i, p^mu (x - a_i)) - (l_i,
+    p^mu)``, with the identity Moebius map as the coordinate change on the
+    fiber.  On a Kummer cover the collapsed symbol ``(l, h)`` is one
+    symbol, so the fiber residue is its own formula, which must come out
+    constant.
     """
-    func.validate(cover)
-    entries: dict[SurfacePlace, SquareClass] = {}
-    support: list[SurfacePlace] = []
-    certificates: dict = {}
+    return _structured(cover, func, expand_corestriction(cover, func),
+                       _vertical_support(cover, func))
 
+
+def _structured(cover, func: DeclaredFunction, syms: SymbolSum,
+                fibers: Sequence[Place]) -> SurfaceProfile:
+    """Route A on a validated function and its expansion, at the
+    horizontal curves, the section at infinity and the given fibers."""
+    classes = _component_classes(cover, func)
+    at_infinity = None
+    if isinstance(cover, SplitCover):
+        norm = RatFunc.constant(QQ, 1)
+        for _, cls in classes:
+            norm = norm * cls.value
+        at_infinity = SquareClass(XCOEFF, norm)
+    classes.append((SurfacePlace("x", Place.infinite(XCOEFF)), at_infinity))
+    for tplace in fibers:
+        classes.append((SurfacePlace("t", tplace),
+                        _structured_vertical(cover, func, syms, tplace)))
+    return _profile(classes)
+
+
+def _structured_vertical(cover, func: DeclaredFunction, syms: SymbolSum,
+                         tplace: Place) -> Optional[SquareClass]:
+    """One fiber of route A: the constant class there, or None when no
+    slot leaves one."""
     if isinstance(cover, KummerCover):
-        return _kummer_structured_profile(cover, func)
-
-    slots = func.slot_functions(cover)
-
-    # horizontal: component places and the section at infinity
-    norm = RatFunc.constant(QQ, 1)
-    for spot, cls in _component_classes(cover, func):
-        support.append(spot)
-        if not cls.is_trivial():
-            entries[spot] = cls
-        norm = norm * cls.value
-    spot = SurfacePlace("x", Place.infinite(XCOEFF))
-    support.append(spot)
-    norm_cls = SquareClass(XCOEFF, norm)
-    if not norm_cls.is_trivial():
-        entries[spot] = norm_cls
-
-    # vertical fibers
-    for tplace in _vertical_support(cover, func):
-        spot = SurfacePlace("t", tplace)
-        support.append(spot)
-        cls, certificate = _structured_vertical(cover, slots, tplace)
-        certificates[str(spot)] = certificate
-        if cls is not None and not cls.is_trivial():
-            entries[spot] = cls
-    return SurfaceProfile(entries, support, certificates)
-
-
-def _structured_vertical(cover: SplitCover, slots, tplace: Place):
-    """One fiber of the structured route; returns (class, certificate)."""
+        cls = vertical_residue(syms, tplace)
+        if constant_part(cls) is None:
+            raise ResidueParityError(
+                f"vertical residue at {tplace} is not constant"
+            )
+        return cls
     rf = tplace.residue_field()
     coeff_field, x_field = _vertical_fields(rf)
     finite_groups: dict = {}
-    cleared = []
     total = None
 
-    for i, (ell, a) in enumerate(zip(slots, cover.roots)):
+    for ell, a in zip(func.slot_functions(cover), cover.roots):
         m = valuation(ell, tplace)
         va = None if a.is_zero() else valuation(a, tplace)
         pole = -min(0, va) if va is not None else 0
@@ -965,37 +964,18 @@ def _structured_vertical(cover: SplitCover, slots, tplace: Place):
             term = -term
         cls = SquareClass(coeff_field, term)
         total = cls if total is None else total * cls
-        cleared.append({
-            "slot": i,
-            "pole_order": pole,
-            "multiplier": f"({tplace})^{pole}" if not tplace.is_infinite else f"(1/t)^{pole}",
-            "unit_part": str(u_ell),
-            "root_part": str(v_a),
-        })
 
-    odd = {
-        key: group for key, group in finite_groups.items() if group[1] % 2
-    }
+    odd = [abar for abar, mult in finite_groups.values() if mult % 2]
     if odd:
-        points = ", ".join(f"x = {group[0]}" for group in odd.values())
+        points = ", ".join(f"x = {abar}" for abar in odd)
         raise ResidueParityError(
             f"vertical residue on the {SurfacePlace('t', tplace)} is not "
             f"constant: odd total multiplicity at {points}; the function "
             f"violates the divisor-parity condition on this fiber"
         )
-    certificate = {
-        "moebius": "identity",
-        "cancelled_in_pairs": [
-            {"x": str(group[0]), "total_multiplicity": group[1]}
-            for group in finite_groups.values()
-        ],
-        "cleared_slots": cleared,
-    }
     if total is None:
-        return None, certificate
-    embedded = SquareClass(x_field, RatFunc.constant(coeff_field, total.value))
-    certificate["constant"] = str(total)
-    return embedded, certificate
+        return None
+    return SquareClass(x_field, RatFunc.constant(coeff_field, total.value))
 
 
 def _residue_key(value):
@@ -1008,43 +988,13 @@ def _residue_key(value):
     raise TypeError(f"unhashable residue value {value!r}")  # pragma: no cover
 
 
-def _kummer_structured_profile(cover: KummerCover, func: DeclaredFunction) -> SurfaceProfile:
-    """Structured route for the collapsed symbol (l, h): the branch place
-    carries l pushed to k(B); elsewhere the single-symbol formula applies
-    verbatim (recorded as such in the certificates)."""
-    entries: dict[SurfacePlace, SquareClass] = {}
-    support: list[SurfacePlace] = []
-    certificates: dict = {"form": "(l, h) with l from the base field"}
-    syms = expand_corestriction(cover, func)
-
-    [(spot, pushed)] = _component_classes(cover, func)
-    support.append(spot)
-    if not pushed.is_trivial():
-        entries[spot] = pushed
-
-    spot = SurfacePlace("x", Place.infinite(XCOEFF))
-    support.append(spot)
-    v_inf = 2 * cover.genus + 2  # v_S(h) = -deg h: even, so no residue
-    certificates[str(spot)] = {"h_degree": v_inf, "residue": "trivial (even degree)"}
-
-    for tplace in _vertical_support(cover, func):
-        spot = SurfacePlace("t", tplace)
-        support.append(spot)
-        cls = vertical_residue(syms, tplace)
-        const = constant_part(cls)
-        if const is None:
-            raise ResidueParityError(
-                f"vertical residue at {tplace} is not constant"
-            )
-        if not cls.is_trivial():
-            entries[spot] = cls
-    return SurfaceProfile(entries, support, certificates)
-
-
 def compare_routes(cover, func: DeclaredFunction) -> dict:
-    """Place-by-place comparison of the structured and brute-force routes."""
-    structured = ramification_profile(cover, func)
-    oracle = expanded_symbol_profile(cover, func)
+    """Place-by-place comparison of the structured and brute-force routes,
+    both run on one validated expansion and one list of fibers."""
+    syms = expand_corestriction(cover, func)
+    fibers = _vertical_support(cover, func)
+    structured = _structured(cover, func, syms, fibers)
+    oracle = _bruteforce(cover, syms, fibers)
     places: dict[SurfacePlace, None] = {}
     for spot in structured.support + oracle.support:
         places.setdefault(spot, None)
@@ -1067,14 +1017,18 @@ def compare_routes(cover, func: DeclaredFunction) -> dict:
 def check_component_residues(cover, func: DeclaredFunction) -> dict:
     """Verify that the brute-force residue on each branch component equals
     the class of the declared section function itself.  Only the
-    horizontal part of route B is computed: no fiber is visited."""
-    horizontal, _ = _horizontal_residues(cover, expand_corestriction(cover, func))
+    component places of route B are computed: no fiber is visited, nor
+    the section at infinity."""
+    syms = expand_corestriction(cover, func)
+    expected = _component_classes(cover, func)
+    horizontal = _profile(
+        _horizontal_residues(cover, syms, [spot.place for spot, _ in expected]))
     rows = []
     ok = True
-    for spot, expected in _component_classes(cover, func):
-        got = horizontal.get(spot)
-        agree = _agree(got, expected)
-        rows.append({"place": str(spot), "expected": str(expected),
+    for spot, want in expected:
+        got = horizontal.entry(spot)
+        agree = _agree(got, want)
+        rows.append({"place": str(spot), "expected": str(want),
                      "got": "1" if got is None else str(got), "agree": agree})
         ok = ok and agree
     return {"rows": rows, "ok": ok}
@@ -1231,7 +1185,7 @@ def standard_desks() -> dict[str, DeskCover]:
 
     desks: dict[str, DeskCover] = {}
 
-    kummer = KummerCover(t, 1, x_of_s=s, t_of_s=s * s)
+    kummer = KummerCover(t, x_of_s=s, t_of_s=s * s)
     desks["kummer-line"] = DeskCover(
         name="kummer-line",
         cover=kummer,

@@ -85,7 +85,6 @@ class Tower:
         self.unverified: list[str] = []
         self._inv_radicand: dict[int, TowerElem] = {}
         self._mono_cache: dict[frozenset, "TowerElem"] = {}
-        self._sq_cache: dict = {}
         #: prefix towers whose elements lift into this one
         self._lift_ok: weakref.WeakSet[Tower] = weakref.WeakSet()
         #: Kummer data of the rational prefix: bit of each prime (bit 0 is
@@ -165,7 +164,6 @@ class Tower:
         self.steps.append(TowerStep(name, radicand))
         elem = self.root(idx)
         self.named[name] = elem
-        self._sq_cache.clear()
         return elem
 
     # -- arithmetic helpers (monomial products, inversion) -------------
@@ -241,16 +239,9 @@ class Tower:
             return SquareVerdict(False)
         if lvl < self._kummer_prefix() and z.is_rational():
             return self._kummer_square(z.as_rational(), lvl)
-        key = (frozenset(z.coeffs.items()), lvl, depth)
-        hit = self._sq_cache.get(key)
-        if hit is not None:
-            return hit
         if any(phi.rules_out_square(z) for phi in self._residue_maps(lvl)):
-            out = SquareVerdict(False)
-        else:
-            out = self._descend_square(z, lvl, depth)
-        self._sq_cache[key] = out
-        return out
+            return SquareVerdict(False)
+        return self._descend_square(z, lvl, depth)
 
     def _kummer_prefix(self) -> int:
         """Number of leading steps whose rational radicands are classified.

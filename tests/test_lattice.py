@@ -160,6 +160,13 @@ def test_pullback_guard_raises(monkeypatch, doctored):
         pullback_sublattice.cache_clear()
 
 
+def test_pullback_rank_counts_independent_generators():
+    doubled = pullback_sublattice().doubled
+    assert lattice.PullbackSublattice(doubled[:3]).rank == 3
+    with pytest.raises(ArithmeticError):
+        lattice.PullbackSublattice(doubled[:3] + doubled[:1]).rank
+
+
 def test_pullback_sublattice_memberships():
     sub = pullback_sublattice()
     assert sub.rank == 6

@@ -6,6 +6,7 @@ values, the structured route and the brute-force expansion serve as
 each other's oracle place by place.
 """
 
+import collections
 import hashlib
 import json
 import random
@@ -22,6 +23,7 @@ from enriq.residues import (
     DeclaredFunction,
     DivisorDeclarationError,
     FunctionFieldSymbol,
+    KummerCover,
     ResidueParityError,
     SplitCover,
     SquareClass,
@@ -322,6 +324,49 @@ def test_component_check_never_reaches_the_fibers(desks, monkeypatch):
         expanded_symbol_profile(desk.cover, desk.functions["paired"])
 
 
+def test_component_check_skips_the_section_at_infinity(desks, monkeypatch):
+    symbol = residues.residue_symbol
+
+    def finite_only(sym, place):
+        if place.is_infinite:
+            raise AssertionError(f"residue asked at {place}")
+        return symbol(sym, place)
+
+    monkeypatch.setattr(residues, "residue_symbol", finite_only)
+    for desk in desks.values():
+        for func in desk.functions.values():
+            check_component_residues(desk.cover, func)
+    # the patch is live: the full brute-force profile does ask at infinity
+    desk = desks["constant-split"]
+    with pytest.raises(AssertionError, match="residue asked"):
+        expanded_symbol_profile(desk.cover, desk.functions["d-base"])
+
+
+def test_compare_routes_runs_on_one_expansion(desks, monkeypatch):
+    calls = collections.Counter()
+    validate = DeclaredFunction.validate
+    fibers = residues._vertical_support
+
+    def counted_validate(func, cover):
+        calls["validate"] += 1
+        return validate(func, cover)
+
+    def counted_fibers(cover, func):
+        calls["fibers"] += 1
+        return fibers(cover, func)
+
+    monkeypatch.setattr(DeclaredFunction, "validate", counted_validate)
+    monkeypatch.setattr(residues, "_vertical_support", counted_fibers)
+    for desk in desks.values():
+        for func in desk.functions.values():
+            calls.clear()
+            try:
+                compare_routes(desk.cover, func)
+            except ResidueParityError:
+                pass
+            assert calls == {"validate": 1, "fibers": 1}, (desk.name, func.label)
+
+
 def _shown(profile):
     return {str(p): str(c) for p, c in profile.nontrivial().items()}
 
@@ -332,6 +377,33 @@ def test_kummer_desk_is_everywhere_unramified(desks):
     # the branch curve is rational with t = s^2: the pushed class dies
     assert _shown(prof) == {}
     assert any(str(p) == "curve x^2 - t = 0" for p in prof.support)
+
+
+def test_kummer_rules_where_they_matter():
+    """The constant 3 on two Kummer covers: the pushed class is not a
+    square, yet the section at infinity stays unramified (v(h) = -2), and
+    the pole of m = 1/t carries a fiber class."""
+    t = s = _t()
+    three = DeclaredFunction(base=3, divisor=())
+    for cover, shown in [
+        (KummerCover(t, x_of_s=s, t_of_s=s * s),
+         {"curve x^2 - t = 0": "3", "fiber t = infinity": "3"}),
+        (KummerCover(1 / t, x_of_s=1 / s, t_of_s=s * s),
+         {"curve x^2 + (-1)/(t) = 0": "3", "fiber t = 0": "3"}),
+    ]:
+        assert compare_routes(cover, three)["ok"]
+        assert check_component_residues(cover, three)["ok"]
+        assert _shown(ramification_profile(cover, three)) == shown
+
+
+def test_kummer_fiber_residue_must_be_constant():
+    t = s = _t()
+    cover = KummerCover(t, x_of_s=s, t_of_s=s * s)
+    func = DeclaredFunction(base=t + 1, divisor=((None, T1, 1), (None, INF, -1)))
+    with pytest.raises(ResidueParityError, match="at t \\+ 1 is not constant"):
+        ramification_profile(cover, func)
+    oracle = expanded_symbol_profile(cover, func)
+    assert str(oracle.entry(SurfacePlace("t", T1))) == "x^2 + 1"
 
 
 def test_constant_desk_profile(desks):
