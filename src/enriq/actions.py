@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple
 
 from . import datafiles
 from .towers import Tower, TowerAuto, TowerElem, tower_expr
@@ -118,18 +118,15 @@ def fixes_element(tower: Tower, row: GaloisRow, name: str) -> bool:
     return tower_automorphism(tower, row, validate=False)(elem) == elem
 
 
-def rows_fixing(tower: Tower, names: Iterable[str],
-                rows: Optional[Iterable[GaloisRow]] = None) -> list[GaloisRow]:
+def rows_fixing(tower: Tower, names: Iterable[str]) -> list[GaloisRow]:
     """The table rows whose automorphisms fix every listed named element.
 
     With ``names`` the generators of a subfield this computes the rows lying
     in the Galois group over that subfield.
     """
-    if rows is None:
-        rows = load_rows()
     names = list(names)
     out = []
-    for row in rows:
+    for row in load_rows():
         auto = tower_automorphism(tower, row, validate=False)
         if all(auto(tower.named[n]) == tower.named[n] for n in names):
             out.append(row)

@@ -711,7 +711,10 @@ class ResidueField:
     ``kind`` is one of ``"base"`` (degree-1 or infinite places: reduction
     lands in the base coefficient field) and ``"quadratic"`` (degree-2
     places over Q or over a tower: reduction lands in a tower extension
-    holding a root ``beta`` of the place polynomial).
+    holding a root ``beta`` of the place polynomial).  ``class_field`` is
+    the coefficient field residue values live in -- the place's own field,
+    or the residue tower -- and its ``coerce`` is the one way a scalar
+    enters the residue field.
     """
 
     def __init__(self, place: Place, kind: str, *, tower=None, beta=None, root=None):
@@ -720,6 +723,7 @@ class ResidueField:
         self.tower = tower
         self.beta = beta
         self.root = root
+        self.class_field = place.field if tower is None else TowerCoefficients(tower)
 
     @classmethod
     def of(cls, place: Place) -> "ResidueField":
@@ -767,16 +771,20 @@ class ResidueField:
     def _eval_at_beta(self, p: Poly):
         acc = self.tower.zero()
         for c in reversed(p.coeffs):
-            acc = acc * self.beta + self._lift_scalar(c)
+            acc = acc * self.beta + self.class_field.coerce(c)
         return acc
 
-    def _lift_scalar(self, c):
-        if isinstance(c, Fraction):
-            return self.tower.rational(c)
-        return self.tower.lift(c)
+    def coordinates(self, value) -> tuple:
+        """(A, B) over the base with ``value = A + B*beta``, at a quadratic
+        place: the inverse of ``coerce(A) + beta * coerce(B)``."""
+        even, odd = self.class_field.coerce(value).split(len(self.tower.steps) - 1)
+        x_part, y_part = self._descend(even), self._descend(odd)
+        # beta = (sqrt_disc - u)/2  =>  sqrt_disc = 2*beta + u
+        return x_part + y_part * self.place.poly.coeff(1), 2 * y_part
 
     def norm_to_base(self, element):
-        """Norm down to the base field of the place."""
+        """Norm down to the base field of the place; at degree-1 and
+        infinite places the element already lies there."""
         if self.kind == "base":
             return element
         # conjugate beta -> -u - beta; elements are a + b*beta expressions

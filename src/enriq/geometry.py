@@ -58,8 +58,6 @@ __all__ = [
 #: Ambient label -> sizes of the homogeneous coordinate blocks.
 _AMBIENT_SHAPES = {
     "P2": (3,),
-    "P4": (5,),
-    "P5": (6,),
     "P1xP1": (2, 2),
 }
 
@@ -586,11 +584,13 @@ def induced_point_permutations(
 ) -> dict[str, dict[str, str]]:
     """Recompute each row's branch-point permutation from its field column.
 
-    Applies the row's validated field automorphism to the projective
-    normal forms of all eight points and looks the images up among them;
-    an automorphism fixes 0 and 1, so the image of a normal form is again
-    one.  This is independent of the printed point-permutation column,
-    so it can (and did) catch misprints there.
+    Applies the row's field automorphism to the projective normal forms
+    of all eight points and looks the images up among them; an
+    automorphism fixes 0 and 1, so the image of a normal form is again
+    one.  The automorphisms are built unvalidated here:
+    ``tests/test_actions.py`` validates every row on the witness tower.
+    This is independent of the printed point-permutation column, so it
+    can (and did) catch misprints there.
     """
     tw = tower if tower is not None else presets.k_tower(a, b, c)
     _require_nondegenerate(tw)

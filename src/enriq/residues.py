@@ -233,17 +233,6 @@ class SymbolSum:
         return f"SymbolSum[{self}]"
 
 
-def _class_field_of(rf) -> CoefficientField:
-    """Field adapter in which residue values at this place live."""
-    if rf.kind == "base":
-        return rf.place.field
-    adapter = getattr(rf, "_class_adapter", None)
-    if adapter is None:
-        adapter = TowerCoefficients(rf.tower)
-        rf._class_adapter = adapter
-    return adapter
-
-
 def _unit_part(fn: RatFunc, place: Place, v: int) -> RatFunc:
     """``fn`` divided by the ``v``-th power of a uniformizer at the place.
 
@@ -279,11 +268,10 @@ def residue_symbol(sym: FunctionFieldSymbol, place: Place) -> SquareClass:
     """
     a = valuation(sym.f, place)
     b = valuation(sym.g, place)
-    if a == 0 and b == 0:
-        rf = place.residue_field()
-        return SquareClass.trivial(_class_field_of(rf))
     rf = place.residue_field()
-    field = _class_field_of(rf)
+    field = rf.class_field
+    if a == 0 and b == 0:
+        return SquareClass.trivial(field)
     value = field.one()
     if b % 2:
         value = value * rf.reduce(_unit_part(sym.f, place, a))
@@ -475,16 +463,6 @@ def vertical_residue(syms, tplace: Place) -> SquareClass:
         if (a * b) % 2:
             total = -total
     return SquareClass(x_field, total)
-
-
-def constant_part(cls: SquareClass) -> Optional[SquareClass]:
-    """The class as a constant of the coefficient field, if it is one."""
-    if not isinstance(cls.field, RationalFunctions):
-        return cls
-    sf, lead = ratfunc_square_free(cls.value)
-    if sf.degree > 0:
-        return None
-    return SquareClass(cls.field.base, lead)
 
 
 # ==========================================================================
@@ -711,6 +689,13 @@ class DeclaredFunction:
             return tuple(self.base for _ in cover.roots)
         return self.components
 
+    def _declared(self) -> dict:
+        """The declared multiplicities summed per (component, place)."""
+        out: dict = {}
+        for comp, place, mult in self.divisor:
+            out[comp, place] = out.get((comp, place), 0) + mult
+        return out
+
     def validate(self, cover) -> None:
         degree = sum(mult * place.degree for _, place, mult in self.divisor)
         if degree != 0:
@@ -728,12 +713,10 @@ class DeclaredFunction:
                     f"{len(cover.roots)} components"
                 )
             fns = dict(enumerate(self.components))
-        declared: dict = {}
-        for comp, place, mult in self.divisor:
+        declared = self._declared()
+        for comp, _ in declared:
             if comp not in fns:
                 raise DivisorDeclarationError(f"unknown component {comp!r}")
-            key = (comp, place)
-            declared[key] = declared.get(key, 0) + mult
         for comp, fn in fns.items():
             computed = support_places(fn)
             mine = {
@@ -784,14 +767,14 @@ def expand_corestriction(cover, func: DeclaredFunction) -> SymbolSum:
 def _vertical_support(cover, func: DeclaredFunction) -> list[Place]:
     """The fibers where a residue can sit: t = infinity and the finite
     zeros and poles of the section functions, plus the poles of a split
-    cover's roots or the zeros and poles of a Kummer cover's m."""
-    fns = [func.base] if func.is_base_form else list(func.components)
+    cover's roots or the zeros and poles of a Kummer cover's m.  ``func``
+    has been validated, so its declared divisor names its own fibers."""
+    places = dict.fromkeys(
+        place for (_, place), mult in func._declared().items()
+        if mult and not place.is_infinite
+    )
     if isinstance(cover, KummerCover):
-        fns.append(cover.m)
-    places: dict[Place, None] = {}
-    for fn in fns:
-        for place in support_places(fn, include_infinity=False):
-            places.setdefault(place, None)
+        places.update(dict.fromkeys(support_places(cover.m, include_infinity=False)))
     for a in cover.roots if isinstance(cover, SplitCover) else ():
         for place, mult in support_places(a, include_infinity=False).items():
             if mult < 0:
@@ -898,18 +881,18 @@ def ramification_profile(cover, func: DeclaredFunction) -> SurfaceProfile:
     root has a pole are cleared against the matching power of the fiber
     polynomial, i.e. ``(l_i, x - a_i) = (l_i, p^mu (x - a_i)) - (l_i,
     p^mu)``, with the identity Moebius map as the coordinate change on the
-    fiber.  On a Kummer cover the collapsed symbol ``(l, h)`` is one
-    symbol, so the fiber residue is its own formula, which must come out
-    constant.
+    fiber.  On a Kummer cover the collapsed symbol ``(l, x^2 - m)`` has
+    a closed-form fiber residue read off v(l) and v(m)
+    (:func:`_kummer_vertical`).
     """
-    return _structured(cover, func, expand_corestriction(cover, func),
-                       _vertical_support(cover, func))
+    func.validate(cover)
+    return _structured(cover, func, _vertical_support(cover, func))
 
 
-def _structured(cover, func: DeclaredFunction, syms: SymbolSum,
+def _structured(cover, func: DeclaredFunction,
                 fibers: Sequence[Place]) -> SurfaceProfile:
-    """Route A on a validated function and its expansion, at the
-    horizontal curves, the section at infinity and the given fibers."""
+    """Route A on a validated function, at the horizontal curves, the
+    section at infinity and the given fibers."""
     classes = _component_classes(cover, func)
     at_infinity = None
     if isinstance(cover, SplitCover):
@@ -920,21 +903,16 @@ def _structured(cover, func: DeclaredFunction, syms: SymbolSum,
     classes.append((SurfacePlace("x", Place.infinite(XCOEFF)), at_infinity))
     for tplace in fibers:
         classes.append((SurfacePlace("t", tplace),
-                        _structured_vertical(cover, func, syms, tplace)))
+                        _structured_vertical(cover, func, tplace)))
     return _profile(classes)
 
 
-def _structured_vertical(cover, func: DeclaredFunction, syms: SymbolSum,
+def _structured_vertical(cover, func: DeclaredFunction,
                          tplace: Place) -> Optional[SquareClass]:
     """One fiber of route A: the constant class there, or None when no
     slot leaves one."""
     if isinstance(cover, KummerCover):
-        cls = vertical_residue(syms, tplace)
-        if constant_part(cls) is None:
-            raise ResidueParityError(
-                f"vertical residue at {tplace} is not constant"
-            )
-        return cls
+        return _kummer_vertical(cover, func.base, tplace)
     rf = tplace.residue_field()
     coeff_field, x_field = _vertical_fields(rf)
     finite_groups: dict = {}
@@ -978,6 +956,35 @@ def _structured_vertical(cover, func: DeclaredFunction, syms: SymbolSum,
     return SquareClass(x_field, RatFunc.constant(coeff_field, total.value))
 
 
+def _kummer_vertical(cover: KummerCover, ell: RatFunc,
+                     tplace: Place) -> Optional[SquareClass]:
+    """Route A on a Kummer fiber, for the collapsed symbol (l, x^2 - m):
+    its Gauss valuations are a = v(l) and b = min(0, v(m)).  With b = 0
+    the residue is the class of (x^2 - m-bar)^a, a square unless a is odd
+    and m-bar is nonzero, when it is not constant.  With b < 0 the residue
+    is (-1)^(ab) u-bar^b w-bar^(-a), where u and w are the unit parts of l
+    and of -m pi^(-b)."""
+    a = valuation(ell, tplace)
+    vm = valuation(cover.m, tplace)
+    b = min(0, vm)
+    if b == 0:
+        if a % 2 and vm == 0:
+            raise ResidueParityError(
+                f"vertical residue at {tplace} is not constant"
+            )
+        return None
+    rf = tplace.residue_field()
+    coeff_field, x_field = _vertical_fields(rf)
+    value = coeff_field.one()
+    if b % 2:
+        value = value * coeff_field.coerce(rf.reduce(_unit_part(ell, tplace, a)))
+    if a % 2:
+        value = value * coeff_field.coerce(rf.reduce(-_unit_part(cover.m, tplace, b)))
+    if (a * b) % 2:
+        value = -value
+    return SquareClass(x_field, RatFunc.constant(coeff_field, value))
+
+
 def _residue_key(value):
     if isinstance(value, Fraction):
         return ("q", value)
@@ -993,7 +1000,7 @@ def compare_routes(cover, func: DeclaredFunction) -> dict:
     both run on one validated expansion and one list of fibers."""
     syms = expand_corestriction(cover, func)
     fibers = _vertical_support(cover, func)
-    structured = _structured(cover, func, syms, fibers)
+    structured = _structured(cover, func, fibers)
     oracle = _bruteforce(cover, syms, fibers)
     places: dict[SurfacePlace, None] = {}
     for spot in structured.support + oracle.support:
@@ -1065,7 +1072,7 @@ def _point_signature(a: RatFunc, tplace: Place):
     if v is not None and v < 0:
         return ("S", _place_key(tplace))
     if v is None or v > 0:
-        value = Fraction(0) if rf.kind == "base" else rf.tower.zero()
+        value = rf.class_field.zero()
     else:
         value = rf.reduce(a)
     return ("pt", _place_key(tplace), _residue_key(value))
@@ -1320,12 +1327,6 @@ class FaddeevRepairError(ArithmeticError):
     """No small element of the requested norm class exists at this place."""
 
 
-def _lift_into(tower, value):
-    if isinstance(value, TowerElem):
-        return tower.lift(value)
-    return tower.rational(Fraction(value))
-
-
 class ResidueSpec:
     """Target residue classes at places of the t-line (degree <= 2 or
     infinity).  Degree-2 values may be given as ``(A, B)`` meaning
@@ -1347,20 +1348,13 @@ class ResidueSpec:
         if place.degree > 2:
             raise NotImplementedError("places of degree > 2 are out of scope")
         rf = place.residue_field()
-        if place.degree == 2:
-            if isinstance(value, tuple):
-                a_part, b_part = (self.base.coerce(v) for v in value)
-                value = _lift_into(rf.tower, a_part) + rf.beta * _lift_into(rf.tower, b_part)
-            elif isinstance(value, (int, Fraction)):
-                value = rf.tower.rational(Fraction(value))
-            elif isinstance(value, TowerElem) and value.tower is not rf.tower:
-                value = rf.tower.lift(value)
-            if value.is_zero():
-                raise ZeroDivisionError("residue classes are nonzero")
-        else:
-            value = self.base.coerce(value)
-            if self.base.is_zero(value):
-                raise ZeroDivisionError("residue classes are nonzero")
+        field = rf.class_field
+        if place.degree == 2 and isinstance(value, tuple):
+            a_part, b_part = (field.coerce(self.base.coerce(v)) for v in value)
+            value = a_part + rf.beta * b_part
+        value = field.coerce(value)
+        if field.is_zero(value):
+            raise ZeroDivisionError("residue classes are nonzero")
         if place in self.entries:
             raise ValueError(f"duplicate entry at {place}")
         self.entries[place] = value
@@ -1384,31 +1378,14 @@ class ResidueSpec:
         return [(str(p), str(self.entries[p])) for p in self.places()]
 
 
-def _entry_norm(place: Place, value):
-    if place.degree == 2:
-        rf = place.residue_field()
-        return rf.norm_to_base(value)
-    return value
-
-
 def faddeev_obstruction(spec: ResidueSpec) -> SquareClass:
     """The corestriction-sum class: the product of the norms of all
     entries, as a square class of the base field.  The profile extends to
     an actual symbol sum on the projective line iff this is trivial."""
     total = spec.base.one()
     for place, value in spec.entries.items():
-        total = total * spec.base.coerce(_entry_norm(place, value))
+        total = total * spec.base.coerce(place.residue_field().norm_to_base(value))
     return SquareClass(spec.base, total)
-
-
-def _beta_coordinates(rf, value) -> tuple:
-    """Write a degree-2 residue value as A + B*beta over the base."""
-    even, odd = value.split(len(rf.tower.steps) - 1)
-    x_part, y_part = rf._descend(even), rf._descend(odd)
-    # beta = (sqrt_disc - u)/2  =>  sqrt_disc = 2*beta + u
-    a_part = x_part + y_part * rf.place.poly.coeff(1)
-    b_part = 2 * y_part
-    return a_part, b_part
 
 
 def faddeev_reconstruct(spec: ResidueSpec) -> dict:
@@ -1449,9 +1426,8 @@ def faddeev_reconstruct(spec: ResidueSpec) -> dict:
             targets.setdefault(place, base.one())
             targets[place] = targets[place] * base.coerce(value)
             continue
-        rf = place.residue_field()
-        a_part, b_part = _beta_coordinates(rf, value)
-        if _is_zero_scalar(base, b_part):
+        a_part, b_part = place.residue_field().coordinates(value)
+        if base.is_zero(b_part):
             symbols.append(FunctionFieldSymbol(
                 RatFunc.constant(base, a_part), RatFunc.from_poly(place.poly),
             ))
@@ -1461,14 +1437,13 @@ def faddeev_reconstruct(spec: ResidueSpec) -> dict:
             FunctionFieldSymbol(linear, RatFunc.from_poly(place.poly))
         )
         # the linear slot vanishes at t0 = -A/B and deposits [p(t0)] there
-        t0 = -base.coerce(a_part) * base.invert(b_part)
+        t0 = -a_part * base.invert(b_part)
         zero_place = Place.finite(Poly(base, [-t0, 1]))
         targets.setdefault(zero_place, base.one())
 
     # degree-1 corrections: push the current residue to the target
     for place in sorted(targets, key=_place_sort_key):
         target = targets[place]
-        rf = place.residue_field()
         current = base.one()
         for sym in symbols:
             cls = residue_symbol(sym, place)
@@ -1495,7 +1470,7 @@ def faddeev_reconstruct(spec: ResidueSpec) -> dict:
         if place.is_infinite:
             continue
         got = profile.get(place)
-        want = _spec_entry_class(spec, place, value)
+        want = SquareClass(place.residue_field().class_field, value)
         if got is None:
             got = SquareClass.trivial(want.field)
         if not got.same_class(want):
@@ -1525,17 +1500,6 @@ def faddeev_reconstruct(spec: ResidueSpec) -> dict:
         "roundtrip_ok": roundtrip_ok,
         "problems": problems,
     }
-
-
-def _spec_entry_class(spec: ResidueSpec, place: Place, value) -> SquareClass:
-    if place.degree == 2:
-        rf = place.residue_field()
-        return SquareClass(_class_field_of(rf), value)
-    return SquareClass(spec.base, value)
-
-
-def _is_zero_scalar(base: CoefficientField, value) -> bool:
-    return base.is_zero(base.coerce(value))
 
 
 def repair_spec(spec: ResidueSpec, place: Place, *, search_bound: int = 25) -> ResidueSpec:
@@ -1577,7 +1541,7 @@ def repair_spec(spec: ResidueSpec, place: Place, *, search_bound: int = 25) -> R
                     continue
                 ratio = spec.base.coerce(norm) * target
                 if SquareClass(spec.base, ratio).is_trivial():
-                    elem = rf.tower.rational(Fraction(a_part)) + rf.beta * Fraction(b_part)
+                    elem = rf.class_field.coerce(a_part) + rf.beta * b_part
                     out.entries[place] = value * elem
                     return out
     raise FaddeevRepairError(

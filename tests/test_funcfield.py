@@ -9,6 +9,7 @@ the shortcuts of ``RatFunc`` sums and products, and unit parts) are
 checked against sympy over Q and over Q(t).
 """
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -130,6 +131,24 @@ def test_equal_places_share_one_residue_field():
     rf = place.residue_field()
     assert again.residue_field() is rf
     assert again.residue_field().tower is rf.tower
+
+
+@pytest.mark.parametrize("place_coeffs", [[-2, 0, 1], [1, 1, 1]])
+@pytest.mark.parametrize("over_sqrt5", [False, True])
+def test_residue_coordinates_invert_a_plus_b_beta(over_sqrt5, place_coeffs):
+    # t^2 - 2 and t^2 + t + 1 are quadratic places over Q and over Q(sqrt 5)
+    if over_sqrt5:
+        K = TowerCoefficients(Tower().extend("r5", Fraction(5), depth=12, label="sqrt5"))
+        r5 = K.tower.gen("r5")
+        scalars = [K.zero(), K.one(), r5, r5 * Fraction(-3, 2) + 2]
+    else:
+        K = QQ
+        scalars = [Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(7)]
+    rf = Place.finite(Poly(K, place_coeffs)).residue_field()
+    field = rf.class_field
+    for a, b in itertools.product(scalars, repeat=2):
+        value = field.coerce(a) + rf.beta * field.coerce(b)
+        assert rf.coordinates(value) == (a, b)
 
 
 def test_residue_field_cache_is_bounded():

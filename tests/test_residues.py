@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from enriq import residues
-from enriq.funcfield import QQ, Place, Poly, RatFunc, parse_ratfunc, valuation
+from enriq.funcfield import QQ, Place, Poly, RatFunc, parse_ratfunc, support_places, valuation
 from enriq.residues import (
     XCOEFF,
     DeclaredFunction,
@@ -367,6 +367,20 @@ def test_compare_routes_runs_on_one_expansion(desks, monkeypatch):
             assert calls == {"validate": 1, "fibers": 1}, (desk.name, func.label)
 
 
+def test_vertical_support_reads_the_validated_declaration():
+    """Fibers come from the declared divisor summed per (component,
+    place): a pair that cancels adds no fiber, and infinity comes once."""
+    t = _t()
+    cover = SplitCover([t, -t, t + 1, -(t + 1)])
+    func = DeclaredFunction(
+        components=(t, t, 1, 1),
+        divisor=((0, T0, 1), (0, INF, -1), (1, T0, 1), (1, INF, -1),
+                 (2, T1, 1), (2, T1, -1)),
+    )
+    func.validate(cover)
+    assert residues._vertical_support(cover, func) == [T0, INF]
+
+
 def _shown(profile):
     return {str(p): str(c) for p, c in profile.nontrivial().items()}
 
@@ -404,6 +418,40 @@ def test_kummer_fiber_residue_must_be_constant():
         ramification_profile(cover, func)
     oracle = expanded_symbol_profile(cover, func)
     assert str(oracle.entry(SurfacePlace("t", T1))) == "x^2 + 1"
+
+
+def test_kummer_route_a_never_calls_route_b(desks, monkeypatch):
+    def route_b(syms, tplace):
+        raise AssertionError(f"route B asked at {tplace}")
+
+    monkeypatch.setattr(residues, "vertical_residue", route_b)
+    desk = desks["kummer-line"]
+    ramification_profile(desk.cover, desk.functions["t"])
+
+
+@pytest.mark.parametrize("m,x_of_s,t_of_s", [
+    ("t", "s", "s**2"),
+    ("2*t", "2*s", "2*s**2"),
+    ("-1/t", "s", "-1/s**2"),
+    ("t**2 + t", "s/(s**2 - 1)", "1/(s**2 - 1)"),
+])
+@pytest.mark.parametrize("ell", ["3", "t", "-2/t", "3*t**3", "t**2 + t", "(t + 1)/t**2"])
+def test_kummer_fibers_agree_with_route_b(m, x_of_s, t_of_s, ell):
+    """Route A's closed form on Kummer fibers against route B's Gauss
+    valuations: equal classes, or a parity failure where route B leaves a
+    class that is not constant."""
+    cover = KummerCover(parse_ratfunc(m, "t", QQ), x_of_s=parse_ratfunc(x_of_s, "s", QQ),
+                        t_of_s=parse_ratfunc(t_of_s, "s", QQ))
+    ell = parse_ratfunc(ell, "t", QQ)
+    func = DeclaredFunction(
+        base=ell, divisor=[(None, p, k) for p, k in support_places(ell).items()])
+    try:
+        assert compare_routes(cover, func)["ok"]
+    except ResidueParityError as exc:
+        # only l's odd zero or pole at t = -1, where m is a unit, fails
+        assert "at t + 1 is not constant" in str(exc)
+        fiber = expanded_symbol_profile(cover, func).entry(SurfacePlace("t", T1))
+        assert str(fiber).startswith("x^2 ")
 
 
 def test_constant_desk_profile(desks):
