@@ -399,13 +399,15 @@ class QuotientF2(f2.GaloisModule):
 
     def __init__(self):
         self.basis_names: tuple[str, ...] = tuple(_data()["quotient_basis"])
+        # a permuted fibre class is a fibre class: this call's table reduces
+        # each distinct class once
+        mask = lru_cache(maxsize=None)(lambda n: _mod2_mask(n, 2))
         images = {}
         for row in actions.load_rows():
             perm = row.class_permutation()
-            images[row.name] = [_mod2_mask(_permuted(perm, n), 2)
-                                for n in self.basis_names]
+            images[row.name] = [mask(_permuted(perm, n)) for n in self.basis_names]
         pi_masks = [_mod2_mask(g, 2) for g in pullback_sublattice().doubled]
-        basis = [_mod2_mask(_doubled(n), 2) for n in self.basis_names]
+        basis = [mask(_doubled(n)) for n in self.basis_names]
         super().__init__(basis, pi_masks, images)
         if self.dimension + len(pi_masks) != RANK:
             raise ArithmeticError("quotient basis does not complement the pullback span")
@@ -573,17 +575,21 @@ def galois_matrix(row) -> tuple[tuple[Fraction, ...], ...]:
 def verify_galois_isometries() -> bool:
     """Every row preserves the pairing, the lattice, and the fibre-sum
     relation F_i + G_i = F_j + G_j."""
-    # on doubled vectors: (2A)^T G (2A) = 4 G
+    # on doubled vectors: (2A)^T G (2A) = 4 G, row i of the left side
+    # combining the rows of G (2A) through the 1-3 nonzero entries of the
+    # i-th image; a permuted F/G generator is again a fibre class, so each
+    # distinct image is tested for lattice membership once per call
     mat4 = tuple(tuple(4 * g for g in row) for row in gram_matrix())
     fibre_sum, _ = _scaled({"F1": 1, "G1": 1})
+    member = lru_cache(maxsize=None)(lambda n: _in_lattice(n, 2))
     for row in actions.load_rows():
         perm = row.class_permutation()
         images = [_doubled(perm[name]) for name in ambient_basis()]  # columns of 2A
-        at = _transpose(images)  # columns of (2A)^T
-        if tuple(_combine(at, _combine(gram_matrix(), col)) for col in images) != mat4:
+        g2a = _transpose([_combine(gram_matrix(), col) for col in images])
+        if tuple(_combine(g2a, col) for col in images) != mat4:
             return False
         for name in GENERATORS:
-            if not _in_lattice(_permuted(perm, name), 2):
+            if not member(_permuted(perm, name)):
                 return False
         for i in range(1, 15):
             img = tuple(x + y for x, y in zip(_doubled(perm[f"F{i}"]), _doubled(perm[f"G{i}"])))

@@ -28,6 +28,7 @@ import ast
 import json
 import weakref
 from fractions import Fraction
+from math import prod
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .arith import MR_BOUND, factorize, is_prime, rational_is_square, rational_sqrt
@@ -211,7 +212,9 @@ class Tower:
           is etale at p, the local ring at ker(phi) is a DVR, and its
           residue field lies in F_{p^2}; so for z with p-integral
           coefficients, phi(z) != 0 and a non-square in F_{p^2} certifies
-          that z is not a square.  The sieve never decides True.
+          that z is not a square.  The sieve never decides True, and it
+          skips a rational z: phi(z) then lies in F_p, and every element of
+          F_p is a square in F_{p^2}.
 
         A True verdict always carries a witness, which is squared and
         compared with ``z`` here; a mismatch raises ArithmeticError.
@@ -239,7 +242,9 @@ class Tower:
             return SquareVerdict(False)
         if lvl < self._kummer_prefix() and z.is_rational():
             return self._kummer_square(z.as_rational(), lvl)
-        if any(phi.rules_out_square(z) for phi in self._residue_maps(lvl)):
+        if not z.is_rational() and any(
+            phi.rules_out_square(z) for phi in self._residue_maps(lvl)
+        ):
             return SquareVerdict(False)
         return self._descend_square(z, lvl, depth)
 
@@ -790,10 +795,14 @@ class TowerAuto:
     ):
         self.tower = tower
         self.label = label
-        self.root_images: list[TowerElem] = []
-        for i, step in enumerate(tower.steps):
-            img = images.get(step.name, tower.root(i))
-            self.root_images.append(img)
+        self.root_images: list[TowerElem] = [
+            images.get(step.name, tower.root(i)) for i, step in enumerate(tower.steps)
+        ]
+        # root i is fixed or negated when its image is +1 or -1 times root i
+        signs = [img.coeffs.get(frozenset([i])) if len(img.coeffs) == 1 else None
+                 for i, img in enumerate(self.root_images)]
+        self._negated = frozenset(i for i, s in enumerate(signs) if s == -1)
+        self._moved = frozenset(i for i, s in enumerate(signs) if s not in (1, -1))
         self._mono_cache: dict[frozenset, TowerElem] = {}
         if validate:
             self.validate()
@@ -811,21 +820,32 @@ class TowerAuto:
     def apply(self, z: TowerElem) -> TowerElem:
         """The image of z: sum of c * image(root^mono) over z's monomials.
 
-        Each monomial's image is a product of root images, cached per
-        automorphism; the scaled images are added into one dict.
+        Each root is fixed, negated or moved (any other image).  A
+        monomial's image is (-1)^(its negated roots) times the image of its
+        moved part, a product of root images cached by the moved subset,
+        times the rest of the monomial; all terms go into one dict.
         """
+        tower = self.tower
         out: dict[frozenset, Fraction] = {}
         for mono, c in z.coeffs.items():
-            img = self._mono_cache.get(mono)
+            if len(mono & self._negated) & 1:
+                c = -c
+            moved = mono & self._moved
+            if not moved:
+                v = out.get(mono)
+                out[mono] = c if v is None else v + c
+                continue
+            img = self._mono_cache.get(moved)
             if img is None:
-                img = self.tower.one()
-                for i in sorted(mono):
-                    img = img * self.root_images[i]
-                self._mono_cache[mono] = img
+                img = self._mono_cache[moved] = prod(self.root_images[i] for i in sorted(moved))
+            rest = mono - moved
             for m, x in img.coeffs.items():
-                v = out.get(m)
-                out[m] = x * c if v is None else v + x * c
-        return _settled(self.tower, out)
+                if m & rest:
+                    _add_term(out, tower, m, rest, x * c)
+                else:
+                    v = out.get(m := m | rest)
+                    out[m] = x * c if v is None else v + x * c
+        return _settled(tower, out)
 
     def __call__(self, z: TowerElem) -> TowerElem:
         return self.apply(z)

@@ -482,6 +482,27 @@ def test_each_isometry_half_rejects_a_row_alone(monkeypatch, make_row, halves):
     assert verify_galois_isometries() is False
 
 
+def test_quotient_actions_match_a_per_row_reduction():
+    """QuotientF2 reduces each fibre class once; every row's images must
+    still equal the reductions of its own permuted basis classes."""
+    q = quotient_F2()
+    for row in actions.load_rows():
+        perm = row.class_permutation()
+        want = tuple(q._coordinates(lattice._mod2_mask(lattice._permuted(perm, n), 2))
+                     for n in q.basis_names)
+        assert q.actions[row.name] == want, row.name
+
+
+@pytest.mark.parametrize("name", FIBRE_NAMES)
+def test_a_fibre_class_leaving_the_lattice_fails_the_isometry_check(monkeypatch, name):
+    """The check tests each fibre class once, on first use; every one of
+    the 28 is some row's image of a generator, so each is tested."""
+    outside = lattice._doubled(name)
+    in_lattice_ = lattice._in_lattice
+    monkeypatch.setattr(lattice, "_in_lattice", lambda n, d: n != outside and in_lattice_(n, d))
+    assert verify_galois_isometries() is False
+
+
 @given(st.permutations(range(1, 15)), st.lists(st.sampled_from("FG"), min_size=28, max_size=28))
 def test_galois_rows_always_keep_pairing_and_fibre_sums(targets, letters):
     """Why only doctored rows can fail those two halves: a GaloisRow moves

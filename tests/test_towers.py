@@ -14,7 +14,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import enriq
-from enriq import datafiles, presets
+from enriq import actions, datafiles, presets
 from enriq import towers as towers_mod
 from enriq.towers import (
     SIEVE_START,
@@ -476,3 +476,73 @@ def test_apply_adds_up_the_monomial_images(case):
         want = reference_add(want, img)
     got = rho(x)
     assert holds_invariant(got) and got.coeffs == want.coeffs
+
+
+@st.composite
+def mixed_automorphisms(draw):
+    """Unvalidated automorphisms whose roots are fixed, negated or moved to
+    a drawn element; a moved image also holds a negated root times the
+    moved one, as sqrt_m2p2r2 -> i*sqrt2*sqrt_m2p2r2 + ... in the sqrt2 row."""
+    t = draw(towers())
+    kinds = draw(st.lists(st.sampled_from(["fixed", "negated", "moved"]),
+                          min_size=len(t.steps), max_size=len(t.steps)))
+    negated = [i for i, kind in enumerate(kinds) if kind == "negated"]
+    images = {}
+    for i, kind in enumerate(kinds):
+        if kind == "negated":
+            images[t.steps[i].name] = -t.root(i)
+        elif kind == "moved":
+            img = draw(elements(t))
+            if negated:
+                img = img + t.root(negated[0]) * t.root(i) * draw(rationals)
+            images[t.steps[i].name] = img
+    return t, TowerAuto(t, images, validate=False), draw(elements(t))
+
+
+def reference_apply(rho, x):
+    """The sum over x's monomials of c times the product of root images."""
+    t = rho.tower
+    want = t.zero()
+    for mono, c in x.coeffs.items():
+        img = t.rational(c)
+        for i in sorted(mono):
+            img = reference_mul(img, rho.root_images[i])
+        want = reference_add(want, img)
+    return want
+
+
+@given(mixed_automorphisms())
+def test_apply_on_fixed_negated_and_moved_roots_matches_the_root_images(case):
+    t, rho, x = case
+    for z in (x, x * x, t.rational(3) - x):
+        got = rho(z)
+        assert holds_invariant(got) and got.coeffs == reference_apply(rho, z).coeffs
+
+
+def test_every_table_row_maps_every_named_element_as_its_root_images(k_tower_witness):
+    k = k_tower_witness
+    for row in actions.load_rows():
+        rho = actions.tower_automorphism(k, row, validate=False)
+        for name, z in k.named.items():
+            assert rho(z).coeffs == reference_apply(rho, z).coeffs, (row.name, name)
+
+
+# -- the sieve skips rationals: a premise and its consequence ------------------
+
+
+@given(st.fractions().filter(bool))
+def test_no_kept_map_rules_out_a_rational(k_tower_witness, x):
+    """phi(x) lies in F_p, and every element of F_p is a square in F_{p^2}."""
+    k = k_tower_witness
+    z = k.rational(x)
+    for lvl in range(len(k.steps)):
+        assert not any(phi.rules_out_square(z) for phi in k._residue_maps(lvl))
+
+
+@pytest.mark.parametrize("triplet", [(12, 111, 13), (7, 50, 9), (5, 5, 5)])
+def test_sieve_skip_keeps_the_built_tower(monkeypatch, triplet):
+    want = presets.k_tower(*triplet).to_dict()
+    monkeypatch.setattr(towers_mod._ResidueMap, "rules_out_square", lambda self, z: False)
+    got = presets.k_tower(*triplet).to_dict()
+    for key in ("steps", "degenerate", "unverified"):
+        assert got[key] == want[key]
