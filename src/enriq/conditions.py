@@ -15,8 +15,9 @@ arithmetic conditions under which the verification pipeline applies:
       triplet-free forms q0 and q0 - q1 have roots, with one q2 lookup
       per such point and a mostly closed-form Jacobian rank, then a
       count of the primitive v surviving modulo p^k over unit-scaling
-      orbits, one plain-int bitmask per value; the per-prime tables both
-      use are built once per process, lazily (see local_solvability)
+      orbits, one plain-int bitmask per value, with q2's masks shared by
+      each unit-square class of c; the per-prime tables both use are
+      built once per process, lazily (see local_solvability)
   (8) the splitting field is as large as possible; checked through the
       tower-independence proxy: every preset tower step stays quadratic.
 
@@ -113,6 +114,12 @@ def nonsingularity_factors(a: int, b: int, c: int) -> dict:
 
 
 def is_nonsingular(a: int, b: int, c: int) -> bool:
+    """Whether no nonsingularity factor vanishes.  Away from 2 and 5 these
+    factors are, up to powers of 2 and 5, the determinants of the three
+    branch conics, the discriminants of their pencils and the product of
+    q2 over the four points where q0 and q0 - q1 meet, so Y mod p is
+    smooth at every other p dividing none of them; checked by
+    tests/test_conditions.py::test_good_reduction_discriminants."""
     return all(nonsingularity_factors(a, b, c).values())
 
 
@@ -251,8 +258,9 @@ def _survival_masks(p: int, k: int, m: int, r: int) -> tuple[int, ...]:
     pass over the (shift, value) pairs.
 
     Process-lifetime cache, bounded: p is at most PRIME_BOUND, k is
-    _deep_modulus_exponent(p) (so q <= 125), m < q and r is 1 or 5; each
-    entry holds q ints of q bits.
+    _deep_modulus_exponent(p) (so q <= 125), m is 5 or a class
+    representative of _square_scalers and r is 1 or 5; each entry holds
+    q ints of q bits.
     """
     q = p**k
     values = {r * w * w % q for w in range(q)}
@@ -435,11 +443,39 @@ def _deep_search_mod_pk(a: int, b: int, c: int, p: int, k: int) -> int:
 
         count = S(0) + sum over j < k of (p-1)*p^(k-j-1) * S(p^j),
 
-    k+1 slices instead of p^k.
+    k+1 slices instead of p^k.  The triplet is first rescaled by the unit
+    square of _square_scalers that takes c to its class's representative,
+    so the q2 masks are shared by every c of one unit-square class.
     """
     orbit = {0: 1} | {p**j: (p - 1) * p ** (k - j - 1) for j in range(k)}
+    s, c_rep = _square_scalers(p, k)[c % p**k]
     return (p == 5 and k == 1) + sum(
-        n * _slice_survivors(a, b, c, p, k, v0) for v0, n in orbit.items())
+        n * _slice_survivors(s * a, s * b, c_rep, p, k, v0) for v0, n in orbit.items())
+
+
+@functools.lru_cache(maxsize=None)
+def _square_scalers(p: int, k: int) -> tuple[tuple[int, int], ...]:
+    """For each c mod q = p^k, a unit square s and the least c_rep of the
+    orbit of c under the unit squares, with s*c = c_rep mod q.
+
+    Scaling the triplet by s = lam^2, lam a unit, scales q2 by s and
+    leaves q0 and q0 - q1 alone; x is a square mod q iff s*x is, and v
+    is untouched, so (s*a, s*b, c_rep) has the survival count of (a, b, c)
+    and the c-row masks are built once per orbit.
+
+    Process-lifetime cache, one entry per prime (p <= PRIME_BOUND, k is
+    _deep_modulus_exponent(p)), each q pairs.
+    """
+    q = p**k
+    squares = sorted({lam * lam % q for lam in range(q) if lam % p})
+    scalers: list = [None] * q
+    for c_rep in range(q):
+        if scalers[c_rep] is None:
+            for u in squares:
+                x = u * c_rep % q
+                if scalers[x] is None:
+                    scalers[x] = (pow(u, -1, q), c_rep)
+    return tuple(scalers)
 
 
 def _slice_survivors(a: int, b: int, c: int, p: int, k: int, v0: int) -> int:
@@ -449,6 +485,7 @@ def _slice_survivors(a: int, b: int, c: int, p: int, k: int, v0: int) -> int:
     at v1, q0 is v0*v1 + 5*v2^2, d is v0*v1 - (v0 + v1)*(v0 + 2*v1) +
     5*v2^2 and q2 is a*v0^2 + b*v1^2 + c*v2^2, so each is a lookup in
     _survival_masks and the row's survivors are the AND of three masks.
+    _deep_search_mod_pk passes c as its class representative.
     The q0 and d halves, and the unit-v2 restriction, do not depend on the
     triplet and come from _pair_rows, so each row costs one q2 lookup.
     """
@@ -497,26 +534,34 @@ def local_solvability(a: int, b: int, c: int) -> ConditionReport:
     obstructed when a, b, c < 0: then q2 is negative definite, w2^2 = q2
     forces v = 0 and so w = 0.  Otherwise it stays unresolved and
     uncertified.  The primes up to the bound are sieved once at import.
-    Per prime: a smooth F_p-point, found by a walk over P^2(F_p) that
+    Per odd prime: a smooth F_p-point, found by a walk over P^2(F_p) that
     stops at the first one, certifies a Q_p-point by Hensel lifting; no
     F_p-point at a prime of good reduction (not 2, 5 or a divisor of a
     nonsingularity factor, tested only then) certifies failure; otherwise
     a survival count modulo p^k (k capped at 4, scaled to the prime),
     summed over the k+1 unit-scaling orbits of v0, is reported as
-    uncertified survival, or as an obstruction when it is 0.
+    uncertified survival, or as an obstruction when it is 0.  At 2 the
+    count alone decides.  Good reduction, away from 2, 5 and the
+    nonsingularity factors, is the smoothness criterion that
+    tests/test_conditions.py::test_good_reduction_discriminants checks.
     Overall verdict is at best Probable because primes beyond the bound
     are never examined.
 
-    Four process-lifetime caches hold what depends on the prime alone
-    (or on c mod p^k), never on the order triplets come in; each is
-    bounded because p <= PRIME_BOUND and q = p^k <= 125:
+    Five process-lifetime caches hold what depends on the prime alone
+    (or on the unit-square class of c mod p^k), never on the order
+    triplets come in; each is bounded because p <= PRIME_BOUND and
+    q = p^k <= 125:
       _root_tables(p): square roots and sign choices mod p, one per prime;
       _candidate_rows(p): the q0 and d half of the walk, one list per
         prime, filled row by row as walks reach it, at most p + 2 rows;
       _pair_rows(p, k, v0): the q0 and d half of each survival slice,
         k+1 per prime (v0 = 0 or p^j);
+      _square_scalers(p, k): for each c mod q, the unit square taking c
+        to its class's representative, one per prime;
       _survival_masks(p, k, m, r): q ints, one row mask per value, for
-        m = 5 and for each c mod p^k met, so at most q + 2 per prime.
+        m = 5 and for each class representative met, so at most
+        (unit-square classes mod q) + 2 per prime: 12 at 2, 9 at 3, 7 at
+        5, 5 at 7 and 11, and 3 where k = 1.
     """
     rpt = ConditionReport(7, PROBABLE, "", data={})
     places: dict[str, dict] = {}
@@ -534,7 +579,8 @@ def local_solvability(a: int, b: int, c: int) -> ConditionReport:
 
     factors = nonsingularity_factors(a, b, c).values()
     for p in _PRIMES:
-        hit = _smooth_point_mod_p(a, b, c, p)
+        # no point is smooth mod 2 (_rank_is_three), so only the count decides 2
+        hit = None if p == 2 else _smooth_point_mod_p(a, b, c, p)
         if hit is not None and hit["smooth"]:
             places[str(p)] = {"status": "certified", "point": hit["point"]}
             continue

@@ -365,9 +365,9 @@ def test_rank_closed_form_with_one_zero_w(p, triplet, p_divides, v, v_zero, w, w
 
 
 def test_condition7_does_not_depend_on_cache_order():
-    """The process-lifetime caches are shared: triplets with one c share
-    the c-row survival masks, and all triplets share the pair rows and root
-    tables.  Filling them in either order gives the same counts and the
+    """The process-lifetime caches are shared: triplets with c in one
+    unit-square class share the c-row survival masks, and all triplets
+    share the square scalers, pair rows and root tables.  Filling them in either order gives the same counts and the
     pinned reports."""
     from enriq import conditions
 
@@ -378,7 +378,7 @@ def test_condition7_does_not_depend_on_cache_order():
     reports = []
     for order in (triplets, triplets[::-1]):
         for cache in (conditions._survival_masks, conditions._pair_rows,
-                      conditions._root_tables):
+                      conditions._root_tables, conditions._square_scalers):
             cache.cache_clear()
         texts = {}
         for t in order:
@@ -394,7 +394,7 @@ def test_condition7_does_not_depend_on_cache_order():
 
 def test_walk_rows_do_not_depend_on_cache_order():
     """The walk fills its candidate rows lazily, as far as each triplet's
-    walk reaches: after all four condition-(7) caches are cleared, the
+    walk reaches: after all five condition-(7) caches are cleared, the
     oracle triplets forward and then reversed walk to the full-grid
     oracle's point at every prime, the pinned reports hold, and every
     prime keeps at most p + 2 rows, each as a fresh build gives it.  No
@@ -405,7 +405,8 @@ def test_walk_rows_do_not_depend_on_cache_order():
     expected = {(t, p): _reference_smooth_point(*t, p) for t in ORACLE_TRIPLETS for p in primes}
     for order in (ORACLE_TRIPLETS, ORACLE_TRIPLETS[::-1]):
         for cache in (conditions._candidate_rows, conditions._root_tables,
-                      conditions._pair_rows, conditions._survival_masks):
+                      conditions._pair_rows, conditions._survival_masks,
+                      conditions._square_scalers):
             cache.cache_clear()
         for t in order:
             for p in primes:
@@ -461,6 +462,93 @@ def test_deep_search_builds_one_slice_per_orbit(monkeypatch):
     monkeypatch.setattr(conditions, "_slice_survivors", counting)
     assert _deep_search_mod_pk(1635, 1315, 408, 5, 3) == _reference_deep_search(1635, 1315, 408, 5, 3)
     assert sorted(built) == [0, 1, 5, 25]
+
+
+def _unit_square_classes(p, k):
+    """The classes of c mod q = p^k under c -> lam^2 * c, lam a unit, each
+    as a sorted list."""
+    q = p**k
+    squares = {lam * lam % q for lam in range(q) if lam % p}
+    return sorted({tuple(sorted({u * c % q for u in squares})) for c in range(q)})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_rescaled_c_matches_full_grid(p):
+    """The count runs on (s*a, s*b, c_rep) for the unit square s taking c to
+    its class's least element; in every class, p | c at each valuation
+    included, a c other than c_rep counts as the full grid does."""
+    from enriq import conditions
+
+    k = _deep_modulus_exponent(p)
+    q = p**k
+    scalers = conditions._square_scalers(p, k)
+    for n, cls in enumerate(_unit_square_classes(p, k)):
+        c = cls[-1]
+        s, c_rep = scalers[c]
+        assert c_rep == cls[0] and s * c % q == c_rep
+        assert s in {lam * lam % q for lam in range(q) if lam % p}
+        a, b = ORACLE_TRIPLETS[n % len(ORACLE_TRIPLETS)][:2]
+        for triplet in ((a, b, c), (b - a, 7 * a, c - 3 * q)):
+            assert _deep_search_mod_pk(*triplet, p, k) == _reference_deep_search(*triplet, p, k), triplet
+
+
+@pytest.mark.parametrize("p, classes", [(2, 12), (3, 9), (5, 7), (7, 5), (11, 5), (13, 3)])
+def test_survival_masks_one_per_unit_square_class(p, classes):
+    """Every c mod p^k leaves at most one c-row mask table per unit-square
+    class, beside the q0 and d tables."""
+    from enriq import conditions
+
+    k = _deep_modulus_exponent(p)
+    assert len(_unit_square_classes(p, k)) == classes
+    conditions._survival_masks.cache_clear()
+    for c in range(p**k):
+        _deep_search_mod_pk(*WITNESS[:2], c, p, k)
+    assert conditions._survival_masks.cache_info().currsize <= classes + 2
+
+
+def test_good_reduction_discriminants():
+    """Y mod p is smooth at every p not 2 or 5 dividing no nonsingularity
+    factor.  Y covers P^2 branched along the conics C0: q0 = 0,
+    C1: q0 - q1 = 0 and C2: q2 = 0, and away from 2 and 5 it is smooth iff
+    each conic is smooth, each pair meets transversally (the pencil's
+    cubic det(lam*A + B) has distinct roots) and no point lies on all
+    three.  sympy recomputes the determinants, the three discriminants and
+    the product of q2 over the four points of C0 and C1, and each is the
+    stated product of factors times powers of 2 and 5."""
+    import sympy
+
+    a, b, c, lam = sympy.symbols("a b c lam")
+    v = sympy.symbols("v0:3")
+    q0 = v[0] * v[1] + 5 * v[2] ** 2
+    q1 = (v[0] + v[1]) * (v[0] + 2 * v[1])
+    q2 = a * v[0] ** 2 + b * v[1] ** 2 + c * v[2] ** 2
+    f = nonsingularity_factors(a, b, c)
+    conics = [sympy.hessian(q, v) / 2 for q in (q0, q0 - q1, q2)]
+
+    def discriminant(i, j):
+        return sympy.discriminant(sympy.expand((lam * conics[i] + conics[j]).det()), lam)
+
+    points = sympy.solve([q0.subs(v[2], 1), q1.subs(v[2], 1)], v[:2], dict=True)
+    assert len(points) == 4
+    computed = [m.det() for m in conics] + [discriminant(0, 1), discriminant(0, 2),
+                                            discriminant(1, 2)]
+    computed.append(sympy.prod(q2.subs(pt).subs(v[2], 1) for pt in points))
+    half = sympy.Rational(1, 2)
+    expected = [
+        -5 * half**2,
+        5,
+        f["a*b*c"],
+        5**4 * half**3,
+        a * b * f["c^2-100ab"] ** 2 * half**4,
+        f["4a^2+b^2"] * f["c^2+5bc+10ac+25ab"] ** 2,
+        f["5a+5b+c"] ** 2 * f["20a+5b+2c"] ** 2 * half**2,
+    ]
+    for got, want in zip(computed, expected):
+        assert sympy.expand(got - want) == 0, (got, want)
+    # every factor is needed: each irreducible factor of the six divides one
+    # of the quantities, and the quantities have no other factor
+    irreducible = {g for q in expected[2:] for g, _ in sympy.factor_list(q)[1]}
+    assert irreducible == {g for x in f.values() for g, _ in sympy.factor_list(x)[1]}
 
 
 #: sha256 of json.dumps(local_solvability(*triplet).to_dict(), sort_keys=True),

@@ -5,9 +5,12 @@ and K(a, b, c) = K(t^2 a, t^2 b, t^2 c): every radicand of the tower is
 homogeneous of weight t^2 or t^4, and each new root is t or t^2 times
 the old one.  So every stage that depends on the triplet only through
 the surface or the field gives the same answers at both triplets.
-Conditions (1)-(6) need not, and condition (7) as implemented today
-decides places p | t differently, so it is left out.
+Conditions (1)-(6) need not.  Condition (7) as implemented today decides
+places p | t differently, so there the test asks only that no place is
+certified at one triplet and obstructed at the other.
 """
+
+import random
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -43,3 +46,34 @@ def test_scaled_triplet_gives_the_same_field_and_surface_answers(a, b, c, t):
     assume(conditions.is_nonsingular(a, b, c))
     s = t * t
     assert _stages(a, b, c) == _stages(s * a, s * b, s * c)
+
+
+def _scaled_pairs(n=150):
+    """n nonsingular triplets from [-300, 300]^3 with a fixed seed, each
+    paired with every t in {2, 3, 5, 7}."""
+    rng = random.Random(1504)
+    triplets = []
+    while len(triplets) < n:
+        triplet = tuple(rng.randint(-300, 300) for _ in range(3))
+        if conditions.is_nonsingular(*triplet):
+            triplets.append(triplet)
+    return [(triplet, t) for triplet in triplets for t in (2, 3, 5, 7)]
+
+
+def test_condition7_places_agree_on_scaled_triplets():
+    """No place is certified at (a, b, c) and obstructed at t^2 (a, b, c),
+    or the other way round; at the real place and every p not dividing t
+    the status, modulus and survivor count agree (the point itself need
+    not: the walk may meet another w2)."""
+    for triplet, t in _scaled_pairs():
+        s = t * t
+        places = conditions.local_solvability(*triplet).data["places"]
+        scaled = conditions.local_solvability(*(s * x for x in triplet)).data["places"]
+        assert places.keys() == scaled.keys()
+        for key, info in places.items():
+            statuses = {info["status"], scaled[key]["status"]}
+            assert statuses != {"certified", "obstructed"}, (triplet, t, key)
+            if key == "real" or t % int(key):
+                fields = ("status", "modulus", "survivors")
+                assert ([info.get(f) for f in fields]
+                        == [scaled[key].get(f) for f in fields]), (triplet, t, key)
