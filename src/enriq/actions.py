@@ -11,9 +11,10 @@ Galois group of the splitting field by three columns:
 * ``weier`` — the induced permutation of the Weierstrass points, as 2-cycles.
 
 Everything not listed is fixed.  :func:`tower_automorphism` turns the field
-column into a validated automorphism of a concrete tower, which is how the
-rest of the package derives subgroup membership (e.g. which rows act
-trivially on a given subfield) instead of hard-coding it.
+column into an automorphism of a concrete tower (``TowerAuto.validate``
+checks it), which is how the rest of the package derives subgroup
+membership (e.g. which rows act trivially on a given subfield) instead of
+hard-coding it.
 """
 
 from __future__ import annotations
@@ -94,28 +95,26 @@ def rows_by_name() -> dict[str, GaloisRow]:
     return {row.name: row for row in load_rows()}
 
 
-def tower_automorphism(tower: Tower, row: GaloisRow, *, validate: bool = True) -> TowerAuto:
+def tower_automorphism(tower: Tower, row: GaloisRow) -> TowerAuto:
     """Realize a table row as an automorphism of ``tower``.
 
     Only the listed roots that are actual steps of the tower get non-identity
     images; image expressions may refer to any named element of the tower
-    (derived roots included).  With ``validate`` the squares of all root
-    images are checked against the mapped radicands.
+    (derived roots included).  The images are not checked here: the result's
+    ``validate`` checks the squares of all root images against the mapped
+    radicands.
     """
     images: dict[str, TowerElem] = {}
     for step_name in tower.step_names():
         expr = row.field_map.get(step_name)
         if expr is not None:
             images[step_name] = tower_expr(tower, expr)
-    auto = TowerAuto(tower, images, label=row.name, validate=False)
-    if validate:
-        auto.validate()
-    return auto
+    return TowerAuto(tower, images, label=row.name, validate=False)
 
 
 def fixes_element(tower: Tower, row: GaloisRow, name: str) -> bool:
     elem = tower.named[name]
-    return tower_automorphism(tower, row, validate=False)(elem) == elem
+    return tower_automorphism(tower, row)(elem) == elem
 
 
 def rows_fixing(tower: Tower, names: Iterable[str]) -> list[GaloisRow]:
@@ -127,7 +126,7 @@ def rows_fixing(tower: Tower, names: Iterable[str]) -> list[GaloisRow]:
     names = list(names)
     out = []
     for row in load_rows():
-        auto = tower_automorphism(tower, row, validate=False)
+        auto = tower_automorphism(tower, row)
         if all(auto(tower.named[n]) == tower.named[n] for n in names):
             out.append(row)
     return out

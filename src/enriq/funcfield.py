@@ -18,7 +18,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import arith
 from .towers import Tower, TowerElem, parse_element
@@ -714,7 +714,10 @@ class ResidueField:
     holding a root ``beta`` of the place polynomial).  ``class_field`` is
     the coefficient field residue values live in -- the place's own field,
     or the residue tower -- and its ``coerce`` is the one way a scalar
-    enters the residue field.
+    enters the residue field.  ``fibre_field`` is k(res)(x), the field of
+    the brute-force vertical residues on the ruled surface: rational
+    functions over a copy of ``class_field`` that prints its polynomials
+    in x.
     """
 
     def __init__(self, place: Place, kind: str, *, tower=None, beta=None, root=None):
@@ -724,6 +727,9 @@ class ResidueField:
         self.beta = beta
         self.root = root
         self.class_field = place.field if tower is None else TowerCoefficients(tower)
+        coeff = object.__new__(type(self.class_field))
+        coeff.__dict__.update(vars(self.class_field), poly_var="x")
+        self.fibre_field = RationalFunctions("res", coeff)
 
     @classmethod
     def of(cls, place: Place) -> "ResidueField":

@@ -297,7 +297,6 @@ def weierstrass_report(a, b, c, *, tower: Optional[Tower] = None) -> dict:
             "P2", (tuple(tower_expr(tw, text, env) for text in entry["coords"]),)
         )
         solved = _solve_two_lines(lines, tw)
-        values = dict(enumerate(solved.blocks[0]))
         rows.append(
             {
                 "point": name,
@@ -607,7 +606,7 @@ def induced_point_permutations(
 
     out: dict[str, dict[str, str]] = {}
     for row in load_rows():
-        auto = tower_automorphism(tw, row, validate=False)
+        auto = tower_automorphism(tw, row)
         perm: dict[str, str] = {}
         for name, key in keys.items():
             target = lookup.get(tuple(auto(z) for z in key))

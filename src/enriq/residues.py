@@ -12,7 +12,9 @@ The heart of the package's unramified-class computations.  Three layers:
   declared function, the section at infinity carries its norm, vertical
   fibers are cleared slot by slot against powers of the fiber polynomial)
   and once by brute force through Gauss valuations.  The two routes are
-  independently coded and compared place by place;
+  independently coded and compared place by place: the brute-force route
+  and the symbol residues share one tame-residue kernel (:func:`_tame`),
+  while the structured route keeps its own closed forms;
 
 * Faddeev reconstruction: given target residue classes at places of the
   t-line (degree <= 2 or infinity), either build an explicit symbol sum
@@ -256,37 +258,45 @@ def _unit_part(fn: RatFunc, place: Place, v: int) -> RatFunc:
     return fn * pi ** (-v)
 
 
-def residue_symbol(sym: FunctionFieldSymbol, place: Place) -> SquareClass:
-    """Tame residue of ``(f, g)`` at a place of the projective line.
+def _tame(sym: FunctionFieldSymbol, a: int, b: int, unit, value):
+    """``value`` times the tame residue ``(-1)^{ab} f^b g^{-a}`` of
+    ``(f, g)``, where a and b are the valuations of f and g at the place
+    and ``unit(h, v)`` reduces the unit part of h, of valuation v, into
+    the residue field.
 
-    The class of ``(-1)^{v(f)v(g)} f^{v(g)} g^{-v(f)}`` reduced at the
-    place.  The unit parts are reduced *before* exponentiation: writing
-    u = f pi^{-v(f)} and w = g pi^{-v(g)}, the reduction of the full
-    expression is u-bar^{v(g)} w-bar^{-v(f)}, and only the exponent
-    parities matter for the square class.  This keeps the arithmetic in
-    the residue field instead of building huge function-field powers.
+    The unit parts are reduced *before* exponentiation: writing
+    u = f pi^{-a} and w = g pi^{-b}, the reduction of the full expression
+    is u-bar^b w-bar^{-a}, and only the exponent parities matter for the
+    square class.  So u is reduced when b is odd, w when a is odd, and the
+    sign applies when both are.  This keeps the arithmetic in the residue
+    field instead of building huge function-field powers.
     """
-    a = valuation(sym.f, place)
-    b = valuation(sym.g, place)
-    rf = place.residue_field()
-    field = rf.class_field
-    if a == 0 and b == 0:
-        return SquareClass.trivial(field)
-    value = field.one()
     if b % 2:
-        value = value * rf.reduce(_unit_part(sym.f, place, a))
+        value = value * unit(sym.f, a)
     if a % 2:
-        value = value * rf.reduce(_unit_part(sym.g, place, b))
+        value = value * unit(sym.g, b)
     if (a * b) % 2:
         value = -value
-    return SquareClass(field, value)
+    return value
+
+
+def residue_symbol(sym: FunctionFieldSymbol, place: Place) -> SquareClass:
+    """Tame residue of ``(f, g)`` at a place of the projective line: the
+    class of ``(-1)^{v(f)v(g)} f^{v(g)} g^{-v(f)}`` reduced at the place
+    (:func:`_tame`)."""
+    rf = place.residue_field()
+
+    def unit(fn: RatFunc, v: int):
+        return rf.reduce(_unit_part(fn, place, v))
+
+    value = _tame(sym, valuation(sym.f, place), valuation(sym.g, place),
+                  unit, rf.class_field.one())
+    return SquareClass(rf.class_field, value)
 
 
 def _as_symbol_list(syms) -> list[FunctionFieldSymbol]:
     if isinstance(syms, FunctionFieldSymbol):
         return [syms]
-    if isinstance(syms, SymbolSum):
-        return list(syms)
     return list(syms)
 
 
@@ -374,27 +384,6 @@ def gauss_valuation(F: RatFunc, tplace: Place) -> int:
     return _poly_gauss(F.num, tplace) - _poly_gauss(F.den, tplace)
 
 
-def _vertical_fields(rf):
-    """(coefficient adapter, x-level adapter) for the residue field."""
-    cached = getattr(rf, "_vertical_fields", None)
-    if cached is not None:
-        return cached
-    if rf.kind == "quadratic":
-        coeff = TowerCoefficients(rf.tower)
-    else:
-        base = rf.place.field
-        if isinstance(base, RationalField):
-            coeff = RationalField()
-        elif isinstance(base, TowerCoefficients):
-            coeff = TowerCoefficients(base.tower)
-        else:  # pragma: no cover - vertical places live on the t-line
-            raise TypeError(f"unexpected base field {base!r}")
-    coeff.poly_var = "x"
-    fields = (coeff, RationalFunctions("res", coeff))
-    rf._vertical_fields = fields
-    return fields
-
-
 def _uniformizer(tplace: Place) -> RatFunc:
     if tplace.is_infinite:
         return RatFunc.constant(tplace.field, 1) / RatFunc.variable(tplace.field)
@@ -415,7 +404,7 @@ def _reduce_coefficient(c: RatFunc, tplace: Place, rf, coeff_field):
 def gauss_reduce(F: RatFunc, tplace: Place) -> RatFunc:
     """Reduce a Gauss-unit of k(t)(x) into k(residue)(x)."""
     rf = tplace.residue_field()
-    coeff_field, _ = _vertical_fields(rf)
+    coeff_field = rf.fibre_field.base
     mn = _poly_gauss(F.num, tplace)
     md = _poly_gauss(F.den, tplace)
     if mn != md:
@@ -435,34 +424,26 @@ def gauss_reduce(F: RatFunc, tplace: Place) -> RatFunc:
 def vertical_residue(syms, tplace: Place) -> SquareClass:
     """Brute-force vertical residue of a symbol sum at a fiber of the t-line.
 
-    Returns a square class of k(residue)(x); the class of a corestricted
-    sum is expected to be constant (i.e. come from k(residue)), and the
-    profile machinery flags it when it is not.
+    Returns a square class of k(residue)(x), the residue field's
+    ``fibre_field``; the class of a corestricted sum is expected to be
+    constant (i.e. come from k(residue)), and the profile machinery flags
+    it when it is not.
 
-    Each symbol ``(f, g)`` contributes ``(-1)^{ab} f^b g^{-a}`` reduced at
-    the fiber, where a and b are the Gauss valuations of f and g.  As in
-    :func:`residue_symbol`, the unit parts are reduced before any power
-    is taken: with pi a uniformizer of the t-place,
-    ``f^b g^{-a} = (f pi^{-a})^b (g pi^{-b})^{-a}``, both factors are
-    Gauss units, and only the parities of a and b matter for the square
-    class.  So ``f pi^{-a}`` is reduced when b is odd, ``g pi^{-b}`` when a
-    is odd, and the sign applies when both are.  Nothing here uses the
+    Each symbol ``(f, g)`` contributes the tame residue of :func:`_tame`,
+    with a and b the Gauss valuations of f and g and the unit parts,
+    Gauss units, reduced by :func:`gauss_reduce`.  Nothing here uses the
     structure of the corestriction.
     """
-    syms = _as_symbol_list(syms)
-    rf = tplace.residue_field()
-    coeff_field, x_field = _vertical_fields(rf)
-    total = RatFunc.constant(coeff_field, 1)
-    for sym in syms:
-        a = gauss_valuation(sym.f, tplace)
-        b = gauss_valuation(sym.g, tplace)
-        if b % 2:
-            total = total * gauss_reduce(_unit_part(sym.f, tplace, a), tplace)
-        if a % 2:
-            total = total * gauss_reduce(_unit_part(sym.g, tplace, b), tplace)
-        if (a * b) % 2:
-            total = -total
-    return SquareClass(x_field, total)
+    field = tplace.residue_field().fibre_field
+
+    def unit(fn: RatFunc, v: int) -> RatFunc:
+        return gauss_reduce(_unit_part(fn, tplace, v), tplace)
+
+    total = field.one()
+    for sym in _as_symbol_list(syms):
+        total = _tame(sym, gauss_valuation(sym.f, tplace),
+                      gauss_valuation(sym.g, tplace), unit, total)
+    return SquareClass(field, total)
 
 
 # ==========================================================================
@@ -832,25 +813,23 @@ def _horizontal_residues(cover, syms: SymbolSum, places: Sequence[Place]):
 
 
 def _kummer_branch_residue(cover: KummerCover, syms, place: Place) -> SquareClass:
-    """Residue at the irreducible branch place of a Kummer cover, realised
-    through the rational parametrisation of the branch curve."""
-    out = SquareClass.trivial(cover.s_field)
+    """Residue at the irreducible branch place of a Kummer cover: the tame
+    residue of :func:`_tame`, with the unit parts reduced through the
+    rational parametrisation of the branch curve."""
+
+    def unit(fn: RatFunc, v: int) -> RatFunc:
+        return _kummer_reduce(cover, _unit_part(fn, place, v))
+
+    value = cover.s_field.one()
     for sym in syms:
-        a = valuation(sym.f, place)
-        b = valuation(sym.g, place)
-        if a == 0 and b == 0:
-            continue
-        u = sym.f ** b * sym.g ** (-a)
-        if (a * b) % 2:
-            u = -u
-        out = out * SquareClass(cover.s_field, _kummer_reduce(cover, u, place))
-    return out
+        value = _tame(sym, valuation(sym.f, place), valuation(sym.g, place),
+                      unit, value)
+    return SquareClass(cover.s_field, value)
 
 
-def _kummer_reduce(cover: KummerCover, u: RatFunc, place: Place) -> RatFunc:
-    """Evaluate a unit of k(t)(x) at x = x(s), t = t(s)."""
-    if valuation(u, place) != 0:
-        raise ValueError(f"{u} is not a unit at the branch place")
+def _kummer_reduce(cover: KummerCover, u: RatFunc) -> RatFunc:
+    """Evaluate a unit of k(t)(x) at the branch place in k(s): at
+    x = x(s), t = t(s)."""
 
     def eval_poly(p: Poly) -> RatFunc:
         acc = RatFunc.constant(QQ, 0)
@@ -909,12 +888,11 @@ def _structured(cover, func: DeclaredFunction,
 
 def _structured_vertical(cover, func: DeclaredFunction,
                          tplace: Place) -> Optional[SquareClass]:
-    """One fiber of route A: the constant class there, or None when no
-    slot leaves one."""
+    """One fiber of route A: the constant class there, a class of the
+    residue field, or None when no slot leaves one."""
     if isinstance(cover, KummerCover):
         return _kummer_vertical(cover, func.base, tplace)
     rf = tplace.residue_field()
-    coeff_field, x_field = _vertical_fields(rf)
     finite_groups: dict = {}
     total = None
 
@@ -925,22 +903,18 @@ def _structured_vertical(cover, func: DeclaredFunction,
         if pole == 0:
             if m == 0:
                 continue
-            if va is None or va > 0:
-                abar = coeff_field.zero()
-            else:
-                abar = coeff_field.coerce(rf.reduce(a))
+            abar = rf.class_field.zero() if va is None or va > 0 else rf.reduce(a)
             key = _residue_key(abar)
             finite_groups.setdefault(key, [abar, 0])
             finite_groups[key][1] += m
             continue
         # slot over the section at infinity: clear the pole against p^mu
-        pi = _uniformizer(tplace)
-        u_ell = rf.reduce(ell * pi ** (-m))
-        v_a = rf.reduce(-a * pi ** pole)
-        term = coeff_field.coerce(u_ell) ** (pole % 2) * coeff_field.coerce(v_a) ** (m % 2)
+        u_ell = rf.reduce(_unit_part(ell, tplace, m))
+        v_a = rf.reduce(-_unit_part(a, tplace, va))
+        term = u_ell ** (pole % 2) * v_a ** (m % 2)
         if (pole * m) % 2:
             term = -term
-        cls = SquareClass(coeff_field, term)
+        cls = SquareClass(rf.class_field, term)
         total = cls if total is None else total * cls
 
     odd = [abar for abar, mult in finite_groups.values() if mult % 2]
@@ -951,9 +925,7 @@ def _structured_vertical(cover, func: DeclaredFunction,
             f"constant: odd total multiplicity at {points}; the function "
             f"violates the divisor-parity condition on this fiber"
         )
-    if total is None:
-        return None
-    return SquareClass(x_field, RatFunc.constant(coeff_field, total.value))
+    return total
 
 
 def _kummer_vertical(cover: KummerCover, ell: RatFunc,
@@ -974,15 +946,14 @@ def _kummer_vertical(cover: KummerCover, ell: RatFunc,
             )
         return None
     rf = tplace.residue_field()
-    coeff_field, x_field = _vertical_fields(rf)
-    value = coeff_field.one()
+    value = rf.class_field.one()
     if b % 2:
-        value = value * coeff_field.coerce(rf.reduce(_unit_part(ell, tplace, a)))
+        value = value * rf.reduce(_unit_part(ell, tplace, a))
     if a % 2:
-        value = value * coeff_field.coerce(rf.reduce(-_unit_part(cover.m, tplace, b)))
+        value = value * rf.reduce(-_unit_part(cover.m, tplace, b))
     if (a * b) % 2:
         value = -value
-    return SquareClass(x_field, RatFunc.constant(coeff_field, value))
+    return SquareClass(rf.class_field, value)
 
 
 def _residue_key(value):
@@ -1522,26 +1493,15 @@ def repair_spec(spec: ResidueSpec, place: Place, *, search_bound: int = 25) -> R
         out.entries[place] = spec.base.coerce(value) * obstruction.value
         return out
     rf = place.residue_field()
-    u = place.poly.coeff(1)
-    v = place.poly.coeff(0)
     target = obstruction.value
     for size in range(1, search_bound + 1):
         for a_part in range(-size, size + 1):
             for b_part in range(-size, size + 1):
                 if abs(a_part) != size and abs(b_part) != size:
                     continue
-                if a_part == 0 and b_part == 0:
-                    continue
-                norm = (
-                    Fraction(a_part) ** 2
-                    - Fraction(a_part) * Fraction(b_part) * u
-                    + Fraction(b_part) ** 2 * v
-                )
-                if spec.base.is_zero(spec.base.coerce(norm)):
-                    continue
-                ratio = spec.base.coerce(norm) * target
+                elem = rf.class_field.coerce(a_part) + rf.beta * b_part
+                ratio = spec.base.coerce(rf.norm_to_base(elem)) * target
                 if SquareClass(spec.base, ratio).is_trivial():
-                    elem = rf.class_field.coerce(a_part) + rf.beta * b_part
                     out.entries[place] = value * elem
                     return out
     raise FaddeevRepairError(

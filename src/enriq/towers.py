@@ -29,7 +29,7 @@ import json
 import weakref
 from fractions import Fraction
 from math import prod
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 from .arith import MR_BOUND, factorize, is_prime, rational_is_square, rational_sqrt
 from .f2 import express

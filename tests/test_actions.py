@@ -73,7 +73,7 @@ def test_point_permutations_never_mix_the_two_tails():
 
 def test_all_field_columns_validate_on_witness_tower(k_tower_witness):
     for row in load_rows():
-        tower_automorphism(k_tower_witness, row)  # validate=True raises on mismatch
+        tower_automorphism(k_tower_witness, row).validate()  # raises on mismatch
 
 
 def test_moves_root_and_fixes_element(k_tower_witness):

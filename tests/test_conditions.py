@@ -551,6 +551,71 @@ def test_good_reduction_discriminants():
     assert irreducible == {g for x in f.values() for g, _ in sympy.factor_list(x)[1]}
 
 
+@st.composite
+def _good_reductions(draw):
+    """p in {3, 7, 11} and a triplet in [-30, 30]^3 with p dividing no
+    nonsingularity factor."""
+    p = draw(st.sampled_from([3, 7, 11]))
+    triplet = draw(st.tuples(*[st.integers(-30, 30)] * 3).filter(
+        lambda t: all(f % p for f in nonsingularity_factors(*t).values())))
+    return p, triplet
+
+
+@settings(max_examples=6, deadline=None)
+@given(_good_reductions())
+def test_good_reduction_has_transversal_branch_conics_over_fp2(case):
+    """Brute force over F_{p^2} = F_p[i]/(i^2 + 1), in plain modular
+    arithmetic: at every point v of P^2, the branch conics C0: q0,
+    C1: q0 - q1 and C2: q2 through v have linearly independent gradients,
+    so Y mod p is smooth over v (test_good_reduction_discriminants gives
+    the argument).  Elements of F_{p^2} are pairs (x, y) = x + y*i."""
+    p, (a, b, c) = case
+
+    def add(*zs):
+        return sum(z[0] for z in zs) % p, sum(z[1] for z in zs) % p
+
+    def mul(z, w):
+        return (z[0] * w[0] - z[1] * w[1]) % p, (z[0] * w[1] + z[1] * w[0]) % p
+
+    def scale(k, z):
+        return k * z[0] % p, k * z[1] % p
+
+    def det3(m):
+        terms = []
+        for (i, j, k), sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                                ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1)):
+            terms.append(scale(sign, mul(m[0][i], mul(m[1][j], m[2][k]))))
+        return add(*terms)
+
+    zero, one = (0, 0), (1, 0)
+    elems = [(x, y) for x in range(p) for y in range(p)]
+    points = ([(one, y, z) for y in elems for z in elems]
+              + [(zero, one, z) for z in elems] + [(zero, zero, one)])
+    for v0, v1, v2 in points:
+        q0 = add(mul(v0, v1), scale(5, mul(v2, v2)))
+        q1 = mul(add(v0, v1), add(v0, scale(2, v1)))
+        q2 = add(scale(a, mul(v0, v0)), scale(b, mul(v1, v1)), scale(c, mul(v2, v2)))
+        # gradients of q0, q0 - q1 and q2; Euler's relation ties each to v
+        grads = []
+        if q0 == zero:
+            grads.append((v1, v0, scale(10, v2)))
+        if add(q0, scale(-1, q1)) == zero:
+            grads.append((scale(-2, add(v0, v1)), scale(-2, add(v0, scale(2, v1))),
+                          scale(10, v2)))
+        if q2 == zero:
+            grads.append((scale(2 * a, v0), scale(2 * b, v1), scale(2 * c, v2)))
+        if len(grads) == 1:
+            assert grads[0] != (zero, zero, zero), (v0, v1, v2)
+        elif len(grads) == 2:
+            # two vectors are independent iff some 2x2 minor is nonzero
+            (g0, g1) = grads
+            minors = [add(mul(g0[i], g1[j]), scale(-1, mul(g0[j], g1[i])))
+                      for i, j in ((0, 1), (0, 2), (1, 2))]
+            assert any(m != zero for m in minors), (v0, v1, v2)
+        elif len(grads) == 3:
+            assert det3(grads) != zero, (v0, v1, v2)
+
+
 #: sha256 of json.dumps(local_solvability(*triplet).to_dict(), sort_keys=True),
 #: recorded with the full-grid searches.
 PINNED_REPORTS = {

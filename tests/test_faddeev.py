@@ -188,6 +188,22 @@ def test_repair_at_degree_two_place_when_the_class_is_a_norm():
     assert res["status"] == "reconstructed" and res["roundtrip_ok"]
 
 
+def test_repair_picks_an_element_of_the_norm_by_hand():
+    """At t^2 + t - 1 (u = 1, v = -1) the obstruction is [5]; the first
+    small A + B*beta whose norm A^2 - A*B*u + B^2*v lies in [5] is
+    -2 + beta, of norm 4 + 2 - 1 = 5."""
+    place = Place.finite(Poly(QQ, [-1, 1, 1]))
+    spec = ResidueSpec().add(place, (1, 0)).add(INF, 5)
+    fixed = repair_spec(spec, place)
+    rf = place.residue_field()
+    chosen = fixed.entries[place]
+    a_part, b_part = rf.coordinates(chosen)
+    assert (a_part, b_part) == (-2, 1)
+    u, v = place.poly.coeff(1), place.poly.coeff(0)
+    assert rf.norm_to_base(chosen) == a_part**2 - a_part * b_part * u + b_part**2 * v == 5
+    assert faddeev_obstruction(fixed).is_trivial()
+
+
 def test_repair_fails_honestly_when_the_class_is_not_a_norm():
     # [-3] is not a norm from Q(sqrt 2): the local symbol (-3, 2) at 3
     # is -1. The repair search must come back empty-handed.

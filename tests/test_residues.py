@@ -187,8 +187,8 @@ def test_vertical_residue_of_even_pair_is_constant():
 def _vertical_residue_by_powers(syms, tplace):
     """The exponentiate-then-reduce form of the vertical residue: build
     (-1)^{ab} f^b g^{-a} in k(t)(x), then reduce it at the fiber."""
-    coeff_field, x_field = residues._vertical_fields(tplace.residue_field())
-    total = RatFunc.constant(coeff_field, 1)
+    x_field = tplace.residue_field().fibre_field
+    total = RatFunc.constant(x_field.base, 1)
     for sym in syms:
         a = gauss_valuation(sym.f, tplace)
         b = gauss_valuation(sym.g, tplace)
@@ -429,19 +429,48 @@ def test_kummer_route_a_never_calls_route_b(desks, monkeypatch):
     ramification_profile(desk.cover, desk.functions["t"])
 
 
-@pytest.mark.parametrize("m,x_of_s,t_of_s", [
+def test_route_a_never_reaches_the_tame_kernel(desks, monkeypatch):
+    """Route A keeps its own closed forms on every desk function, so
+    compare_routes compares two independently coded routes: it runs with
+    the tame kernel and every route-B residue patched to raise."""
+    def route_b(*args):
+        raise AssertionError("route B reached")
+
+    for name in ("_tame", "residue_symbol", "vertical_residue", "_kummer_branch_residue"):
+        monkeypatch.setattr(residues, name, route_b)
+    for desk in desks.values():
+        for func in desk.functions.values():
+            try:
+                ramification_profile(desk.cover, func)
+            except ResidueParityError:
+                pass
+    # the patch is live: route B does reach it
+    desk = desks["kummer-line"]
+    with pytest.raises(AssertionError, match="route B reached"):
+        expanded_symbol_profile(desk.cover, desk.functions["t"])
+
+
+KUMMER_COVERS = [
     ("t", "s", "s**2"),
     ("2*t", "2*s", "2*s**2"),
     ("-1/t", "s", "-1/s**2"),
     ("t**2 + t", "s/(s**2 - 1)", "1/(s**2 - 1)"),
-])
-@pytest.mark.parametrize("ell", ["3", "t", "-2/t", "3*t**3", "t**2 + t", "(t + 1)/t**2"])
+]
+KUMMER_SECTIONS = ["3", "t", "-2/t", "3*t**3", "t**2 + t", "(t + 1)/t**2"]
+
+
+def _kummer_cover(m, x_of_s, t_of_s):
+    return KummerCover(parse_ratfunc(m, "t", QQ), x_of_s=parse_ratfunc(x_of_s, "s", QQ),
+                       t_of_s=parse_ratfunc(t_of_s, "s", QQ))
+
+
+@pytest.mark.parametrize("m,x_of_s,t_of_s", KUMMER_COVERS)
+@pytest.mark.parametrize("ell", KUMMER_SECTIONS)
 def test_kummer_fibers_agree_with_route_b(m, x_of_s, t_of_s, ell):
     """Route A's closed form on Kummer fibers against route B's Gauss
     valuations: equal classes, or a parity failure where route B leaves a
     class that is not constant."""
-    cover = KummerCover(parse_ratfunc(m, "t", QQ), x_of_s=parse_ratfunc(x_of_s, "s", QQ),
-                        t_of_s=parse_ratfunc(t_of_s, "s", QQ))
+    cover = _kummer_cover(m, x_of_s, t_of_s)
     ell = parse_ratfunc(ell, "t", QQ)
     func = DeclaredFunction(
         base=ell, divisor=[(None, p, k) for p, k in support_places(ell).items()])
@@ -452,6 +481,55 @@ def test_kummer_fibers_agree_with_route_b(m, x_of_s, t_of_s, ell):
         assert "at t + 1 is not constant" in str(exc)
         fiber = expanded_symbol_profile(cover, func).entry(SurfacePlace("t", T1))
         assert str(fiber).startswith("x^2 ")
+
+
+def _kummer_branch_by_powers(cover, syms, place):
+    """The exponentiate-then-reduce form of the branch residue: build
+    (-1)^{ab} f^b g^{-a} in k(t)(x), then evaluate it at x = x(s),
+    t = t(s)."""
+    def at_branch(p):
+        acc = RatFunc.constant(QQ, 0)
+        for c in reversed(p.coeffs):
+            acc = acc * cover.x_of_s + cover.branch_reduce(c)
+        return acc
+
+    out = SquareClass.trivial(cover.s_field)
+    for sym in syms:
+        a = valuation(sym.f, place)
+        b = valuation(sym.g, place)
+        if a == 0 and b == 0:
+            continue
+        u = sym.f ** b * sym.g ** (-a)
+        if (a * b) % 2:
+            u = -u
+        out = out * SquareClass(cover.s_field, at_branch(u.num) / at_branch(u.den))
+    return out
+
+
+@st.composite
+def kummer_branch_symbols(draw):
+    """A Kummer cover and one or two symbols whose slots are a section
+    function times a power of h = x^2 - m, sometimes times a unit at the
+    branch curve, so both valuations there take either parity."""
+    cover = _kummer_cover(*draw(st.sampled_from(KUMMER_COVERS)))
+    h = RatFunc.from_poly(cover.h_poly())
+
+    def slot():
+        ell = RatFunc.constant(XCOEFF, parse_ratfunc(draw(st.sampled_from(KUMMER_SECTIONS)), "t", QQ))
+        fn = ell * h ** draw(st.integers(-1, 2))
+        unit = draw(st.sampled_from([None, "x + 1", "t*x + 1", "x - t"]))
+        return fn if unit is None else fn * _surface_function(unit) ** draw(st.sampled_from([1, -1]))
+
+    syms = [FunctionFieldSymbol(slot(), slot()) for _ in range(draw(st.integers(1, 2)))]
+    return cover, syms
+
+
+@given(kummer_branch_symbols())
+def test_kummer_branch_residue_matches_exponentiate_then_reduce(case):
+    cover, syms = case
+    place = cover.branch_place()
+    got = residues._kummer_branch_residue(cover, syms, place)
+    assert got.same_class(_kummer_branch_by_powers(cover, syms, place))
 
 
 def test_constant_desk_profile(desks):

@@ -522,7 +522,7 @@ def test_apply_on_fixed_negated_and_moved_roots_matches_the_root_images(case):
 def test_every_table_row_maps_every_named_element_as_its_root_images(k_tower_witness):
     k = k_tower_witness
     for row in actions.load_rows():
-        rho = actions.tower_automorphism(k, row, validate=False)
+        rho = actions.tower_automorphism(k, row)
         for name, z in k.named.items():
             assert rho(z).coeffs == reference_apply(rho, z).coeffs, (row.name, name)
 
