@@ -12,16 +12,16 @@ Galois group of the splitting field by three columns:
 
 Everything not listed is fixed.  :func:`tower_automorphism` turns the field
 column into an automorphism of a concrete tower (``TowerAuto.validate``
-checks it), which is how the rest of the package derives subgroup
-membership (e.g. which rows act trivially on a given subfield) instead of
-hard-coding it.
+checks it).  Subgroup membership is derived from it, not hard-coded:
+``lattice.subfield_fixing_rows`` names the rows acting trivially on a
+given subfield.  Everywhere else a subgroup is a list of row names.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from . import datafiles
 from .towers import Tower, TowerAuto, TowerElem, tower_expr
@@ -111,22 +111,3 @@ def tower_automorphism(tower: Tower, row: GaloisRow) -> TowerAuto:
             images[step_name] = tower_expr(tower, expr)
     return TowerAuto(tower, images, label=row.name, validate=False)
 
-
-def fixes_element(tower: Tower, row: GaloisRow, name: str) -> bool:
-    elem = tower.named[name]
-    return tower_automorphism(tower, row)(elem) == elem
-
-
-def rows_fixing(tower: Tower, names: Iterable[str]) -> list[GaloisRow]:
-    """The table rows whose automorphisms fix every listed named element.
-
-    With ``names`` the generators of a subfield this computes the rows lying
-    in the Galois group over that subfield.
-    """
-    names = list(names)
-    out = []
-    for row in load_rows():
-        auto = tower_automorphism(tower, row)
-        if all(auto(tower.named[n]) == tower.named[n] for n in names):
-            out.append(row)
-    return out

@@ -1,11 +1,12 @@
 """Equation-level verification of the double-cover geometry data.
 
 Everything here is exact symbolic arithmetic in the quadratic towers; no
-floating point, no sampling.  The module answers four questions about the
-shipped tables, plus one about the generator formulas themselves:
+floating point, no sampling.  Every check takes the caller's tower and
+none builds one.  The module answers four questions about the shipped
+tables, plus one about the generator formulas themselves:
 
 * do the eight branch points, as cut out by their two linear forms, lie on
-  the defining conic a*v0^2 + b*v1^2 + c*v2^2 (``weierstrass_on_conic``)?
+  the defining conic a*v0^2 + b*v1^2 + c*v2^2 (``weierstrass_report``)?
 * does the projection to P1 x P1 intertwine the covering involution
   v -> -v with the [-1] map on both factors, as a formal polynomial
   identity (``phi_equivariance``)?
@@ -28,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from . import datafiles, presets
+from . import datafiles
 from .actions import POINT_NAMES, load_rows, tower_automorphism
 from .towers import Tower, TowerElem, parse_element, tower_expr
 
@@ -37,7 +38,6 @@ __all__ = [
     "DEFAULT_GENUS_LEDGER",
     "GENERATOR_RELATION_SUITE",
     "weierstrass_report",
-    "weierstrass_on_conic",
     "conic_value",
     "phi_signature",
     "phi_equivariance",
@@ -230,16 +230,14 @@ def _poly_expr(tower: Tower, text: str, env: Mapping[str, TowerElem]) -> _Formal
 # shared helpers
 # --------------------------------------------------------------------------
 
-def _require_nondegenerate(tower: Tower) -> None:
+def _abc_env(tower: Tower, a, b, c) -> dict[str, TowerElem]:
+    """The triplet as tower elements; refuses a tower with degenerate steps."""
     if tower.degenerate:
         raise ValueError(
             f"tower {tower.label!r} eliminated degenerate steps "
             f"{sorted(tower.degenerate)}; the table identities need every "
             "named generator"
         )
-
-
-def _abc_env(tower: Tower, a, b, c) -> dict[str, TowerElem]:
     return {
         "a": tower.rational(Fraction(a)),
         "b": tower.rational(Fraction(b)),
@@ -249,6 +247,14 @@ def _abc_env(tower: Tower, a, b, c) -> dict[str, TowerElem]:
 
 def _branch_data() -> dict:
     return datafiles.load("branch_points.json", "weierstrass-points/1")
+
+
+def _listed_points(tower: Tower, env: Mapping[str, TowerElem]) -> dict:
+    """The listed coordinates of the eight branch points, in ``tower``."""
+    return {
+        name: tuple(tower_expr(tower, text, env) for text in entry["coords"])
+        for name, entry in _branch_data()["points"].items()
+    }
 
 
 def _blowdown_data() -> dict:
@@ -277,59 +283,51 @@ def conic_value(tower: Tower, a, b, c, coords: Sequence[TowerElem]) -> TowerElem
     return env["a"] * v0 ** 2 + env["b"] * v1 ** 2 + env["c"] * v2 ** 2
 
 
-def weierstrass_report(a, b, c, *, tower: Optional[Tower] = None) -> dict:
+def weierstrass_report(a, b, c, *, tower: Tower) -> dict:
     """Per-point verdicts for the branch-point table at (a, b, c).
 
     For each of the eight points: solve the two defining linear forms,
     check the solution matches the listed coordinates projectively, and
-    check the conic vanishes there exactly.  The default field is the
-    1024-degree subtower, which already contains every coordinate.
+    check the conic vanishes there exactly.  The 1024-degree subtower K1
+    already contains every coordinate.
     """
-    data = _branch_data()
-    tw = tower if tower is not None else presets.k1_tower(a, b, c)
-    _require_nondegenerate(tw)
-    env = _abc_env(tw, a, b, c)
+    env = _abc_env(tower, a, b, c)
+    listed = _listed_points(tower, env)
 
     rows = []
-    for name, entry in data["points"].items():
-        lines = [_poly_expr(tw, text, env) for text in entry["lines"]]
-        listed = ProjPoint(
-            "P2", (tuple(tower_expr(tw, text, env) for text in entry["coords"]),)
-        )
-        solved = _solve_two_lines(lines, tw)
+    for name, entry in _branch_data()["points"].items():
+        lines = [_poly_expr(tower, text, env) for text in entry["lines"]]
+        coords = listed[name]
+        solved = _solve_two_lines(lines, tower)
         rows.append(
             {
                 "point": name,
                 "lines_vanish_at_listed": all(
-                    line.evaluate(dict(enumerate(listed.blocks[0]))).is_zero()
+                    line.evaluate(dict(enumerate(coords))).is_zero()
                     for line in lines
                 ),
-                "solved_matches_listed": solved.same_as(listed),
-                "on_conic": conic_value(tw, a, b, c, solved.blocks[0]).is_zero(),
+                "solved_matches_listed": solved.same_as(ProjPoint("P2", (coords,))),
+                "on_conic": conic_value(tower, a, b, c, solved.blocks[0]).is_zero(),
             }
         )
     ok = all(all(row[k] for k in row if k != "point") for row in rows)
     return {"triplet": [int(a), int(b), int(c)], "points": rows, "ok": ok}
 
 
-def weierstrass_on_conic(a, b, c, *, tower: Optional[Tower] = None) -> bool:
-    return weierstrass_report(a, b, c, tower=tower)["ok"]
-
-
 # --------------------------------------------------------------------------
 # equivariance of the projection
 # --------------------------------------------------------------------------
 
-def phi_signature(*, flip_v: bool = True, flip_w: bool = False) -> str:
+def phi_signature(tower: Tower, *, flip_v: bool = True, flip_w: bool = False) -> str:
     """Classify the projection composed with a coordinate sign flip.
 
     Flipping the v coordinates is the covering involution; the induced map
     on the image should be [-1] on both P1 factors.  Flipping w as well is
     the falsification control and gives back the identity.  Returns
     ``"minus-one"``, ``"identity"`` or ``"mixed"`` -- as a formal statement
-    about the coordinate polynomials, not a sampled one.
+    about the coordinate polynomials, not a sampled one.  ``tower`` must
+    hold the names of K0.
     """
-    tower = presets.k0_tower()
     data = _blowdown_data()
     flips = []
     if flip_v:
@@ -354,32 +352,32 @@ def phi_signature(*, flip_v: bool = True, flip_w: bool = False) -> str:
     return "mixed"
 
 
-def phi_equivariance() -> bool:
+def phi_equivariance(tower: Tower) -> bool:
     """The covering involution descends to [-1] on both P1 factors."""
-    return phi_signature(flip_v=True, flip_w=False) == "minus-one"
+    return phi_signature(tower, flip_v=True, flip_w=False) == "minus-one"
 
 
 # --------------------------------------------------------------------------
 # the four blown-down points under [-1]
 # --------------------------------------------------------------------------
 
-def exceptional_points(tower: Optional[Tower] = None) -> dict[str, ProjPoint]:
-    """The images of the contracted curves, as points of P1 x P1."""
-    tw = tower if tower is not None else presets.k0_tower()
+def exceptional_points(tower: Tower) -> dict[str, ProjPoint]:
+    """The images of the contracted curves, as points of P1 x P1, in a
+    tower holding the names of K0."""
     data = _blowdown_data()
     out = {}
     for name, entry in data["points"].items():
         out[name] = ProjPoint(
             "P1xP1",
             tuple(
-                tuple(tower_expr(tw, text, {}) for text in entry[factor])
+                tuple(tower_expr(tower, text, {}) for text in entry[factor])
                 for factor in ("x", "t")
             ),
         )
     return out
 
 
-def exceptional_minus_one_pairing(tower: Optional[Tower] = None) -> dict[str, str]:
+def exceptional_minus_one_pairing(tower: Tower) -> dict[str, str]:
     """How (x, t) -> (-x, -t) permutes the four points.
 
     Raises if an image is not a listed point, or if the induced map on
@@ -542,17 +540,15 @@ GENERATOR_RELATION_SUITE: tuple[dict, ...] = (
 )
 
 
-def generator_relations(a, b, c, *, tower: Optional[Tower] = None) -> list[dict]:
+def generator_relations(a, b, c, *, tower: Tower) -> list[dict]:
     """Verify the twelve displayed formulas exactly in the full tower."""
-    tw = tower if tower is not None else presets.k_tower(a, b, c)
-    _require_nondegenerate(tw)
-    env = _abc_env(tw, a, b, c)
+    env = _abc_env(tower, a, b, c)
 
     report = []
     for relation in GENERATOR_RELATION_SUITE:
         checks = []
         for lhs, rhs in relation["checks"]:
-            holds = tower_expr(tw, lhs, env) == tower_expr(tw, rhs, env)
+            holds = tower_expr(tower, lhs, env) == tower_expr(tower, rhs, env)
             checks.append({"lhs": lhs, "rhs": rhs, "holds": holds})
         entry = {
             "label": relation["label"],
@@ -578,9 +574,7 @@ def _pairs_from_permutation(perm: Mapping[str, str]) -> tuple[tuple[str, str], .
     return tuple(pairs)
 
 
-def induced_point_permutations(
-    a, b, c, *, tower: Optional[Tower] = None
-) -> dict[str, dict[str, str]]:
+def induced_point_permutations(a, b, c, *, tower: Tower) -> dict[str, dict[str, str]]:
     """Recompute each row's branch-point permutation from its field column.
 
     Applies the row's field automorphism to the projective normal forms
@@ -591,14 +585,10 @@ def induced_point_permutations(
     This is independent of the printed point-permutation column, so it
     can (and did) catch misprints there.
     """
-    tw = tower if tower is not None else presets.k_tower(a, b, c)
-    _require_nondegenerate(tw)
-    env = _abc_env(tw, a, b, c)
-    data = _branch_data()
-
+    env = _abc_env(tower, a, b, c)
     keys = {
-        name: _projective_key(tuple(tower_expr(tw, text, env) for text in entry["coords"]))
-        for name, entry in data["points"].items()
+        name: _projective_key(coords)
+        for name, coords in _listed_points(tower, env).items()
     }
     lookup = {key: name for name, key in keys.items()}
     if len(lookup) != len(keys):
@@ -606,7 +596,7 @@ def induced_point_permutations(
 
     out: dict[str, dict[str, str]] = {}
     for row in load_rows():
-        auto = tower_automorphism(tw, row)
+        auto = tower_automorphism(tower, row)
         perm: dict[str, str] = {}
         for name, key in keys.items():
             target = lookup.get(tuple(auto(z) for z in key))
@@ -621,7 +611,7 @@ def induced_point_permutations(
     return out
 
 
-def verify_point_permutations(a, b, c, *, tower: Optional[Tower] = None) -> dict:
+def verify_point_permutations(a, b, c, *, tower: Tower) -> dict:
     """Compare the recomputed point action with the printed column."""
     derived = induced_point_permutations(a, b, c, tower=tower)
     rows = []
@@ -642,21 +632,20 @@ def verify_point_permutations(a, b, c, *, tower: Optional[Tower] = None) -> dict
 # everything at once
 # --------------------------------------------------------------------------
 
-def verify_suite(a, b, c, *, tower: Optional[Tower] = None) -> dict:
-    """Run every geometry check for one triplet."""
-    tw = tower if tower is not None else presets.k_tower(a, b, c)
-    relations = generator_relations(a, b, c, tower=tw)
-    weierstrass = weierstrass_report(a, b, c, tower=tw)
-    permutations = verify_point_permutations(a, b, c, tower=tw)
+def verify_suite(a, b, c, *, tower: Tower) -> dict:
+    """Run every geometry check for one triplet in its splitting tower K."""
+    relations = generator_relations(a, b, c, tower=tower)
+    weierstrass = weierstrass_report(a, b, c, tower=tower)
+    permutations = verify_point_permutations(a, b, c, tower=tower)
     genus = genus_bookkeeping()
     report = {
         "triplet": [int(a), int(b), int(c)],
         "generator_relations": relations,
         "weierstrass": weierstrass,
-        "phi_equivariance": phi_equivariance(),
-        "phi_control_identity": phi_signature(flip_v=True, flip_w=True)
+        "phi_equivariance": phi_equivariance(tower),
+        "phi_control_identity": phi_signature(tower, flip_v=True, flip_w=True)
         == "identity",
-        "minus_one_pairing": exceptional_minus_one_pairing(),
+        "minus_one_pairing": exceptional_minus_one_pairing(tower),
         "point_permutations": permutations,
         "genus": genus,
     }

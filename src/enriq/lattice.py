@@ -476,12 +476,13 @@ def subfield_fixing_rows(tower, subfield_names) -> list[str]:
     elements generating the subfield.  No subgroup list is hard-coded: the
     membership falls out of the field columns.
     """
-    return [r.name for r in actions.rows_fixing(tower, subfield_names)]
-
-
-def galois_invariant_classes(tower, subfield_names) -> Subspace:
-    """Quotient invariants under the rows fixing the given subfield."""
-    return invariants_under(subfield_fixing_rows(tower, subfield_names))
+    gens = [tower.named[n] for n in subfield_names]
+    out = []
+    for row in actions.load_rows():
+        auto = actions.tower_automorphism(tower, row)
+        if all(auto(g) == g for g in gens):
+            out.append(row.name)
+    return out
 
 
 # -- structure tests ----------------------------------------------------
@@ -604,11 +605,14 @@ def verify_galois_isometries() -> bool:
 def verify_suite(splitting_tower=None, subfield_names=None) -> dict:
     """One-shot verification report of the lattice model.
 
-    ``splitting_tower`` (optional) supplies the concrete full splitting
-    tower and ``subfield_names`` the generators of the curve-splitting
-    subfield, so the ground-field invariants can be derived from the field
-    action; when omitted those entries are skipped.
+    ``splitting_tower`` supplies the concrete full splitting tower and
+    ``subfield_names`` the generators of the curve-splitting subfield, so
+    the ground-field invariants can be derived from the field action.
+    Give both or neither: without them the ground-field entries are
+    skipped, and one without the other raises ValueError.
     """
+    if (splitting_tower is None) != (subfield_names is None):
+        raise ValueError("give both splitting_tower and subfield_names, or neither")
     q = quotient_F2()
     checks: dict[str, object] = {}
     checks["gram_examples"] = (
@@ -644,7 +648,7 @@ def verify_suite(splitting_tower=None, subfield_names=None) -> dict:
         and checks["invariants_trivial_group_dim"] == 9
         and checks["invariants_full_group_dim"] == 3
     )
-    if splitting_tower is not None and subfield_names is not None:
+    if splitting_tower is not None:
         fixing = subfield_fixing_rows(splitting_tower, subfield_names)
         inv = invariants_under(fixing)
         checks["subfield_fixing_rows"] = fixing

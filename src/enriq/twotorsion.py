@@ -9,16 +9,17 @@ kills exactly the class of {P1,P2,P3,P4}; the quotient by that kernel is a
 induced blocks and one extension class, and the package's final
 contradiction is an exhaustive scan of this picture: no odd-P class
 survives the subgroup of the Galois table that fixes both theta0 and
-sqrt(ab).
+sqrt(ab).  A subgroup is given by the names of its generating rows; an
+unknown name raises ValueError.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, total_ordering
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import actions, f2
-from .actions import POINT_NAMES, GaloisRow
+from .actions import POINT_NAMES
 
 #: Bit layout: P1..P4 are bits 0-3, Q1..Q4 bits 4-7 (the order of POINT_NAMES).
 P_MASK = 0x0F
@@ -128,25 +129,12 @@ def pullback_kernel() -> WeierstrassClass:
     return WeierstrassClass(P_MASK)
 
 
-def _resolve_rows(rows) -> list[GaloisRow]:
-    table = actions.rows_by_name()
-    out = []
-    for r in rows:
-        if isinstance(r, GaloisRow):
-            out.append(r)
-        elif r in table:
-            out.append(table[r])
-        else:
-            raise ValueError(f"unknown Galois row {r!r}")
-    return out
-
-
 # -- the pullback image as a Galois module ------------------------------
 
 
 class F2GModule(f2.GaloisModule):
     """The F2 span of some Weierstrass classes modulo relation masks, with
-    the Galois action of the given rows through their point permutations.
+    every row of the Galois table acting through its point permutation.
 
     Elements are bitmasks over ``basis_classes`` (bit i = coefficient of
     generator i).  Reduction of an arbitrary class to coordinates runs
@@ -155,10 +143,10 @@ class F2GModule(f2.GaloisModule):
     """
 
     def __init__(self, basis_classes: Sequence[WeierstrassClass],
-                 relation_masks: Sequence[int], rows: Sequence[GaloisRow]):
+                 relation_masks: Sequence[int]):
         self.basis_classes = tuple(basis_classes)
         images = {}
-        for row in rows:
+        for row in actions.load_rows():
             perm = row.point_permutation()
             images[row.name] = [c.transformed(perm).mask for c in self.basis_classes]
         super().__init__([c.mask for c in self.basis_classes], relation_masks, images)
@@ -181,7 +169,7 @@ def pullback_image_module() -> F2GModule:
     {Q1,Q3}, {Q1,Q4} (the two induced blocks) and {P1,Q1}."""
     basis = [WeierstrassClass.from_points(pts) for pts in
              (("P1", "P3"), ("P1", "P4"), ("Q1", "Q3"), ("Q1", "Q4"), ("P1", "Q1"))]
-    module = F2GModule(basis, (P_MASK, Q_MASK), actions.load_rows())
+    module = F2GModule(basis, (P_MASK, Q_MASK))
     if module.dimension != 5:
         raise ArithmeticError(f"pullback image has dimension {module.dimension}, expected 5")
     return module
@@ -213,7 +201,7 @@ def verify_non_splitness() -> bool:
     """No class of the shape {P_i, Q_j} is fixed by the whole table; the
     extension of the trivial class by the two induced blocks is non-split.
     The 16 {P_i, Q_j} are exactly the odd elements of Jac[2]/kernel."""
-    return not fixed_odd_class_scan(actions.load_rows())
+    return not fixed_odd_class_scan([row.name for row in actions.load_rows()])
 
 
 class Submodule(NamedTuple):
@@ -249,51 +237,45 @@ def enumerate_invariant_submodules(module: F2GModule, index: int) -> list[Submod
 # -- the fixed-odd-class scan -------------------------------------------
 
 
-def default_scan_rows() -> list[GaloisRow]:
-    """The table rows fixing both theta0 and sqrt(ab), read off the field
-    columns (note the quarter-turn row maps the fourth root of ab to i
-    times itself, hence flips sqrt(ab) and is excluded)."""
-    return [row for row in actions.load_rows()
+def default_scan_rows() -> list[str]:
+    """Names of the table rows fixing both theta0 and sqrt(ab), read off
+    the field columns (note the quarter-turn row maps the fourth root of
+    ab to i times itself, hence flips sqrt(ab) and is excluded)."""
+    return [row.name for row in actions.load_rows()
             if not row.moves_root("theta0") and not row.moves_root("sqrtab")]
 
 
-def fixed_odd_class_scan(rows=None) -> list[WeierstrassClass]:
-    """Classes meeting {P1..P4} oddly that every subgroup element fixes
-    modulo the pullback kernel (and complementation); expected empty.
+def fixed_odd_class_scan(rows: Iterable[str]) -> list[WeierstrassClass]:
+    """Classes meeting {P1..P4} oddly that every element of the subgroup
+    generated by the named rows fixes modulo the pullback kernel (and
+    complementation); expected empty for ``default_scan_rows()``.
 
-    ``rows`` overrides the subgroup (names or row objects; the empty list
-    is the trivial subgroup).  The candidates are the odd-P classes because
-    those are the possible divisor-parity obstructions; invariance is
-    tested modulo the kernel since the pullback kills it.  They are the two
-    lifts of each vector of ``pullback_image_module()``'s fixed subspace
-    whose extension bit (bit 4, {P1,Q1}) is set.
+    The empty list is the trivial subgroup.  The candidates are the odd-P
+    classes because those are the possible divisor-parity obstructions;
+    invariance is tested modulo the kernel since the pullback kills it.
+    They are the two lifts of each vector of ``pullback_image_module()``'s
+    fixed subspace whose extension bit (bit 4, {P1,Q1}) is set.
     """
-    subgroup = default_scan_rows() if rows is None else _resolve_rows(rows)
     module = pullback_image_module()
     fixed = [0]
-    for vec in module.fixed_subspace(row.name for row in subgroup):
+    for vec in module.fixed_subspace(rows):
         fixed += [v ^ vec for v in fixed]
     return sorted(cls for v in fixed if v >> 4 & 1
                   for cls in (module.element(v), module.element(v) + pullback_kernel()))
 
 
-def scan_report(rows=None) -> dict:
-    """The scan with its audit trail: which rows were included and why."""
-    default = rows is None
-    subgroup = default_scan_rows() if default else _resolve_rows(rows)
-    chosen = {row.name for row in subgroup}
+def scan_report() -> dict:
+    """The scan over ``default_scan_rows()`` with its audit trail: which
+    rows were included and why."""
+    subgroup = default_scan_rows()
     selection = []
     for row in actions.load_rows():
-        if default:
-            reasons = [f"field column moves {root}"
-                       for root in ("theta0", "sqrtab") if row.moves_root(root)]
-            reason = "; ".join(reasons) if reasons else "fixes theta0 and sqrt(ab)"
-        else:
-            reason = "listed" if row.name in chosen else "not listed"
+        reasons = [f"field column moves {root}"
+                   for root in ("theta0", "sqrtab") if row.moves_root(root)]
         selection.append({
             "row": row.name,
-            "included": row.name in chosen,
-            "reason": reason,
+            "included": row.name in subgroup,
+            "reason": "; ".join(reasons) if reasons else "fixes theta0 and sqrt(ab)",
             "point_pairs": [list(pair) for pair in row.weier_pairs],
         })
     fixed = fixed_odd_class_scan(subgroup)
@@ -307,10 +289,10 @@ def scan_report(rows=None) -> dict:
 # -- transitivity of the point action -----------------------------------
 
 
-def point_orbits(rows=None) -> list[tuple[str, ...]]:
-    """Orbits of the 8 points under the group generated by the given rows
+def point_orbits(rows: Optional[Iterable[str]] = None) -> list[tuple[str, ...]]:
+    """Orbits of the 8 points under the group generated by the named rows
     (default: the whole table)."""
-    subgroup = list(actions.load_rows()) if rows is None else _resolve_rows(rows)
+    table = actions.rows_by_name()
     parent = {p: p for p in POINT_NAMES}
 
     def find(p):
@@ -319,8 +301,10 @@ def point_orbits(rows=None) -> list[tuple[str, ...]]:
             p = parent[p]
         return p
 
-    for row in subgroup:
-        for a, b in row.point_permutation().items():
+    for name in table if rows is None else rows:
+        if name not in table:
+            raise ValueError(f"unknown Galois row {name!r}")
+        for a, b in table[name].point_permutation().items():
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[ra] = rb
@@ -330,9 +314,9 @@ def point_orbits(rows=None) -> list[tuple[str, ...]]:
     return sorted(tuple(sorted(o)) for o in orbits.values())
 
 
-def transitivity_check(rows=None) -> bool:
-    """True iff the generated permutation group is transitive on all 8
-    points.  With the shipped columns this is false: every row preserves
+def transitivity_check(rows: Optional[Iterable[str]] = None) -> bool:
+    """True iff the group generated by the named rows (default: the whole
+    table) is transitive on all 8 points.  With the shipped columns this is false: every row preserves
     the P-quartet and the Q-quartet (see point_orbits), so the action is
     transitive on each quartet but not on their union."""
     return len(point_orbits(rows)) == 1

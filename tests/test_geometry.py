@@ -40,14 +40,15 @@ def test_witness_weierstrass_report(k_tower_witness):
         assert row["on_conic"] is True
 
 
-def test_weierstrass_default_tower_is_the_small_one():
-    # without an explicit tower the check runs in the degree-1024 field
-    assert geometry.weierstrass_on_conic(*WITNESS) is True
+def test_weierstrass_holds_in_the_small_tower(k1_tower_witness):
+    # the degree-1024 field K1 already holds every coordinate
+    assert geometry.weierstrass_report(*WITNESS, tower=k1_tower_witness)["ok"] is True
 
 
 @pytest.mark.parametrize("triplet", EXTRA_TRIPLETS)
 def test_weierstrass_on_further_triplets(triplet):
-    assert geometry.weierstrass_on_conic(*triplet) is True
+    report = geometry.weierstrass_report(*triplet, tower=presets.k1_tower(*triplet))
+    assert report["ok"] is True
 
 
 def test_conic_perturbation_control(k1_tower_witness):
@@ -75,7 +76,7 @@ def test_parallel_lines_are_rejected(k1_tower_witness):
 def test_degenerate_tower_is_refused():
     # for (1,1,1) the tower loses sqrtab, theta0 and eta1p
     with pytest.raises(ValueError, match="degenerate"):
-        geometry.weierstrass_on_conic(1, 1, 1)
+        geometry.weierstrass_report(1, 1, 1, tower=presets.k1_tower(1, 1, 1))
 
 
 # -- projective points --------------------------------------------------
@@ -99,18 +100,18 @@ def test_projpoint_validation(k0_tower):
 # -- equivariance of the projection -------------------------------------
 
 
-def test_phi_equivariance_is_formal():
-    assert geometry.phi_equivariance() is True
-    assert geometry.phi_signature(flip_v=True, flip_w=False) == "minus-one"
+def test_phi_equivariance_is_formal(k0_tower):
+    assert geometry.phi_equivariance(k0_tower) is True
+    assert geometry.phi_signature(k0_tower, flip_v=True, flip_w=False) == "minus-one"
 
 
-def test_phi_double_flip_control():
+def test_phi_double_flip_control(k0_tower):
     # negating both coordinate groups composes to the identity map
-    assert geometry.phi_signature(flip_v=True, flip_w=True) == "identity"
-    assert geometry.phi_signature(flip_v=False, flip_w=False) == "identity"
+    assert geometry.phi_signature(k0_tower, flip_v=True, flip_w=True) == "identity"
+    assert geometry.phi_signature(k0_tower, flip_v=False, flip_w=False) == "identity"
     # flipping only w realises [-1] as well: both coordinate numerators
     # are w-linear while the denominators are w-free
-    assert geometry.phi_signature(flip_v=False, flip_w=True) == "minus-one"
+    assert geometry.phi_signature(k0_tower, flip_v=False, flip_w=True) == "minus-one"
 
 
 # -- the blown-down points under [-1] -----------------------------------
@@ -174,7 +175,8 @@ def test_generator_relations_witness(k_tower_witness):
 
 
 def test_generator_relations_second_triplet():
-    report = geometry.generator_relations(*EXTRA_TRIPLETS[0])
+    triplet = EXTRA_TRIPLETS[0]
+    report = geometry.generator_relations(*triplet, tower=presets.k_tower(*triplet))
     assert all(entry["holds"] for entry in report)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enriq import actions, lattice
@@ -31,7 +31,6 @@ from enriq.lattice import (
     class_vector,
     core_action_table,
     exceptional_pullback,
-    galois_invariant_classes,
     galois_matrix,
     gram,
     gram_matrix,
@@ -274,9 +273,27 @@ def test_invariants_shrink_along_subgroup_chains():
 def test_subfield_fixing_rows_derived_not_hardcoded(k_tower_witness, k1_tower_witness):
     names = subfield_fixing_rows(k_tower_witness, k1_tower_witness.step_names())
     assert names == ["sqrtc", "xi0", "xi0p", "xi1p", "theta2p", "xi2p"]
-    inv = galois_invariant_classes(k_tower_witness, k1_tower_witness.step_names())
+    inv = invariants_under(names)
     assert inv.dimension == 5
     assert sorted(inv.basis_names) == [("F11",), ("F5",), ("F6",), ("F8",), ("F9",)]
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_subfield_fixing_rows_match_the_field_columns(k_tower_witness, data):
+    # on tower steps, a row fixes a generator exactly when its field
+    # column does not list it
+    names = data.draw(st.sets(st.sampled_from(k_tower_witness.step_names())))
+    expected = [row.name for row in actions.load_rows()
+                if not any(row.moves_root(n) for n in names)]
+    assert subfield_fixing_rows(k_tower_witness, sorted(names)) == expected
+
+
+def test_verify_suite_needs_both_tower_arguments(k_tower_witness, k1_tower_witness):
+    with pytest.raises(ValueError, match="both"):
+        verify_suite(k_tower_witness)
+    with pytest.raises(ValueError, match="both"):
+        verify_suite(subfield_names=k1_tower_witness.step_names())
 
 
 def test_verify_suite(k_tower_witness, k1_tower_witness):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enriq import f2
-from enriq.actions import load_rows
+from enriq.actions import POINT_NAMES, load_rows
 from enriq.twotorsion import (
     IDENTITY,
     P_MASK,
@@ -130,20 +130,20 @@ def test_invariant_submodule_enumeration():
 
 
 def test_scan_default_subgroup_selection():
-    names = [r.name for r in default_scan_rows()]
+    names = default_scan_rows()
     assert "theta0" not in names and "rt4ab" not in names
     assert len(names) == 15
 
 
 def test_scan_is_empty_on_the_full_subgroup():
-    assert fixed_odd_class_scan() == []
+    assert fixed_odd_class_scan(default_scan_rows()) == []
 
 
 def test_scan_sensitivity():
     # Both quartet actions independently kill every odd candidate: dropping
     # eta0 leaves sqrta's (P1 P2)(P3 P4) to clear the P side, so the scan
     # stays empty; it likewise stays empty from the Q side alone.
-    no_eta0 = [r.name for r in default_scan_rows() if r.name != "eta0"]
+    no_eta0 = [name for name in default_scan_rows() if name != "eta0"]
     assert fixed_odd_class_scan(no_eta0) == []
     assert fixed_odd_class_scan(["sqrta"]) == []
     assert fixed_odd_class_scan(["gamma0", "theta1p"]) == []
@@ -205,3 +205,27 @@ def test_point_orbits_are_the_two_quartets():
     ]
     # all P-moving rows together still leave the Q quartet untouched
     assert transitivity_check(["eta0", "rt4ab", "sqrta"]) is False
+    with pytest.raises(ValueError, match="unknown Galois row"):
+        point_orbits(["nope"])
+
+
+def _orbit_closure(names):
+    """The point orbits, by closing each point under the rows' permutations."""
+    perms = [row.point_permutation() for row in load_rows() if row.name in names]
+    orbits = set()
+    for start in POINT_NAMES:
+        orbit, frontier = {start}, [start]
+        while frontier:
+            p = frontier.pop()
+            for perm in perms:
+                if perm[p] not in orbit:
+                    orbit.add(perm[p])
+                    frontier.append(perm[p])
+        orbits.add(tuple(sorted(orbit)))
+    return sorted(orbits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from([row.name for row in load_rows()])))
+def test_point_orbits_match_the_plain_closure(names):
+    assert point_orbits(names) == _orbit_closure(names)
