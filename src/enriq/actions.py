@@ -109,5 +109,5 @@ def tower_automorphism(tower: Tower, row: GaloisRow) -> TowerAuto:
         expr = row.field_map.get(step_name)
         if expr is not None:
             images[step_name] = tower_expr(tower, expr)
-    return TowerAuto(tower, images, label=row.name, validate=False)
+    return TowerAuto(tower, images, label=row.name)
 

@@ -331,7 +331,7 @@ def hilbert_symbol(x: RationalLike, y: RationalLike, place) -> int:
     if not is_prime(p):
         raise ValueError(f"hilbert_symbol place must be a prime or REAL, got {place!r}")
     a_int, b_int = sx * ax, sy * ay
-    alpha, u = _padic_split(a_int, p) if p != 0 else (0, a_int)
+    alpha, u = _padic_split(a_int, p)
     beta, v = _padic_split(b_int, p)
     if p == 2:
         def eps(w: int) -> int:

@@ -13,7 +13,7 @@ arithmetic conditions under which the verification pipeline applies:
       PRIME_BOUND; verdict at best "Probable"): a walk over P^2(F_p) for
       a smooth F_p-point, over cached rows of the points where the
       triplet-free forms q0 and q0 - q1 have roots, with one q2 lookup
-      per such point and a mostly closed-form Jacobian rank, then a
+      per such point and a one-lemma Jacobian rank test, then a
       count of the primitive v surviving modulo p^k over unit-scaling
       orbits, one plain-int bitmask per value, with q2's masks shared by
       each unit-square class of c; the per-prime tables both use are
@@ -215,39 +215,6 @@ def condition6(a: int, b: int, c: int) -> ConditionReport:
 _PRIMES = tuple(primes_up_to(PRIME_BOUND))
 
 
-def _jacobian_rank_mod_p(a, b, c, v, w, p) -> int:
-    """Rank over F_p of the 3x6 Jacobian of the defining system."""
-    v0, v1, v2 = v
-    w0, w1, w2 = w
-    rows = [
-        [v1, v0, 10 * v2, (-2 * w0) % p, 0, 0],
-        [2 * v0 + 3 * v1, 3 * v0 + 4 * v1, 0, (-2 * w0) % p, 10 * w1 % p, 0],
-        [2 * a * v0, 2 * b * v1, 2 * c * v2, 0, 0, (-2 * w2) % p],
-    ]
-    m = [[x % p for x in row] for row in rows]
-    rank, col = 0, 0
-    for r in range(3):
-        piv = None
-        while col < 6 and piv is None:
-            for rr in range(rank, 3):
-                if m[rr][col] % p:
-                    piv = rr
-                    break
-            if piv is None:
-                col += 1
-        if piv is None:
-            break
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        for rr in range(rank + 1, 3):
-            f = m[rr][col] * inv % p
-            if f:
-                m[rr] = [(x - f * y) % p for x, y in zip(m[rr], m[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 @functools.lru_cache(maxsize=None)
 def _survival_masks(p: int, k: int, m: int, r: int) -> tuple[int, ...]:
     """For each x mod q = p^k, the bitmask over v2 mod q of the v2 with
@@ -357,28 +324,33 @@ def _rank_is_three(a: int, b: int, c: int, v, w, p: int) -> bool:
     """Whether the Jacobian at a point (v, w) of the system over F_p, with
     v != 0, has rank 3.
 
-    Negating w_i negates the one column holding w_i, so the sign of w does
-    not matter.  Modulo 2 rows 0 and 1 agree and row 2 vanishes, so the
-    rank is at most 1.  For p not 2 or 5:
-      - no w_i is 0: the minor on the three w-columns is 40*w0*w1*w2;
-      - w0 = 0 alone: rows 1 and 2 are independent on the w-columns, so a
-        dependency needs row 0 = (v1, v0, 10*v2, 0, 0, 0) = 0, so v = 0;
-      - w1 = 0 alone: rows 0 and 1 agree on the w-columns and row 2 is
-        independent of them, so a dependency is a multiple of row 0 -
-        row 1 = (-2v0 - 2v1, -2v0 - 4v1, 10v2, 0, 0, 0), zero only at v = 0;
-      - w2 = 0 alone: rows 0 and 1 are independent on the w-columns, so
-        the rank is 3 unless row 2 = (2a*v0, 2b*v1, 2c*v2, 0, 0, 0) = 0,
-        i.e. a*v0 = b*v1 = c*v2 = 0 mod p.
-    At p = 5, or with two or more w_i zero, _jacobian_rank_mod_p decides.
+    In the row basis of q0 = w0^2, q0 - q1 = 5*w1^2 and q2 = w2^2 (rows 0,
+    0 - 1 and 2 of the 3x6 Jacobian in (v0, v1, v2, w0, w1, w2)) each row
+    has one w-entry, -2*w0, -10*w1 resp. -2*w2, in a column of its own, so
+    a dependency uses only the rows whose w-entry is 0 mod p.  The rank is
+    3 iff the v-parts of those rows, (v1, v0, 10*v2), (-2v0 - 2v1, -2v0 -
+    4v1, 10*v2) resp. (2a*v0, 2b*v1, 2c*v2), are independent over F_p: no
+    such row, one nonzero row, two with a nonzero cross product, or three
+    with a nonzero determinant.  At p = 2 all three w-entries vanish and
+    the middle v-part does too, so no point is smooth; at p = 5 the middle
+    w-entry always vanishes.  Only which w_i are 0 is read, so the sign of
+    w does not matter.
     """
-    if p == 2:
-        return False
-    zeros = (w[0] == 0) + (w[1] == 0) + (w[2] == 0)
-    if p != 5 and zeros == 0:
-        return True
-    if p != 5 and zeros == 1:
-        return w[2] != 0 or any(x * y % p for x, y in zip((a, b, c), v))
-    return _jacobian_rank_mod_p(a, b, c, v, w, p) == 3
+    v0, v1, v2 = v
+    rows = []
+    if 2 * w[0] % p == 0:
+        rows.append((v1, v0, 10 * v2))
+    if 10 * w[1] % p == 0:
+        rows.append((-2 * v0 - 2 * v1, -2 * v0 - 4 * v1, 10 * v2))
+    if 2 * w[2] % p == 0:
+        rows.append((2 * a * v0, 2 * b * v1, 2 * c * v2))
+    if len(rows) < 2:
+        return not rows or any(x % p for x in rows[0])
+    (x0, x1, x2), (y0, y1, y2) = rows[:2]
+    cross = (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0)
+    if len(rows) == 2:
+        return any(x % p for x in cross)
+    return sum(x * y for x, y in zip(cross, rows[2])) % p != 0
 
 
 def _smooth_point_mod_p(a: int, b: int, c: int, p: int) -> Optional[dict]:
@@ -399,8 +371,9 @@ def _smooth_point_mod_p(a: int, b: int, c: int, p: int) -> Optional[dict]:
     q0 and d = q0 - q1 do not depend on the triplet, so the rows of
     _candidate_rows keep only the v2 where both have a root, and each
     candidate costs one q2 root lookup.  The rank of each point found is
-    decided by _rank_is_three, mostly in closed form; every sign choice of
-    w has the same rank, so one test per point does.
+    decided in closed form by _rank_is_three, from the rows whose w-entry
+    vanishes mod p; every sign choice of w has the same rank, so one test
+    per point does.
     """
     root, _, sign = _root_tables(p)
     rows = _candidate_rows(p)
@@ -535,7 +508,8 @@ def local_solvability(a: int, b: int, c: int) -> ConditionReport:
     forces v = 0 and so w = 0.  Otherwise it stays unresolved and
     uncertified.  The primes up to the bound are sieved once at import.
     Per odd prime: a smooth F_p-point, found by a walk over P^2(F_p) that
-    stops at the first one, certifies a Q_p-point by Hensel lifting; no
+    stops at the first one, certifies a Q_p-point by Hensel lifting (the
+    rank-3 test is one lemma, see _rank_is_three); no
     F_p-point at a prime of good reduction (not 2, 5 or a divisor of a
     nonsingularity factor, tested only then) certifies failure; otherwise
     a survival count modulo p^k (k capped at 4, scaled to the prime),
@@ -678,8 +652,16 @@ def evaluate_triplet(
     conditions: Optional[Sequence[int]] = None,
 ) -> TripletReport:
     """Run the requested screens (default: all eight) on one triplet."""
-    wanted = sorted(set(conditions or range(1, 9)))
-    return _triplet_report(a, b, c, wanted, {}, nonsingularity_factors(a, b, c))
+    return _triplet_report(a, b, c, _wanted(conditions), {}, nonsingularity_factors(a, b, c))
+
+
+def _wanted(conditions: Optional[Sequence[int]]) -> list[int]:
+    """The screens asked for, sorted and once each; None asks for all eight.
+    An empty selection raises ValueError: no screen certifies nothing."""
+    wanted = sorted(set(range(1, 9) if conditions is None else conditions))
+    if not wanted:
+        raise ValueError("no screen selected")
+    return wanted
 
 
 def _triplet_report(a: int, b: int, c: int, wanted: Sequence[int],
@@ -723,7 +705,7 @@ def search_triplets(
     reports only for triplets passing everything asked.
     """
     (a0, a1), (b0, b1), (c0, c1) = box
-    wanted = sorted(set(conditions or range(1, 9)))
+    wanted = _wanted(conditions)
     for a in range(a0, a1 + 1):
         for b in range(b0, b1 + 1):
             for c in range(c0, c1 + 1):

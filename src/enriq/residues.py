@@ -583,7 +583,7 @@ class KummerCover:
         self.m = QQ_ratfunc(m)
         self.x_of_s = QQ_ratfunc(x_of_s)
         self.t_of_s = QQ_ratfunc(t_of_s)
-        if not (self.x_of_s * self.x_of_s == _compose(self.m, self.t_of_s)):
+        if not (self.x_of_s * self.x_of_s == self.m.evaluate(self.t_of_s)):
             raise ValueError("parametrisation does not satisfy x^2 = m(t)")
         #: classes on the branch curve live in Q(s)
         self.s_field = RationalFunctions("s", QQ)
@@ -604,7 +604,7 @@ class KummerCover:
 
     def branch_reduce(self, fn: RatFunc) -> RatFunc:
         """Image of a t-level function in k(B) = k(s)."""
-        return _compose(fn, self.t_of_s)
+        return fn.evaluate(self.t_of_s)
 
     def __repr__(self):
         return f"KummerCover(x^2 - ({self.m}))"
@@ -618,14 +618,6 @@ def QQ_ratfunc(value) -> RatFunc:
     if isinstance(value, str):
         return t_function(value)
     return RatFunc.constant(QQ, value)
-
-
-def _compose(fn: RatFunc, inner: RatFunc) -> RatFunc:
-    num = fn.num.evaluate(inner)
-    den = fn.den.evaluate(inner)
-    num = inner._coerce(num)
-    den = inner._coerce(den)
-    return num / den
 
 
 class DeclaredFunction:
@@ -834,7 +826,7 @@ def _kummer_reduce(cover: KummerCover, u: RatFunc) -> RatFunc:
     def eval_poly(p: Poly) -> RatFunc:
         acc = RatFunc.constant(QQ, 0)
         for c in reversed(p.coeffs):
-            c_s = _compose(XCOEFF.coerce(c), cover.t_of_s)
+            c_s = XCOEFF.coerce(c).evaluate(cover.t_of_s)
             acc = acc * cover.x_of_s + c_s
         return acc
 

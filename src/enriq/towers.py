@@ -780,19 +780,13 @@ class TowerElem:
 class TowerAuto:
     """A field automorphism of a tower, given by images of the roots.
 
-    Validation checks, for every step, that the proposed image of the root
-    squares to the image of the radicand.  Images default to the root
-    itself, so only the moved generators need to be listed.
+    Construction does not check the images; ``validate`` checks, for every
+    step, that the proposed image of the root squares to the image of the
+    radicand.  Images default to the root itself, so only the moved
+    generators need to be listed.
     """
 
-    def __init__(
-        self,
-        tower: Tower,
-        images: Mapping[str, TowerElem],
-        label: str = "",
-        *,
-        validate: bool = True,
-    ):
+    def __init__(self, tower: Tower, images: Mapping[str, TowerElem], label: str = ""):
         self.tower = tower
         self.label = label
         self.root_images: list[TowerElem] = [
@@ -804,8 +798,6 @@ class TowerAuto:
         self._negated = frozenset(i for i, s in enumerate(signs) if s == -1)
         self._moved = frozenset(i for i, s in enumerate(signs) if s not in (1, -1))
         self._mono_cache: dict[frozenset, TowerElem] = {}
-        if validate:
-            self.validate()
 
     def validate(self) -> None:
         for i, step in enumerate(self.tower.steps):

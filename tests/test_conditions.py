@@ -28,7 +28,6 @@ from enriq.conditions import (
     WITNESS,
     _deep_modulus_exponent,
     _deep_search_mod_pk,
-    _jacobian_rank_mod_p,
     _rank_is_three,
     _real_point,
     _smooth_point_mod_p,
@@ -262,7 +261,10 @@ def _reference_deep_search(a, b, c, p, k):
 
 def _reference_smooth_point(a, b, c, p):
     """The first point of the system over F_p in a row-major scan of
-    v in F_p^3 (at most 400 per v0), preferring a rank-3 Jacobian."""
+    v in F_p^3 (at most 400 per v0), preferring a rank-3 Jacobian by the
+    minors oracle, with w signed by the first choice in itertools.product
+    order.  Every sign choice of w has the same rank (checked on the oracle
+    by test_jacobian_rank_ignores_signs_of_w), so one test per point does."""
     (square, _, root), (five_sq, _, five_root) = _reference_square_tables(p, 1)
     found = None
     for v0, q0, d, q2 in _reference_slices(a, b, c, p):
@@ -272,9 +274,9 @@ def _reference_smooth_point(a, b, c, p):
         for v1, v2 in np.argwhere(mask)[:400]:
             v = (v0, int(v1), int(v2))
             w = (int(root[q0[v1, v2]]), int(five_root[d[v1, v2]]), int(root[q2[v1, v2]]))
-            for signed in itertools.product(*({x, -x % p} for x in w)):
-                if _jacobian_rank_mod_p(a, b, c, v, signed, p) == 3:
-                    return {"point": [list(v), list(signed)], "smooth": True}
+            if _full_rank_mod_p(_jacobian(a, b, c, v, w), p):
+                signed = next(itertools.product(*({x, -x % p} for x in w)))
+                return {"point": [list(v), list(signed)], "smooth": True}
             if found is None:
                 found = {"point": [list(v), list(w)], "smooth": False}
     return found
@@ -329,15 +331,18 @@ def test_jacobian_rank_ignores_signs_of_w(p, triplet, v, w):
     the minor on the w-columns is 40*w0*w1*w2, and modulo 2 rows 0 and 1
     agree while row 2 vanishes."""
     v, w = tuple(x % p for x in v), tuple(x % p for x in w)
-    rank = _jacobian_rank_mod_p(*triplet, v, w, p)
-    assert (rank == 3) == _full_rank_mod_p(_jacobian(*triplet, v, w), p)
+    full = _full_rank_mod_p(_jacobian(*triplet, v, w), p)
+    assert _rank_is_three(*triplet, v, w, p) == full
     for signs in itertools.product((1, -1), repeat=3):
         signed = tuple(s * x % p for s, x in zip(signs, w))
-        assert _jacobian_rank_mod_p(*triplet, v, signed, p) == rank
+        assert _full_rank_mod_p(_jacobian(*triplet, v, signed), p) == full
+        assert _rank_is_three(*triplet, v, signed, p) == full
     if p not in (2, 5) and w[0] * w[1] * w[2] % p:
-        assert rank == 3
+        assert full
     if p == 2:
-        assert rank <= 1
+        rows = [[x % 2 for x in row] for row in _jacobian(*triplet, v, w)]
+        assert rows[0] == rows[1] and not any(rows[2])  # so the rank is at most 1
+        assert not full
 
 
 @settings(max_examples=300, deadline=None)
@@ -347,21 +352,31 @@ def test_jacobian_rank_ignores_signs_of_w(p, triplet, v, w):
        v=st.tuples(*[st.integers(0, PRIME_BOUND)] * 3),
        v_zero=st.sets(st.sampled_from([0, 1, 2]), max_size=2),
        w=st.tuples(*[st.integers(1, PRIME_BOUND)] * 3),
-       w_zero=st.sampled_from([0, 1, 2]))
-def test_rank_closed_form_with_one_zero_w(p, triplet, p_divides, v, v_zero, w, w_zero):
-    """Exactly one w_i is 0 mod p; p divides the a, b, c and v is 0 at the
-    v_i drawn, so the exception a*v0 = b*v1 = c*v2 = 0 comes up often."""
+       w_zero=st.sets(st.sampled_from([0, 1, 2])))
+def test_rank_closed_form_with_any_zero_w(p, triplet, p_divides, v, v_zero, w, w_zero):
+    """The w_i drawn are 0 mod p, any subset of them and at any p up to
+    the bound; p divides the a, b, c and v is 0 at the v_i drawn, so the
+    exceptions (a zero or dependent v-part) come up often."""
     triplet = tuple(x * p if i in p_divides else x for i, x in enumerate(triplet))
     v = [0 if i in v_zero else x % p for i, x in enumerate(v)]
     if not any(v):
         v[2] = 1
-    w = [0 if i == w_zero else x % p or 1 for i, x in enumerate(w)]
+    w = [0 if i in w_zero else x % p or 1 for i, x in enumerate(w)]
     full = _full_rank_mod_p(_jacobian(*triplet, v, w), p)
-    assert (_jacobian_rank_mod_p(*triplet, v, w, p) == 3) == full
     assert _rank_is_three(*triplet, v, w, p) == full
-    if p not in (2, 5):
-        degenerate = w[2] == 0 and not any(x * y % p for x, y in zip(triplet, v))
+    if p not in (2, 5) and len(w_zero) <= 1:
+        degenerate = w_zero == {2} and not any(x * y % p for x, y in zip(triplet, v))
         assert full != degenerate
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rank_is_three_matches_minors_everywhere_mod_small_p(p):
+    """Every (a, b, c, v, w) mod p with v != 0."""
+    for a, b, c, *vw in itertools.product(range(p), repeat=9):
+        v, w = vw[:3], vw[3:]
+        if any(v):
+            assert _rank_is_three(a, b, c, v, w, p) == _full_rank_mod_p(
+                _jacobian(a, b, c, v, w), p), (a, b, c, v, w)
 
 
 def test_condition7_does_not_depend_on_cache_order():
@@ -711,6 +726,17 @@ def test_evaluate_subset_of_conditions():
     singular = evaluate_triplet(1, 1, 10, conditions=[4])
     assert singular.conditions[0].verdict == PASS
     assert singular.overall == FAIL
+
+
+def test_evaluate_rejects_empty_selection():
+    """Only None asks for the default battery; zero screens certify nothing."""
+    with pytest.raises(ValueError):
+        evaluate_triplet(*WITNESS, conditions=[])
+
+
+def test_search_rejects_empty_selection():
+    with pytest.raises(ValueError):
+        list(search_triplets([(12, 12), (111, 111), (13, 13)], conditions=[]))
 
 
 def test_report_serialization(witness_report):

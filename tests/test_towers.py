@@ -124,11 +124,10 @@ def test_automorphism_validation():
     z = (1 + t.gen("i")) * t.gen("sqrt2")
     assert conj(z) == (1 - t.gen("i")) * t.gen("sqrt2")
     assert conj(conj(z)) == z
-    # validation happens at construction: sqrt2 cannot go to sqrt5
-    with pytest.raises(ValueError):
-        TowerAuto(t, {"sqrt2": t.gen("sqrt5")}, label="bad")
-    # but a deliberately unvalidated instance can be built and probed
-    bad = TowerAuto(t, {"sqrt2": t.gen("sqrt5")}, label="bad", validate=False)
+    conj.validate()
+    # construction does not validate: sqrt2 cannot go to sqrt5, and only
+    # validate says so
+    bad = TowerAuto(t, {"sqrt2": t.gen("sqrt5")}, label="bad")
     with pytest.raises(ValueError):
         bad.validate()
 
@@ -467,7 +466,7 @@ def test_apply_adds_up_the_monomial_images(case):
     root images; unvalidated images that are sums make the terms overlap."""
     t, x, y, _ = case
     assume(t.steps)
-    rho = TowerAuto(t, {t.steps[0].name: y}, validate=False)
+    rho = TowerAuto(t, {t.steps[0].name: y})
     want = t.zero()
     for mono, c in x.coeffs.items():
         img = t.rational(c)
@@ -496,7 +495,7 @@ def mixed_automorphisms(draw):
             if negated:
                 img = img + t.root(negated[0]) * t.root(i) * draw(rationals)
             images[t.steps[i].name] = img
-    return t, TowerAuto(t, images, validate=False), draw(elements(t))
+    return t, TowerAuto(t, images), draw(elements(t))
 
 
 def reference_apply(rho, x):
