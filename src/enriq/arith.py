@@ -293,11 +293,14 @@ def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) in {-1, 0, 1} for an odd prime p."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"legendre needs an odd prime, got {p}")
-    a %= p
-    if a == 0:
-        return 0
+    return _euler_criterion(a, p)
+
+
+def _euler_criterion(a: int, p: int) -> int:
+    """(a/p) as a^((p-1)/2) mod p, for an odd prime p the caller has
+    certified (legendre, or a divisor from prime_divisors)."""
     t = pow(a, (p - 1) // 2, p)
-    return 1 if t == 1 else -1
+    return -1 if t == p - 1 else t
 
 
 def _square_free_parts(x: RationalLike) -> tuple[int, int]:

@@ -11,13 +11,12 @@ arithmetic conditions under which the verification pipeline applies:
   (6) (a, b, c) = (1, 1, 2) modulo 11
   (7) the surface has points over R and over every Q_p (searched up to
       PRIME_BOUND; verdict at best "Probable"): a walk over P^2(F_p) for
-      a smooth F_p-point, over cached rows of the points where the
-      triplet-free forms q0 and q0 - q1 have roots, with one q2 lookup
-      per such point and a one-lemma Jacobian rank test, then a
-      count of the primitive v surviving modulo p^k over unit-scaling
-      orbits, one plain-int bitmask per value, with q2's masks shared by
-      each unit-square class of c; the per-prime tables both use are
-      built once per process, lazily (see local_solvability)
+      a smooth F_p-point, on one lazily cached table per prime of the
+      points where the triplet-free q0 and q0 - q1 have roots, each with
+      its rank when w2 != 0, so a point costs one q2 lookup; the points of
+      a walk with none give the survival count where k = 1 (p >= 13), and
+      at p <= 11 it runs over unit-scaling orbits of v, on bitmasks packed
+      by v1^2, with q2's masks shared by each unit-square class of c
   (8) the splitting field is as large as possible; checked through the
       tower-independence proxy: every preset tower step stays quadratic.
 
@@ -32,7 +31,7 @@ import functools
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .arith import is_anisotropic_diag4, legendre, prime_divisors, primes_up_to
+from .arith import _euler_criterion, is_anisotropic_diag4, legendre, prime_divisors, primes_up_to
 from .presets import k_tower
 
 #: The published example triplet used throughout the tests.
@@ -148,7 +147,7 @@ def _nonresidue_condition(index: int, label: int, value: int) -> ConditionReport
             rpt.detail = f"{label} = 0 mod {p} is a square, violating the screen"
             rpt.notes.append(f"p={p} divides the symbol base {label}")
             continue
-        s = legendre(label, p)
+        s = _euler_criterion(label, p)  # p is certified prime by prime_divisors
         symbols[p] = s
         if s == 1:
             rpt.verdict = FAIL
@@ -243,67 +242,64 @@ def _survival_masks(p: int, k: int, m: int, r: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_rows(p: int, k: int, v0: int) -> tuple[tuple[int, int], ...]:
+def _pair_rows(p: int, k: int, v0: int) -> tuple[tuple[int, int, int], ...]:
     """The triplet-independent half of the slice at v0 modulo q = p^k:
-    for each v1, (v1^2 mod q, mask), where the mask holds the v2 that
-    solve the q0 and d congruences and, when p divides v0 and v1, are
-    units (so v is primitive; see _deep_search_mod_pk).  Rows with an
-    empty mask are left out.
+    per value s of v1^2 mod q, (s, packed, rep), where the j-th v1 with
+    v1^2 = s puts its mask at bit j*q of packed and 1 << j*q into rep.  A
+    mask holds the v2 that solve the q0 and d congruences and, when p
+    divides v0 and v1, are units (so v is primitive; see
+    _deep_search_mod_pk); empty masks are left out.  These rows share
+    their q2 mask, which q2_mask * rep copies into every slot.
 
     Process-lifetime cache, bounded: p is at most PRIME_BOUND, k is
     _deep_modulus_exponent(p) and v0 is 0 or p^j with j < k, so k+1
-    entries per prime, each at most q rows.
+    entries per prime, each at most q values.
     """
     q = p**k
     q0_masks = _survival_masks(p, k, 5, 1)
     d_masks = _survival_masks(p, k, 5, 5)
     unit_v2 = sum(1 << v2 for v2 in range(q) if v2 % p)
-    rows = []
+    masks: dict[int, list[int]] = {}
     for v1 in range(q):
         mask = q0_masks[v0 * v1 % q] & d_masks[(v0 * v1 - (v0 + v1) * (v0 + 2 * v1)) % q]
         if v0 % p == 0 and v1 % p == 0:
             mask &= unit_v2
         if mask:
-            rows.append((v1 * v1 % q, mask))
-    return tuple(rows)
+            masks.setdefault(v1 * v1 % q, []).append(mask)
+    return tuple((v1_sq, sum(m << j * q for j, m in enumerate(row)),
+                  sum(1 << j * q for j in range(len(row)))) for v1_sq, row in masks.items())
 
 
 @functools.lru_cache(maxsize=None)
-def _root_tables(p: int) -> tuple[tuple[int, ...], ...]:
-    """(root, five_root, sign) over F_p: for each x the largest w < p with
-    w^2 = x, resp. 5*w^2 = x, or -1 when there is none; and sign[w], the
-    first of w, -w mod p that iterating the set {w, -w mod p} gives.
+def _walk_table(p: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], list]:
+    """The triplet-independent half of the walk over P^2(F_p): (root,
+    five_root, sign, rows), where root[x] (five_root[x]) is the largest
+    w < p with w^2 = x (5*w^2 = x), or -1 when there is none; sign[w] is
+    the first of w, -w mod p that iterating {w, -w mod p} gives; and rows,
+    filled lazily by _smooth_point_mod_p, holds _walk_row(p, i) at i.
 
-    Process-lifetime cache, one entry per prime (at most PRIME_BOUND),
-    each three tuples of p ints.
+    Process-lifetime cache, one entry per prime (at most PRIME_BOUND):
+    three tuples of p ints and at most p + 2 rows.
     """
     root, five_root = [-1] * p, [-1] * p
     for w in range(p):
         root[w * w % p] = w
         five_root[5 * w * w % p] = w
-    return tuple(root), tuple(five_root), tuple(next(iter({w, -w % p})) for w in range(p))
+    return tuple(root), tuple(five_root), tuple(next(iter({w, -w % p})) for w in range(p)), []
 
 
-@functools.lru_cache(maxsize=None)
-def _candidate_rows(p: int) -> list[tuple[int, int, int, int, tuple]]:
-    """The triplet-independent half of the walk over P^2(F_p), filled
-    lazily by _smooth_point_mod_p: entry i is _candidate_row(p, i).
-
-    Process-lifetime cache, one list per prime (at most PRIME_BOUND), each
-    at most p + 2 entries, one per row.
-    """
-    return []
-
-
-def _candidate_row(p: int, i: int) -> tuple[int, int, int, int, tuple]:
+def _walk_row(p: int, i: int) -> tuple[int, int, int, int, tuple]:
     """(v0, v1, v0^2 mod p, v1^2 mod p, candidates) for row i of P^2(F_p),
-    where the candidates are the (v2, v2^2 mod p, w0, w1) of the row with
-    q0 = w0^2 and d = q0 - q1 = 5*w1^2, each w the largest root below p.
+    where the candidates are the (v2, v2^2 mod p, w0, w1, rank3) of the
+    row with q0 = w0^2 and d = q0 - q1 = 5*w1^2, each w the largest root
+    below p; rank3 is the rank at any w2 != 0 mod p, where the q2 row, the
+    one holding a, b and c, drops out of _rank_is_three (and 20*w0*w1 != 0
+    leaves no row at all).
 
     One representative per point: row 0 is (0, 0, 1), row 1 is (0, 1, y)
     and row i >= 2 is (1, i - 2, y), so rows 0 .. p + 1 list the points in
     increasing order."""
-    root, five_root, _ = _root_tables(p)
+    root, five_root, _, _ = _walk_table(p)
     v0, v1 = (0, 0) if i == 0 else (0, 1) if i == 1 else (1, i - 2)
     v2s = range(1, 2) if i == 0 else range(p)
     r0 = v0 * v1  # q0 and q0 - q1 less their v2 term 5*v2^2
@@ -316,7 +312,9 @@ def _candidate_row(p: int, i: int) -> tuple[int, int, int, int, tuple]:
             continue
         w1 = five_root[(rd + 5 * sq) % p]
         if w1 >= 0:
-            candidates.append((v2, sq, w0, w1))
+            rank3 = (20 * w0 * w1 % p != 0
+                     or _rank_is_three(0, 0, 0, (v0, v1, v2), (w0, w1, 1), p))
+            candidates.append((v2, sq, w0, w1, rank3))
     return v0, v1, v0 * v0 % p, v1 * v1 % p, tuple(candidates)
 
 
@@ -353,47 +351,53 @@ def _rank_is_three(a: int, b: int, c: int, v, w, p: int) -> bool:
     return sum(x * y for x, y in zip(cross, rows[2])) % p != 0
 
 
-def _smooth_point_mod_p(a: int, b: int, c: int, p: int) -> Optional[dict]:
+def _smooth_point_mod_p(a: int, b: int, c: int, p: int) -> tuple[Optional[dict], int]:
     """Search F_p for a point of the system; prefer one with rank-3 Jacobian.
 
-    The walk stops at the first point whose Jacobian has rank 3 and
-    returns {"point": ..., "smooth": True}, with the first sign choice of
-    w in itertools.product order.  Without one it returns the first point
-    seen with "smooth": False, or None if the system has no F_p-point at
-    all.
+    Returns (hit, points), points being the v in P^2(F_p) the walk passed
+    over which the system has a point.  The walk stops at the first point
+    whose Jacobian has rank 3: hit is {"point": ..., "smooth": True}, with
+    the first sign choice of w in itertools.product order.  Without one it
+    passes them all, and hit is the first point seen with "smooth": False,
+    or None if there is none.
 
     Scaling (v, w) by a unit multiplies q0, q0 - q1, q2 and the Jacobian by
     units, so one representative per point of P^2(F_p) decides everything,
     and the walk returns the point a scan of all of F_p^3 in row-major
     order would reach first.  Each root table keeps the largest w with
-    m*w^2 = x, as a scan in increasing w does.
+    m*w^2 = x, as a scan in increasing w does.  The rows of _walk_table
+    keep only the v2 where q0 and d = q0 - q1 have roots, so a candidate
+    costs one q2 root lookup; its rank comes with the row when w2 != 0,
+    and from _rank_is_three when w2 = 0.  Every sign choice of w has the
+    same rank, so one test per point does.
 
-    q0 and d = q0 - q1 do not depend on the triplet, so the rows of
-    _candidate_rows keep only the v2 where both have a root, and each
-    candidate costs one q2 root lookup.  The rank of each point found is
-    decided in closed form by _rank_is_three, from the rows whose w-entry
-    vanishes mod p; every sign choice of w has the same rank, so one test
-    per point does.
+    At k = 1 (every p >= 13, see _deep_modulus_exponent) the survival count
+    is (p - 1)*points when no point is smooth.  Proof: away from p = 5 a
+    primitive (v, w) mod p has v != 0 (see _deep_search_mod_pk), so the
+    survivors are the v != 0 in F_p^3 where q0 = w0^2, d = 5*w1^2 and
+    q2 = w2^2 are solvable.  v -> lam*v multiplies each value by lam^2,
+    so that depends only on the point of P^2(F_p); each point has p - 1
+    such v, and the walk counts each point with all three roots once.
     """
-    root, _, sign = _root_tables(p)
-    rows = _candidate_rows(p)
+    root, _, sign, rows = _walk_table(p)
     am, bm, cm = a % p, b % p, c % p
-    found = None
+    found, points = None, 0
     for i in range(p + 2):
         if i == len(rows):
-            rows.append(_candidate_row(p, i))
+            rows.append(_walk_row(p, i))
         v0, v1, v0_sq, v1_sq, candidates = rows[i]
         r2 = am * v0_sq + bm * v1_sq  # q2 less its v2 term c*v2^2
-        for v2, sq, w0, w1 in candidates:
+        for v2, sq, w0, w1, rank3 in candidates:
             w2 = root[(r2 + cm * sq) % p]
             if w2 < 0:
                 continue
-            v, w = [v0, v1, v2], [w0, w1, w2]
-            if _rank_is_three(am, bm, cm, v, w, p):
-                return {"point": [v, [sign[w0], sign[w1], sign[w2]]], "smooth": True}
+            points += 1
+            if rank3 if w2 else _rank_is_three(am, bm, cm, (v0, v1, v2), (w0, w1, 0), p):
+                return {"point": [[v0, v1, v2], [sign[w0], sign[w1], sign[w2]]],
+                        "smooth": True}, points
             if found is None:
-                found = {"point": [v, w], "smooth": False}
-    return found
+                found = {"point": [[v0, v1, v2], [w0, w1, w2]], "smooth": False}
+    return found, points
 
 
 def _deep_search_mod_pk(a: int, b: int, c: int, p: int, k: int) -> int:
@@ -418,12 +422,22 @@ def _deep_search_mod_pk(a: int, b: int, c: int, p: int, k: int) -> int:
 
     k+1 slices instead of p^k.  The triplet is first rescaled by the unit
     square of _square_scalers that takes c to its class's representative,
-    so the q2 masks are shared by every c of one unit-square class.
+    so the q2 masks are shared by every c of one unit-square class.  In
+    the row at v1, q0 = v0*v1 + 5*v2^2, d = v0*v1 - (v0 + v1)*(v0 + 2*v1)
+    + 5*v2^2 and q2 = a*v0^2 + b*v1^2 + c*v2^2 are lookups in
+    _survival_masks, and the survivors are the AND of three masks; the
+    q0 and d halves come packed from _pair_rows, one q2 lookup per v1^2.
     """
-    orbit = {0: 1} | {p**j: (p - 1) * p ** (k - j - 1) for j in range(k)}
-    s, c_rep = _square_scalers(p, k)[c % p**k]
-    return (p == 5 and k == 1) + sum(
-        n * _slice_survivors(s * a, s * b, c_rep, p, k, v0) for v0, n in orbit.items())
+    q = p**k
+    s, c_rep = _square_scalers(p, k)[c % q]
+    q2_masks = _survival_masks(p, k, c_rep, 1)
+    a, b = s * a % q, s * b % q
+    count = int(p == 5 and k == 1)
+    for v0, n in ({0: 1} | {p**j: (p - 1) * p ** (k - j - 1) for j in range(k)}).items():
+        av = a * v0 * v0
+        count += n * sum((packed & q2_masks[(av + b * v1_sq) % q] * rep).bit_count()
+                         for v1_sq, packed, rep in _pair_rows(p, k, v0))
+    return count
 
 
 @functools.lru_cache(maxsize=None)
@@ -449,24 +463,6 @@ def _square_scalers(p: int, k: int) -> tuple[tuple[int, int], ...]:
                 if scalers[x] is None:
                     scalers[x] = (pow(u, -1, q), c_rep)
     return tuple(scalers)
-
-
-def _slice_survivors(a: int, b: int, c: int, p: int, k: int, v0: int) -> int:
-    """S(v0): the survivors (v1, v2) mod p^k of the slice at v0, v primitive.
-
-    A point is q0 = w0^2, d = q0 - q1 = 5*w1^2 and q2 = w2^2.  In the row
-    at v1, q0 is v0*v1 + 5*v2^2, d is v0*v1 - (v0 + v1)*(v0 + 2*v1) +
-    5*v2^2 and q2 is a*v0^2 + b*v1^2 + c*v2^2, so each is a lookup in
-    _survival_masks and the row's survivors are the AND of three masks.
-    _deep_search_mod_pk passes c as its class representative.
-    The q0 and d halves, and the unit-v2 restriction, do not depend on the
-    triplet and come from _pair_rows, so each row costs one q2 lookup.
-    """
-    q = p**k
-    q2_masks = _survival_masks(p, k, c % q, 1)
-    av, bm = a * v0 * v0, b % q
-    return sum((mask & q2_masks[(av + bm * v1_sq) % q]).bit_count()
-               for v1_sq, mask in _pair_rows(p, k, v0))
 
 
 def _deep_modulus_exponent(p: int) -> int:
@@ -509,33 +505,33 @@ def local_solvability(a: int, b: int, c: int) -> ConditionReport:
     uncertified.  The primes up to the bound are sieved once at import.
     Per odd prime: a smooth F_p-point, found by a walk over P^2(F_p) that
     stops at the first one, certifies a Q_p-point by Hensel lifting (the
-    rank-3 test is one lemma, see _rank_is_three); no
-    F_p-point at a prime of good reduction (not 2, 5 or a divisor of a
-    nonsingularity factor, tested only then) certifies failure; otherwise
-    a survival count modulo p^k (k capped at 4, scaled to the prime),
-    summed over the k+1 unit-scaling orbits of v0, is reported as
-    uncertified survival, or as an obstruction when it is 0.  At 2 the
-    count alone decides.  Good reduction, away from 2, 5 and the
-    nonsingularity factors, is the smoothness criterion that
+    rank-3 test is one lemma, see _rank_is_three); no F_p-point at a prime
+    of good reduction (not 2, 5 or a divisor of a nonsingularity factor,
+    tested only then) certifies failure; otherwise a survival count
+    modulo p^k (k capped at 4, scaled to the prime) is reported as
+    uncertified survival, or as an obstruction when it is 0.  Where k = 1
+    (p >= 13) it is (p - 1) times the walk's point count (see
+    _smooth_point_mod_p); at p <= 11 it is summed over the k+1
+    unit-scaling orbits of v0.  At 2 the count alone decides.  Good
+    reduction is the smoothness criterion that
     tests/test_conditions.py::test_good_reduction_discriminants checks.
     Overall verdict is at best Probable because primes beyond the bound
     are never examined.
 
-    Five process-lifetime caches hold what depends on the prime alone
+    Four process-lifetime caches hold what depends on the prime alone
     (or on the unit-square class of c mod p^k), never on the order
     triplets come in; each is bounded because p <= PRIME_BOUND and
     q = p^k <= 125:
-      _root_tables(p): square roots and sign choices mod p, one per prime;
-      _candidate_rows(p): the q0 and d half of the walk, one list per
-        prime, filled row by row as walks reach it, at most p + 2 rows;
+      _walk_table(p): roots, sign choices and the q0 and d half of the
+        walk, filled row by row as walks reach it, at most p + 2 rows;
       _pair_rows(p, k, v0): the q0 and d half of each survival slice,
-        k+1 per prime (v0 = 0 or p^j);
+        packed by v1^2, k+1 per prime (v0 = 0 or p^j) at p <= 11;
       _square_scalers(p, k): for each c mod q, the unit square taking c
-        to its class's representative, one per prime;
+        to its class's representative, one per prime at p <= 11;
       _survival_masks(p, k, m, r): q ints, one row mask per value, for
         m = 5 and for each class representative met, so at most
         (unit-square classes mod q) + 2 per prime: 12 at 2, 9 at 3, 7 at
-        5, 5 at 7 and 11, and 3 where k = 1.
+        5, 5 at 7 and 11.
     """
     rpt = ConditionReport(7, PROBABLE, "", data={})
     places: dict[str, dict] = {}
@@ -554,7 +550,7 @@ def local_solvability(a: int, b: int, c: int) -> ConditionReport:
     factors = nonsingularity_factors(a, b, c).values()
     for p in _PRIMES:
         # no point is smooth mod 2 (_rank_is_three), so only the count decides 2
-        hit = None if p == 2 else _smooth_point_mod_p(a, b, c, p)
+        hit, points = (None, 0) if p == 2 else _smooth_point_mod_p(a, b, c, p)
         if hit is not None and hit["smooth"]:
             places[str(p)] = {"status": "certified", "point": hit["point"]}
             continue
@@ -563,7 +559,7 @@ def local_solvability(a: int, b: int, c: int) -> ConditionReport:
             rpt.verdict = FAIL
             continue
         k = _deep_modulus_exponent(p)
-        survivors = _deep_search_mod_pk(a, b, c, p, k)
+        survivors = (p - 1) * points if k == 1 else _deep_search_mod_pk(a, b, c, p, k)
         if survivors == 0:
             places[str(p)] = {"status": "obstructed", "modulus": f"{p}^{k}"}
             rpt.verdict = FAIL
@@ -657,10 +653,14 @@ def evaluate_triplet(
 
 def _wanted(conditions: Optional[Sequence[int]]) -> list[int]:
     """The screens asked for, sorted and once each; None asks for all eight.
-    An empty selection raises ValueError: no screen certifies nothing."""
+    An empty selection raises ValueError: no screen certifies nothing; so
+    does an index outside 1-8, before any triplet is screened."""
     wanted = sorted(set(range(1, 9) if conditions is None else conditions))
     if not wanted:
         raise ValueError("no screen selected")
+    for index in wanted:
+        if index not in range(1, 9):
+            raise ValueError(f"no condition numbered {index}")
     return wanted
 
 

@@ -88,6 +88,14 @@ def test_legendre_rejects_bad_modulus():
         arith.legendre(3, 15)
 
 
+@given(st.integers(-10**6, 10**6),
+       st.sampled_from([3, 5, 7, 11, 13, 97, 1009, 1013, 104729, 999983]))
+def test_euler_criterion_matches_sympy_legendre(a, p):
+    """The kernel that screens (1) and (2) call on the primes prime_divisors
+    has certified; legendre adds only the primality check."""
+    assert arith._euler_criterion(a, p) == sympy.legendre_symbol(a % p, p) == arith.legendre(a, p)
+
+
 HILBERT_VALUES = [-3, -2, -1, 1, 2, 3, 5, 6, 10]
 
 

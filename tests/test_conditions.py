@@ -10,8 +10,12 @@ coordinate-by-coordinate.
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,7 +314,7 @@ def test_orbit_count_matches_full_grid_on_random_triplets(p, triplet, divides):
 @given(st.tuples(*[st.integers(-2000, 2000)] * 3))
 def test_walk_matches_row_major_scan(triplet):
     for p in primes_up_to(31):
-        assert _smooth_point_mod_p(*triplet, p) == _reference_smooth_point(*triplet, p), p
+        assert _smooth_point_mod_p(*triplet, p)[0] == _reference_smooth_point(*triplet, p), p
 
 
 @pytest.mark.parametrize("p", [p for p in primes_up_to(PRIME_BOUND) if p >= 37])
@@ -318,7 +322,32 @@ def test_walk_matches_row_major_scan_at_large_primes(p):
     """The long walks, and most of the one-rank-test shortcut's work, are
     at the primes the random test above does not reach."""
     for triplet in ORACLE_TRIPLETS:
-        assert _smooth_point_mod_p(*triplet, p) == _reference_smooth_point(*triplet, p), triplet
+        assert _smooth_point_mod_p(*triplet, p)[0] == _reference_smooth_point(*triplet, p), triplet
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([p for p in primes_up_to(PRIME_BOUND) if p >= 13]),
+       triplet=st.tuples(*[st.integers(-2000, 2000)] * 3),
+       divides=st.sampled_from([(), (0, 1), (0, 1, 2)]))
+def test_walk_point_count_is_the_survival_count_at_k_one(p, triplet, divides):
+    """Where k = 1, (p - 1) times the point count of a walk with no smooth
+    point is the full-grid survival count, which local_solvability then
+    reports; a walk that stops at a smooth point has counted fewer.  With
+    p dividing a, b and c no point is smooth (the q2 row of the Jacobian
+    vanishes where w2 does), and with p dividing a and b only the points
+    with v2 = 0 may be, so complete walks come up often."""
+    triplet = tuple(x * p if i in divides else x for i, x in enumerate(triplet))
+    assert _deep_modulus_exponent(p) == 1
+    hit, points = _smooth_point_mod_p(*triplet, p)
+    reference = _reference_deep_search(*triplet, p, 1)
+    if hit is not None and hit["smooth"]:
+        assert divides != (0, 1, 2)
+        assert 0 < (p - 1) * points <= reference
+    else:
+        assert (p - 1) * points == reference
+        place = local_solvability(*triplet).data["places"][str(p)]
+        if "modulus" in place:
+            assert place.get("survivors", 0) == reference
 
 
 @settings(max_examples=300, deadline=None)
@@ -379,22 +408,33 @@ def test_rank_is_three_matches_minors_everywhere_mod_small_p(p):
                 _jacobian(a, b, c, v, w), p), (a, b, c, v, w)
 
 
+def _clear_condition_caches():
+    """Clear every functools.lru_cache defined in enriq.conditions, found by
+    scanning the module, so a cache added later is cleared too; returns
+    their names."""
+    from enriq import conditions
+
+    names = sorted(name for name, obj in vars(conditions).items()
+                   if hasattr(obj, "cache_clear")
+                   and getattr(obj, "__module__", None) == conditions.__name__)
+    for name in names:
+        getattr(conditions, name).cache_clear()
+    assert "_walk_table" in names and "_survival_masks" in names
+    return names
+
+
 def test_condition7_does_not_depend_on_cache_order():
     """The process-lifetime caches are shared: triplets with c in one
     unit-square class share the c-row survival masks, and all triplets
-    share the square scalers, pair rows and root tables.  Filling them in either order gives the same counts and the
-    pinned reports."""
-    from enriq import conditions
-
+    share the square scalers, pair rows and walk tables.  Filling them in
+    either order gives the same counts and the pinned reports."""
     triplets = ORACLE_TRIPLETS + [(a + 1, b + 2, c) for a, b, c in ORACLE_TRIPLETS[:3]]
     primes = (2, 3, 5, 7)
     expected = {(t, p): _reference_deep_search(*t, p, _deep_modulus_exponent(p))
                 for t in triplets for p in primes}
     reports = []
     for order in (triplets, triplets[::-1]):
-        for cache in (conditions._survival_masks, conditions._pair_rows,
-                      conditions._root_tables, conditions._square_scalers):
-            cache.cache_clear()
+        _clear_condition_caches()
         texts = {}
         for t in order:
             for p in primes:
@@ -408,31 +448,28 @@ def test_condition7_does_not_depend_on_cache_order():
 
 
 def test_walk_rows_do_not_depend_on_cache_order():
-    """The walk fills its candidate rows lazily, as far as each triplet's
-    walk reaches: after all five condition-(7) caches are cleared, the
-    oracle triplets forward and then reversed walk to the full-grid
-    oracle's point at every prime, the pinned reports hold, and every
-    prime keeps at most p + 2 rows, each as a fresh build gives it.  No
-    point is smooth modulo 2, so there every walk reads all the rows."""
+    """The walk fills the rows of its walk table lazily, as far as each
+    triplet's walk reaches: after every lru_cache of the module is
+    cleared, the oracle triplets forward and then reversed walk to the
+    full-grid oracle's point at every prime, the pinned reports hold, and
+    every prime keeps at most p + 2 rows, each as a fresh build gives it.
+    No point is smooth modulo 2, so there every walk reads all the rows."""
     from enriq import conditions
 
     primes = primes_up_to(PRIME_BOUND)
     expected = {(t, p): _reference_smooth_point(*t, p) for t in ORACLE_TRIPLETS for p in primes}
     for order in (ORACLE_TRIPLETS, ORACLE_TRIPLETS[::-1]):
-        for cache in (conditions._candidate_rows, conditions._root_tables,
-                      conditions._pair_rows, conditions._survival_masks,
-                      conditions._square_scalers):
-            cache.cache_clear()
+        _clear_condition_caches()
         for t in order:
             for p in primes:
-                assert _smooth_point_mod_p(*t, p) == expected[t, p], (t, p)
+                assert _smooth_point_mod_p(*t, p)[0] == expected[t, p], (t, p)
             text = json.dumps(local_solvability(*t).to_dict(), sort_keys=True)
             assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[t], t
         for p in primes:
-            rows = conditions._candidate_rows(p)
+            rows = conditions._walk_table(p)[3]
             assert len(rows) <= p + 2, p
-            assert rows == [conditions._candidate_row(p, i) for i in range(len(rows))], p
-        assert len(conditions._candidate_rows(2)) == 4
+            assert rows == [conditions._walk_row(p, i) for i in range(len(rows))], p
+        assert len(conditions._walk_table(2)[3]) == 4
 
 
 def test_p_dividing_v_forces_p_dividing_w_except_at_five_to_the_first():
@@ -465,16 +502,20 @@ def test_primes_up_to():
 
 
 def test_deep_search_builds_one_slice_per_orbit(monkeypatch):
+    """The packed kernel reads one slice of pair rows per unit-scaling
+    orbit of v0, and no slice packs more than q = p^k rows."""
     from enriq import conditions
 
     built = []
-    survivors = conditions._slice_survivors
+    pair_rows = conditions._pair_rows
 
-    def counting(*args):
-        built.append(args[-1])
-        return survivors(*args)
+    def counting(p, k, v0):
+        built.append(v0)
+        rows = pair_rows(p, k, v0)
+        assert sum(rep.bit_count() for _, _, rep in rows) <= p**k
+        return rows
 
-    monkeypatch.setattr(conditions, "_slice_survivors", counting)
+    monkeypatch.setattr(conditions, "_pair_rows", counting)
     assert _deep_search_mod_pk(1635, 1315, 408, 5, 3) == _reference_deep_search(1635, 1315, 408, 5, 3)
     assert sorted(built) == [0, 1, 5, 25]
 
@@ -649,6 +690,30 @@ def test_condition7_report_pinned(triplet):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[triplet]
 
 
+PINNED_PROBE = """
+import hashlib, json, sys
+from enriq.conditions import local_solvability
+print(sys.flags.optimize)
+for triplet in json.loads(sys.argv[1]):
+    text = json.dumps(local_solvability(*triplet).to_dict(), sort_keys=True)
+    print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_condition7_reports_pinned_without_asserts(flags):
+    """A fresh interpreter, also under -O: no logic of condition (7) sits
+    in an assert, and the pinned digests hold from empty caches."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, *flags, "-c", PINNED_PROBE, json.dumps(ORACLE_TRIPLETS)],
+                         env=env, capture_output=True, text=True, check=True)
+    optimize, *digests = out.stdout.split()
+    assert optimize == str(len(flags))
+    assert digests == [PINNED_REPORTS[t] for t in ORACLE_TRIPLETS]
+
+
 def test_condition7_negative_definite_real_place():
     # a, b, c < 0 make q2 negative definite: w2^2 = q2 forces v = 0, w = 0
     rpt = local_solvability(-1, -2, -3)
@@ -737,6 +802,16 @@ def test_evaluate_rejects_empty_selection():
 def test_search_rejects_empty_selection():
     with pytest.raises(ValueError):
         list(search_triplets([(12, 12), (111, 111), (13, 13)], conditions=[]))
+
+
+@pytest.mark.parametrize("bad", [[5, 9], [0, 5], [7, 8, 9]])
+def test_search_rejects_unknown_index_up_front(bad):
+    """No triplet of the box gets past the residue filters, so only the
+    check of the selection itself can raise."""
+    with pytest.raises(ValueError, match="no condition numbered"):
+        list(search_triplets([(1, 4)] * 3, conditions=bad))
+    with pytest.raises(ValueError, match="no condition numbered"):
+        evaluate_triplet(*WITNESS, conditions=bad)
 
 
 def test_report_serialization(witness_report):
