@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import arith
-from .towers import Tower, TowerElem, parse_element
+from .towers import Tower, TowerAuto, TowerElem, parse_element
 
 __all__ = [
     "CoefficientField",
@@ -793,20 +793,11 @@ class ResidueField:
         infinite places the element already lies there."""
         if self.kind == "base":
             return element
-        # conjugate beta -> -u - beta; elements are a + b*beta expressions
-        # but may be arbitrary tower elements: use the step involution.
-        conj = self._conjugate(element)
-        product = element * conj
-        return self._descend(product)
-
-    def _conjugate(self, element):
-        # the residue tower's top step is the adjoined sqrt(disc); conjugation
-        # negates it and fixes everything below.
+        # the residue tower's top step is the adjoined sqrt(disc): conjugation
+        # (beta -> -u - beta) negates it and fixes everything below
         top = len(self.tower.steps) - 1
-        coeffs = {}
-        for mono, coeff in element.coeffs.items():
-            coeffs[mono] = -coeff if top in mono else coeff
-        return TowerElem(self.tower, coeffs)
+        conj = TowerAuto(self.tower, {self.tower.steps[top].name: -self.tower.root(top)})
+        return self._descend(element * conj(element))
 
     def _descend(self, element):
         top = len(self.tower.steps) - 1

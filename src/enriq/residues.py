@@ -12,14 +12,19 @@ The heart of the package's unramified-class computations.  Three layers:
   declared function, the section at infinity carries its norm, vertical
   fibers are cleared slot by slot against powers of the fiber polynomial)
   and once by brute force through Gauss valuations.  The two routes are
-  independently coded and compared place by place: the brute-force route
-  and the symbol residues share one tame-residue kernel (:func:`_tame`),
-  while the structured route keeps its own closed forms;
+  independently coded: the brute-force route and the symbol residues
+  share one tame-residue kernel (:func:`_tame`), while the structured
+  route writes its one fiber closed form in :func:`_cleared`;
 
 * Faddeev reconstruction: given target residue classes at places of the
   t-line (degree <= 2 or infinity), either build an explicit symbol sum
   realising them exactly, or certify the corestriction-sum obstruction
   that makes the profile unrealisable.
+
+Every check -- route A against route B, the component residues against
+the declared sections, the Faddeev round trip against its spec --
+decides place by place through one predicate (:func:`_agree`); the two
+desk checks print their rows through :func:`_compare`.
 
 Everything is exact: coefficients are rationals or quadratic-tower
 elements, and residue-field arithmetic goes through the tower engine.
@@ -727,8 +732,6 @@ def expand_corestriction(cover, func: DeclaredFunction) -> SymbolSum:
         h = RatFunc.from_poly(cover.h_poly())
         lifted = RatFunc.constant(XCOEFF, func.base)
         return SymbolSum([FunctionFieldSymbol(lifted, h)])
-    if not isinstance(cover, SplitCover):
-        raise TypeError("component functions need a split cover")
     x = x_variable()
     terms = []
     for ell, a in zip(func.components, cover.roots):
@@ -891,23 +894,13 @@ def _structured_vertical(cover, func: DeclaredFunction,
     for ell, a in zip(func.slot_functions(cover), cover.roots):
         m = valuation(ell, tplace)
         va = None if a.is_zero() else valuation(a, tplace)
-        pole = -min(0, va) if va is not None else 0
-        if pole == 0:
-            if m == 0:
-                continue
+        if va is not None and va < 0:
+            # slot over the section at infinity: clear the pole against p^mu
+            cls = _cleared(ell, m, a, va, tplace)
+            total = cls if total is None else total * cls
+        elif m:
             abar = rf.class_field.zero() if va is None or va > 0 else rf.reduce(a)
-            key = _residue_key(abar)
-            finite_groups.setdefault(key, [abar, 0])
-            finite_groups[key][1] += m
-            continue
-        # slot over the section at infinity: clear the pole against p^mu
-        u_ell = rf.reduce(_unit_part(ell, tplace, m))
-        v_a = rf.reduce(-_unit_part(a, tplace, va))
-        term = u_ell ** (pole % 2) * v_a ** (m % 2)
-        if (pole * m) % 2:
-            term = -term
-        cls = SquareClass(rf.class_field, term)
-        total = cls if total is None else total * cls
+            finite_groups.setdefault(_residue_key(abar), [abar, 0])[1] += m
 
     odd = [abar for abar, mult in finite_groups.values() if mult % 2]
     if odd:
@@ -925,24 +918,31 @@ def _kummer_vertical(cover: KummerCover, ell: RatFunc,
     """Route A on a Kummer fiber, for the collapsed symbol (l, x^2 - m):
     its Gauss valuations are a = v(l) and b = min(0, v(m)).  With b = 0
     the residue is the class of (x^2 - m-bar)^a, a square unless a is odd
-    and m-bar is nonzero, when it is not constant.  With b < 0 the residue
-    is (-1)^(ab) u-bar^b w-bar^(-a), where u and w are the unit parts of l
-    and of -m pi^(-b)."""
+    and m-bar is nonzero, when it is not constant.  With b < 0 the pole of
+    m dominates and :func:`_cleared` gives the class with h = m."""
     a = valuation(ell, tplace)
     vm = valuation(cover.m, tplace)
-    b = min(0, vm)
-    if b == 0:
+    if vm >= 0:
         if a % 2 and vm == 0:
             raise ResidueParityError(
                 f"vertical residue at {tplace} is not constant"
             )
         return None
+    return _cleared(ell, a, cover.m, vm, tplace)
+
+
+def _cleared(ell: RatFunc, a: int, h: RatFunc, b: int,
+             tplace: Place) -> SquareClass:
+    """Route A's one fiber closed form, for a slot (l, x - h) or
+    (l, x^2 - h) whose h has a pole of order -b at the fiber: clearing
+    it leaves (-1)^(ab) u-bar^b w-bar^(-a), where a = v(l) and u and w are
+    the unit parts of l and -h.  Only the exponent parities matter."""
     rf = tplace.residue_field()
     value = rf.class_field.one()
     if b % 2:
         value = value * rf.reduce(_unit_part(ell, tplace, a))
     if a % 2:
-        value = value * rf.reduce(-_unit_part(cover.m, tplace, b))
+        value = value * rf.reduce(-_unit_part(h, tplace, b))
     if (a * b) % 2:
         value = -value
     return SquareClass(rf.class_field, value)
@@ -965,23 +965,10 @@ def compare_routes(cover, func: DeclaredFunction) -> dict:
     fibers = _vertical_support(cover, func)
     structured = _structured(cover, func, fibers)
     oracle = _bruteforce(cover, syms, fibers)
-    places: dict[SurfacePlace, None] = {}
-    for spot in structured.support + oracle.support:
-        places.setdefault(spot, None)
-    rows = []
-    all_ok = True
-    for spot in sorted(places, key=SurfacePlace.sort_key):
-        s_cls = structured.entry(spot)
-        o_cls = oracle.entry(spot)
-        agree = _agree(s_cls, o_cls)
-        rows.append({
-            "place": str(spot),
-            "structured": "1" if s_cls is None else str(s_cls),
-            "bruteforce": "1" if o_cls is None else str(o_cls),
-            "agree": agree,
-        })
-        all_ok = all_ok and agree
-    return {"rows": rows, "ok": all_ok}
+    spots = sorted(dict.fromkeys(structured.support + oracle.support),
+                   key=SurfacePlace.sort_key)
+    return _compare([(spot, structured.entry(spot), oracle.entry(spot))
+                     for spot in spots], "structured", "bruteforce")
 
 
 def check_component_residues(cover, func: DeclaredFunction) -> dict:
@@ -993,15 +980,8 @@ def check_component_residues(cover, func: DeclaredFunction) -> dict:
     expected = _component_classes(cover, func)
     horizontal = _profile(
         _horizontal_residues(cover, syms, [spot.place for spot, _ in expected]))
-    rows = []
-    ok = True
-    for spot, want in expected:
-        got = horizontal.entry(spot)
-        agree = _agree(got, want)
-        rows.append({"place": str(spot), "expected": str(want),
-                     "got": "1" if got is None else str(got), "agree": agree})
-        ok = ok and agree
-    return {"rows": rows, "ok": ok}
+    return _compare([(spot, want, horizontal.entry(spot)) for spot, want in expected],
+                    "expected", "got")
 
 
 def _component_classes(cover, func: DeclaredFunction) -> list[tuple[SurfacePlace, SquareClass]]:
@@ -1022,6 +1002,17 @@ def _agree(x: Optional[SquareClass], y: Optional[SquareClass]) -> bool:
     if y is None:
         return x.is_trivial()
     return x.same_class(y)
+
+
+def _compare(triples, left: str, right: str) -> dict:
+    """The printed rows of the two desk checks: a row per (place, x, y)
+    triple, holding the place, the two classes under the keys ``left`` and
+    ``right`` (None prints as "1") and whether they agree (:func:`_agree`),
+    plus ``ok`` when every row does."""
+    rows = [{"place": str(spot), left: "1" if x is None else str(x),
+             right: "1" if y is None else str(y), "agree": _agree(x, y)}
+            for spot, x, y in triples]
+    return {"rows": rows, "ok": all(row["agree"] for row in rows)}
 
 
 # ==========================================================================
@@ -1098,19 +1089,12 @@ def divisor_parity_membership(
 def parity_generators(cover: SplitCover) -> list[dict]:
     """The mod-2 cycles cut on the branch image by the section at infinity
     and by the infinite fiber."""
-    section: dict = {}
-    pole_places: dict[Place, None] = {}
+    poles: dict[Place, int] = {}
     for a in cover.roots:
         for place, mult in support_places(a).items():
             if mult < 0:
-                pole_places.setdefault(place, None)
-    for place in pole_places:
-        count = sum(
-            1 for a in cover.roots
-            if valuation(a, place) < 0
-        )
-        if count % 2:
-            section[("S", _place_key(place))] = 1
+                poles[place] = poles.get(place, 0) + 1
+    section = {("S", _place_key(place)): 1 for place, count in poles.items() if count % 2}
 
     fiber: dict = {}
     inf = Place.infinite(QQ)
@@ -1418,49 +1402,26 @@ def faddeev_reconstruct(spec: ResidueSpec) -> dict:
                 RatFunc.constant(base, delta), tvar - root,
             ))
 
-    # honest roundtrip: recompute the full profile of what we built
-    known_places = list(targets)
-    for place in spec.places():
-        if not place.is_infinite and place not in targets:
-            known_places.append(place)
+    # honest roundtrip: recompute the full profile of what we built and
+    # compare it with the spec at every known place, and at infinity when
+    # the spec declares it; an unspecified place must come out trivial
+    known_places = list(targets) + [place for place in spec.places()
+                                    if not place.is_infinite and place not in targets]
     profile = symbol_profile(
         symbols, places=known_places + [inf_place], keep_trivial=True,
     ) if symbols else {}
-
-    roundtrip_ok = True
-    problems = []
-    for place, value in spec.entries.items():
-        if place.is_infinite:
-            continue
-        got = profile.get(place)
-        want = SquareClass(place.residue_field().class_field, value)
-        if got is None:
-            got = SquareClass.trivial(want.field)
-        if not got.same_class(want):
-            roundtrip_ok = False  # pragma: no cover - construction is exact
-            problems.append(str(place))
-    inf_class = profile.get(inf_place)
-    if inf_class is None:
-        inf_class = SquareClass.trivial(base)
-    if declared_inf is not None:
-        want_inf = SquareClass(base, declared_inf)
-        if not inf_class.same_class(want_inf):  # pragma: no cover - obstruction caught above
-            roundtrip_ok = False
-            problems.append("infinity")
-    # unspecified finite places must come out unramified
-    for place in known_places:
-        if place in spec.entries:
-            continue
-        got = profile.get(place)
-        if got is not None and not got.is_trivial():
-            roundtrip_ok = False  # pragma: no cover - corrections are exact
-            problems.append(str(place))
+    checked = known_places + ([inf_place] if declared_inf is not None else [])
+    problems = [str(place) for place in checked
+                if not _agree(profile.get(place),
+                              SquareClass(place.residue_field().class_field, spec.entries[place])
+                              if place in spec.entries else None)]
+    inf_class = profile.get(inf_place) or SquareClass.trivial(base)
 
     return {
         "status": "reconstructed",
         "symbols": SymbolSum(symbols),
         "infinity_class": inf_class,
-        "roundtrip_ok": roundtrip_ok,
+        "roundtrip_ok": not problems,
         "problems": problems,
     }
 

@@ -432,20 +432,8 @@ class Tower:
         DegenerateStepError (callers are expected to have established
         non-squareness, e.g. via an irreducibility check).
         """
-        new = Tower(label if label is not None else f"{self.label}+{name}")
-        for step in self.steps:
-            idx = len(new.steps)
-            new.steps.append(
-                TowerStep(step.name, TowerElem(new, step.radicand.coeffs))
-            )
-            new.named[step.name] = new.root(idx)
-        for key, val in self.named.items():
-            if key not in new.named:
-                new.named[key] = TowerElem(new, val.coeffs)
-        new.degenerate = {
-            k: TowerElem(new, v.coeffs) for k, v in self.degenerate.items()
-        }
-        new.unverified = list(self.unverified)
+        new = Tower.from_dict(self.to_dict())
+        new.label = label if label is not None else f"{self.label}+{name}"
         if isinstance(radicand, TowerElem):
             if radicand.tower is not self:
                 raise ValueError("radicand belongs to a different tower")

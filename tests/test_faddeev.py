@@ -11,11 +11,13 @@ from fractions import Fraction
 
 import pytest
 
+from enriq import residues
 from enriq.funcfield import QQ, Place, Poly, RatFunc, TowerCoefficients
 from enriq.residues import (
     FaddeevRepairError,
     FunctionFieldSymbol,
     ResidueSpec,
+    SquareClass,
     faddeev_obstruction,
     faddeev_reconstruct,
     repair_spec,
@@ -141,6 +143,40 @@ def test_sweep_of_small_profiles():
                         assert res["status"] == "reconstructed"
                         assert res["roundtrip_ok"], (spec.to_pairs(), res["problems"])
     assert count == 256 and reject > 0
+
+
+@pytest.mark.parametrize("spec,place", [
+    (ResidueSpec().add(T0, -1), T0),                  # a spec entry
+    (ResidueSpec().add(T0, -1).add(INF, -1), INF),    # a declared infinity
+    (ResidueSpec().add(TQ2, (1, 1)), T1),             # the correction place t + 1
+], ids=["entry", "infinity", "unspecified"])
+def test_roundtrip_names_the_place_it_misses(monkeypatch, spec, place):
+    """The round trip compares what it recomputes: a profile with one class
+    multiplied by the nonsquare 3 fails exactly at that place."""
+    profile = residues.symbol_profile
+
+    def perturbed(*args, **kwargs):
+        out = profile(*args, **kwargs)
+        out[place] = out[place] * SquareClass(out[place].field, 3)
+        return out
+
+    assert faddeev_reconstruct(spec)["roundtrip_ok"]
+    monkeypatch.setattr(residues, "symbol_profile", perturbed)
+    res = faddeev_reconstruct(spec)
+    assert res["status"] == "reconstructed"
+    assert res["roundtrip_ok"] is False
+    assert res["problems"] == [str(place)]
+
+
+def test_roundtrip_needs_no_factorisation():
+    """The round trip decides square classes without printing them: a
+    value whose square-free part cannot be certified (a product of two
+    30-digit primes) still reconstructs and passes."""
+    p, q = 10**29 + 319, 3 * 10**29 + 7
+    res = faddeev_reconstruct(ResidueSpec().add(T0, p * q).add(T1, p))
+    assert res["status"] == "reconstructed"
+    assert res["roundtrip_ok"] is True
+    assert res["problems"] == []
 
 
 def test_duplicate_entries_are_rejected():

@@ -144,11 +144,15 @@ def test_residue_coordinates_invert_a_plus_b_beta(over_sqrt5, place_coeffs):
     else:
         K = QQ
         scalars = [Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(7)]
-    rf = Place.finite(Poly(K, place_coeffs)).residue_field()
+    place = Place.finite(Poly(K, place_coeffs))
+    rf = place.residue_field()
     field = rf.class_field
+    # conjugation swaps beta and -u - beta: N(A + B beta) = A^2 - A B u + B^2 v
+    u, v = place.poly.coeff(1), place.poly.coeff(0)
     for a, b in itertools.product(scalars, repeat=2):
         value = field.coerce(a) + rf.beta * field.coerce(b)
         assert rf.coordinates(value) == (a, b)
+        assert rf.norm_to_base(value) == a * a - a * b * u + b * b * v
 
 
 def test_residue_field_cache_is_bounded():

@@ -9,11 +9,15 @@ each other's oracle place by place.
 import collections
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from enriq import residues
@@ -310,6 +314,55 @@ def test_desk_output_is_pinned(desks, desk_name, func_name, routine):
     assert digest == DESK_OUTPUT_SHA256[desk_name, func_name, routine]
 
 
+#: every pinned desk digest, and one Faddeev round trip clean and with the
+#: class at its correction place t + 1 perturbed, in a fresh interpreter
+DESK_PROBE = """
+import hashlib, json
+from enriq import residues
+from enriq.funcfield import QQ, Place, Poly
+out = {}
+for desk_name, desk in residues.standard_desks().items():
+    for func_name, func in desk.functions.items():
+        for routine in ("compare_routes", "check_component_residues"):
+            try:
+                report = getattr(residues, routine)(desk.cover, func)
+            except residues.ResidueParityError as exc:
+                report = {"error": str(exc)}
+            text = json.dumps(report, sort_keys=True).encode()
+            out["/".join((desk_name, func_name, routine))] = hashlib.sha256(text).hexdigest()
+spec = residues.ResidueSpec().add(Place.finite(Poly(QQ, [-2, 0, 1])), (1, 1))
+res = residues.faddeev_reconstruct(spec)
+out["roundtrip"] = [str(res["symbols"]), res["roundtrip_ok"], res["problems"]]
+profile = residues.symbol_profile
+
+def perturbed(*args, **kwargs):
+    got = profile(*args, **kwargs)
+    place = Place.finite(Poly(QQ, [1, 1]))
+    got[place] = got[place] * residues.SquareClass(QQ, 3)
+    return got
+
+residues.symbol_profile = perturbed
+res = residues.faddeev_reconstruct(spec)
+out["perturbed"] = [res["roundtrip_ok"], res["problems"]]
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_desk_digests_and_roundtrip_without_asserts(flags):
+    """No comparison sits in an assert: the desk digests and the round
+    trip's verdicts are the same when Python strips them."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, *flags, "-c", DESK_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    got = json.loads(out.stdout)
+    assert got.pop("roundtrip") == ["(t + 1, t^2 - 2) + (-1, t + 1)", True, []]
+    assert got.pop("perturbed") == [False, ["t + 1"]]
+    assert got == {"/".join(key): digest for key, digest in DESK_OUTPUT_SHA256.items()}
+
+
 def test_component_check_never_reaches_the_fibers(desks, monkeypatch):
     def no_fibers(syms, tplace):
         raise AssertionError(f"fiber {tplace} visited")
@@ -530,6 +583,51 @@ def test_kummer_branch_residue_matches_exponentiate_then_reduce(case):
     place = cover.branch_place()
     got = residues._kummer_branch_residue(cover, syms, place)
     assert got.same_class(_kummer_branch_by_powers(cover, syms, place))
+
+
+#: split-cover roots, each with a pole at t = 0 or t = infinity (or both),
+#: the section functions drawn for a pair of slots, and the monomials drawn
+#: one slot at a time for the two-pole root
+POLE_ROOTS = ["t", "1/t", "(t**2 + 1)/t", "t + 1"]
+POLE_SLOTS = ["1", "-1", "2", "-3", "t", "-t", "1/t", "t + 1", "(t + 1)/t", "2*t**2",
+              "(t**2 + 1)/t"]
+MONOMIALS = ["1", "-1", "2", "-3", "t", "-t", "1/t", "-2/t", "2*t**2", "3*t**3"]
+
+
+@st.composite
+def pole_clearing_cases(draw):
+    """A split cover with roots a, -a, b, -b, a and b each c times a root
+    above, with the divisor of its slot functions.  Slots are equal within
+    a pair, except on the root (t^2 + 1)/t: it has a pole at both fibers
+    that hold a monomial's divisor, so the two slots of its pair are drawn
+    apart and the signs of their cleared classes need not cancel."""
+    def drawn(texts):
+        return parse_ratfunc(draw(st.sampled_from(texts)), "t", QQ)
+
+    slots, roots = (), []
+    for _ in range(2):
+        text = draw(st.sampled_from(POLE_ROOTS))
+        root = draw(st.sampled_from([1, 2, 3, 5])) * parse_ratfunc(text, "t", QQ)
+        assume(root not in roots)
+        roots += [root, -root]
+        if text == "(t**2 + 1)/t":
+            slots += (drawn(MONOMIALS), drawn(MONOMIALS))
+        else:
+            slots += (drawn(POLE_SLOTS),) * 2
+    divisor = [(i, p, k) for i, fn in enumerate(slots) for p, k in support_places(fn).items()]
+    return SplitCover(roots), DeclaredFunction(components=slots, divisor=divisor)
+
+
+@given(pole_clearing_cases())
+def test_route_a_pole_clearing_agrees_with_route_b(case):
+    """Route A's cleared slots against route B's Gauss valuations on split
+    covers, beyond the two desks that reach them."""
+    cover, func = case
+    try:
+        report = compare_routes(cover, func)
+    except ResidueParityError:
+        return
+    assert report["ok"], report["rows"]
 
 
 def test_constant_desk_profile(desks):

@@ -118,6 +118,27 @@ def test_extend_and_lift():
         ext.lift(other.gen("j"))
 
 
+def test_extend_copies_the_whole_prefix_state():
+    """The extension carries the prefix's steps, degenerate witnesses,
+    derived elements and unverified names, and only adds its own step."""
+    t = Tower("base")
+    t.add_step("s2", 2)
+    t.add_step("s8", 8)  # degenerate: sqrt 8 = 2 sqrt 2
+    t.define("half", t.gen("s2") / 2)
+    t.unverified.append("s2")
+    ext = t.extend("s3", 3)
+    mine, theirs = ext.to_dict(), t.to_dict()
+    assert mine["label"] == "base+s3"
+    assert mine["steps"][:-1] == theirs["steps"]
+    assert mine["steps"][-1] == {"name": "s3", "radicand": {"1": "3"}}
+    for key in ("degenerate", "derived", "unverified"):
+        assert mine[key] == theirs[key]
+    assert ext.gen("s8") == ext.lift(t.gen("s8")) and ext.gen("s8") ** 2 == 8
+    assert ext.gen("half") == ext.lift(t.gen("half"))
+    assert t.extend("s3", 3, label="named").label == "named"
+    assert t.to_dict() == theirs
+
+
 def test_automorphism_validation():
     t = presets.k0_tower()
     conj = TowerAuto(t, {"i": -t.gen("i")}, label="conj")
