@@ -10,13 +10,14 @@ arithmetic conditions under which the verification pipeline applies:
   (5) (a, b, c) = (5, 6, 6) modulo 7
   (6) (a, b, c) = (1, 1, 2) modulo 11
   (7) the surface has points over R and over every Q_p (searched up to
-      PRIME_BOUND; verdict at best "Probable"): a walk over P^2(F_p) for
-      a smooth F_p-point, on one lazily cached table per prime of the
-      points where the triplet-free q0 and q0 - q1 have roots, each with
-      its rank when w2 != 0, so a point costs one q2 lookup; the points of
-      a walk with none give the survival count where k = 1 (p >= 13), and
-      at p <= 11 it runs over unit-scaling orbits of v, on bitmasks packed
-      by v1^2, with q2's masks shared by each unit-square class of c
+      PRIME_BOUND; verdict at best "Probable"), the places examined in
+      order and the examination stopped at the first certified
+      obstruction, which decides Fail: a walk over P^2(F_p) for a smooth
+      F_p-point, on one lazily cached table per prime of the points where
+      the triplet-free q0 and q0 - q1 have roots, so a point costs one q2
+      lookup; the points of a walk with none give the survival count
+      where k = 1 (p >= 13), and at p <= 11 it runs over unit-scaling
+      orbits of v, on bitmasks packed by v1^2
   (8) the splitting field is as large as possible; checked through the
       tower-independence proxy: every preset tower step stays quadratic.
 
@@ -28,7 +29,8 @@ degenerates there and the screen auto-passes with a note); the condition
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
+import itertools
+import math
 from typing import Iterator, Optional, Sequence
 
 from .arith import _euler_criterion, is_anisotropic_diag4, legendre, prime_divisors, primes_up_to
@@ -477,46 +479,99 @@ def _deep_modulus_exponent(p: int) -> int:
 
 
 def _real_point(a: int, b: int, c: int) -> Optional[list]:
-    """Exact rational point certificate for the archimedean place, from
-    the grid -2, -1, 0, 1, 2, 1/2, -1/2 in each coordinate.
+    """Exact rational point certificate for the archimedean place: the
+    first point of the grid -2, -1, 0, 1, 2, 1/2, -1/2 in each coordinate,
+    else the first primitive integer v with max |v_i| <= 6, by increasing
+    max |v_i| and then lexicographically.
 
-    The three conditions are homogeneous quadratic, so they are tested on
-    the doubled grid, in ints."""
+    The three conditions are homogeneous quadratic, so the grid is tested
+    doubled, in ints, and halved as it is printed.  They are also unchanged
+    by v -> -v and by v2 -> -v2, so the box keeps one v per orbit: v2 >= 0
+    and (v0, v1) >= (0, 0)."""
     grid = (-4, -2, 0, 2, 4, 1, -1)
-    for v0 in grid:
-        for v1 in grid:
-            for v2 in grid:
-                if v0 == v1 == v2 == 0:
-                    continue
-                q0 = v0 * v1 + 5 * v2 * v2
-                q1 = (v0 + v1) * (v0 + 2 * v1)
-                q2 = a * v0 * v0 + b * v1 * v1 + c * v2 * v2
-                if q0 >= 0 and q0 - q1 >= 0 and q2 >= 0:
-                    return [str(Fraction(v, 2)) for v in (v0, v1, v2)]
+    for v in itertools.product(grid, repeat=3):
+        if any(v) and _real_conditions_hold(a, b, c, *v):
+            return [str(x // 2) if x % 2 == 0 else f"{x}/2" for x in v]
+    for n in range(1, 7):
+        for v in itertools.product(range(-n, n + 1), range(-n, n + 1), range(n + 1)):
+            if (max(map(abs, v)) == n and v[:2] >= (0, 0) and math.gcd(*v) == 1
+                    and _real_conditions_hold(a, b, c, *v)):
+                return [str(x) for x in v]
     return None
+
+
+def _real_conditions_hold(a: int, b: int, c: int, v0: int, v1: int, v2: int) -> bool:
+    """Whether q0, q0 - q1 and q2 are all >= 0 at v, so that w is real."""
+    q0 = v0 * v1 + 5 * v2 * v2
+    q1 = (v0 + v1) * (v0 + 2 * v1)
+    return q0 >= 0 and q0 - q1 >= 0 and a * v0 * v0 + b * v1 * v1 + c * v2 * v2 >= 0
+
+
+def _real_place(a: int, b: int, c: int) -> dict:
+    """Condition (7)'s record at the real place: obstructed when a, b, c < 0
+    (q2 is negative definite, so w2^2 = q2 forces v = 0 and so w = 0),
+    certified by _real_point's rational point, or else unresolved."""
+    if a < 0 and b < 0 and c < 0:
+        return {"status": "obstructed",
+                "note": "q2 is negative definite, so only v = w = 0 solves"}
+    point = _real_point(a, b, c)
+    if point is None:
+        return {"status": "unresolved", "note": "grid search found no certificate"}
+    return {"status": "certified", "point": point}
+
+
+def _prime_place(a: int, b: int, c: int, p: int, factors) -> dict:
+    """Condition (7)'s record at a prime p <= PRIME_BOUND, given the values
+    of the nonsingularity factors (see local_solvability)."""
+    # no point is smooth mod 2 (_rank_is_three), so only the count decides 2
+    hit, points = (None, 0) if p == 2 else _smooth_point_mod_p(a, b, c, p)
+    if hit is not None and hit["smooth"]:
+        return {"status": "certified", "point": hit["point"]}
+    if hit is None and p not in (2, 5) and all(v % p for v in factors):
+        return {"status": "obstructed", "note": "no F_p point at good reduction"}
+    k = _deep_modulus_exponent(p)
+    survivors = (p - 1) * points if k == 1 else _deep_search_mod_pk(a, b, c, p, k)
+    if survivors == 0:
+        return {"status": "obstructed", "modulus": f"{p}^{k}"}
+    return {"status": "survived", "modulus": f"{p}^{k}", "survivors": survivors}
+
+
+def _places(a: int, b: int, c: int) -> Iterator[tuple[str, dict]]:
+    """Every place condition (7) examines, in order, with its record: the
+    real place, then the primes up to PRIME_BOUND increasing.  Each record
+    is computed only when the iteration reaches it."""
+    yield "real", _real_place(a, b, c)
+    factors = nonsingularity_factors(a, b, c).values()
+    for p in _PRIMES:
+        yield str(p), _prime_place(a, b, c, p, factors)
 
 
 def local_solvability(a: int, b: int, c: int) -> ConditionReport:
     """Condition (7): points over R and over Q_p for all p <= PRIME_BOUND.
 
-    The real place is certified by a rational point from a small grid, and
-    obstructed when a, b, c < 0: then q2 is negative definite, w2^2 = q2
-    forces v = 0 and so w = 0.  Otherwise it stays unresolved and
-    uncertified.  The primes up to the bound are sieved once at import.
-    Per odd prime: a smooth F_p-point, found by a walk over P^2(F_p) that
-    stops at the first one, certifies a Q_p-point by Hensel lifting (the
-    rank-3 test is one lemma, see _rank_is_three); no F_p-point at a prime
-    of good reduction (not 2, 5 or a divisor of a nonsingularity factor,
-    tested only then) certifies failure; otherwise a survival count
-    modulo p^k (k capped at 4, scaled to the prime) is reported as
-    uncertified survival, or as an obstruction when it is 0.  Where k = 1
-    (p >= 13) it is (p - 1) times the walk's point count (see
-    _smooth_point_mod_p); at p <= 11 it is summed over the k+1
-    unit-scaling orbits of v0.  At 2 the count alone decides.  Good
-    reduction is the smoothness criterion that
-    tests/test_conditions.py::test_good_reduction_discriminants checks.
-    Overall verdict is at best Probable because primes beyond the bound
-    are never examined.
+    The places are examined in the order of _places, and the examination
+    stops at the first certified obstruction: one place without points
+    leaves Y without adelic points, so it decides Fail, and no later
+    place can change that.  A Fail report lists the places up to and
+    including that one and says where it stopped; a report that is not
+    Fail lists every place.
+
+    The real place is decided as _real_place says.  The primes up to the
+    bound are sieved once at import.  Per odd prime (_prime_place): a
+    smooth F_p-point, found by a walk over P^2(F_p) that stops at the
+    first one, certifies a Q_p-point by Hensel lifting (the rank-3 test is
+    one lemma, see _rank_is_three); no F_p-point at a prime of good
+    reduction (not 2, 5 or a divisor of a nonsingularity factor, tested
+    only then) certifies failure; otherwise a survival count modulo p^k
+    (k capped at 4, scaled to the prime) is reported as uncertified
+    survival, or as an obstruction when it is 0.  Where k = 1 (p >= 13)
+    it is (p - 1) times the walk's point count (see _smooth_point_mod_p);
+    at p <= 11 it is summed over the k+1 unit-scaling orbits of v0.  At 2
+    the count alone decides.  Good reduction is the smoothness criterion
+    that tests/test_conditions.py::test_good_reduction_discriminants
+    checks.
+    A verdict that is not Fail is at best Probable because primes beyond
+    the bound are never examined.
 
     Four process-lifetime caches hold what depends on the prime alone
     (or on the unit-square class of c mod p^k), never on the order
@@ -533,57 +588,30 @@ def local_solvability(a: int, b: int, c: int) -> ConditionReport:
         (unit-square classes mod q) + 2 per prime: 12 at 2, 9 at 3, 7 at
         5, 5 at 7 and 11.
     """
-    rpt = ConditionReport(7, PROBABLE, "", data={})
     places: dict[str, dict] = {}
-
-    real = _real_point(a, b, c)
-    if real is not None:
-        places["real"] = {"status": "certified", "point": real}
-    elif a < 0 and b < 0 and c < 0:
-        places["real"] = {"status": "obstructed",
-                          "note": "q2 is negative definite, so only v = w = 0 solves"}
-        rpt.verdict = FAIL
-    else:
-        places["real"] = {"status": "unresolved", "note": "grid search found no certificate"}
+    for place, info in _places(a, b, c):
+        places[place] = info
+        if info["status"] == "obstructed":
+            break
+    rpt = ConditionReport(7, PROBABLE, "", data={"places": places})
+    real = places["real"]["status"]
+    if real == "unresolved":
         rpt.notes.append("no real-point certificate found by the rational grid search")
-
-    factors = nonsingularity_factors(a, b, c).values()
-    for p in _PRIMES:
-        # no point is smooth mod 2 (_rank_is_three), so only the count decides 2
-        hit, points = (None, 0) if p == 2 else _smooth_point_mod_p(a, b, c, p)
-        if hit is not None and hit["smooth"]:
-            places[str(p)] = {"status": "certified", "point": hit["point"]}
-            continue
-        if hit is None and p not in (2, 5) and all(v % p for v in factors):
-            places[str(p)] = {"status": "obstructed", "note": "no F_p point at good reduction"}
-            rpt.verdict = FAIL
-            continue
-        k = _deep_modulus_exponent(p)
-        survivors = (p - 1) * points if k == 1 else _deep_search_mod_pk(a, b, c, p, k)
-        if survivors == 0:
-            places[str(p)] = {"status": "obstructed", "modulus": f"{p}^{k}"}
-            rpt.verdict = FAIL
-        else:
-            places[str(p)] = {
-                "status": "survived",
-                "modulus": f"{p}^{k}",
-                "survivors": survivors,
-            }
-    rpt.data["places"] = places
     uncertified = [pl for pl, info in places.items()
                    if info["status"] in ("survived", "unresolved")]
     rpt.data["uncertified_places"] = uncertified
-    if rpt.verdict == FAIL:
-        obstructed = [pl for pl, info in places.items() if info["status"] == "obstructed"]
-        rpt.detail = f"local obstruction certified at {', '.join(obstructed)}"
+    if info["status"] == "obstructed":
+        rpt.verdict = FAIL
+        rpt.detail = f"local obstruction certified at {place}"
+        rpt.notes.append(f"examination stopped at {place}: one certified obstruction decides Fail")
     else:
         primes_left = [pl for pl in uncertified if pl != "real"]
-        where = "the real place and all" if real is not None else "all"
+        where = "the real place and all" if real == "certified" else "all"
         rpt.detail = (
             f"solvable at {where} p <= {PRIME_BOUND} "
             f"(certified except {primes_left or 'none'})"
         )
-        if real is None:
+        if real != "certified":
             rpt.detail += "; the real place is unresolved"
         rpt.notes.append(f"primes beyond {PRIME_BOUND} were not examined")
     return rpt
@@ -648,7 +676,8 @@ def evaluate_triplet(
     conditions: Optional[Sequence[int]] = None,
 ) -> TripletReport:
     """Run the requested screens (default: all eight) on one triplet."""
-    return _triplet_report(a, b, c, _wanted(conditions), {}, nonsingularity_factors(a, b, c))
+    reports = [check_condition(a, b, c, idx) for idx in _wanted(conditions)]
+    return _triplet_report(a, b, c, reports, nonsingularity_factors(a, b, c))
 
 
 def _wanted(conditions: Optional[Sequence[int]]) -> list[int]:
@@ -664,12 +693,10 @@ def _wanted(conditions: Optional[Sequence[int]]) -> list[int]:
     return wanted
 
 
-def _triplet_report(a: int, b: int, c: int, wanted: Sequence[int],
-                    done: dict, factors: dict) -> TripletReport:
-    """The report on the screens in ``wanted``, reusing the reports in
-    ``done`` (by index) and the given nonsingularity factors."""
-    reports = [done[idx] if idx in done else check_condition(a, b, c, idx)
-               for idx in wanted]
+def _triplet_report(a: int, b: int, c: int, reports: list[ConditionReport],
+                    factors: dict) -> TripletReport:
+    """The report on one triplet from its screen reports, in index order,
+    and its nonsingularity factors."""
     nonsingular = all(factors.values())
     verdicts = [r.verdict for r in reports]
     if not nonsingular:
@@ -682,15 +709,13 @@ def _triplet_report(a: int, b: int, c: int, wanted: Sequence[int],
         overall = PROBABLE
     else:
         overall = PASS
-    return TripletReport(
-        a=a,
-        b=b,
-        c=c,
-        nonsingular=nonsingular,
-        factors=factors,
-        conditions=reports,
-        overall=overall,
-    )
+    return TripletReport(a, b, c, nonsingular, factors, reports, overall)
+
+
+#: The order search_triplets runs screens in: the residue filters (5) and
+#: (6), then the rest cheapest first.  Per triplet of the screen sweep,
+#: (4) takes about 1 us, (3), (1) and (2) 4-5 us, (7) 30 us and (8) 5 ms.
+_SEARCH_ORDER = (5, 6, 4, 3, 1, 2, 7, 8)
 
 
 def search_triplets(
@@ -699,13 +724,14 @@ def search_triplets(
 ) -> Iterator[TripletReport]:
     """Lexicographic scan of a box [a0..a1] x [b0..b1] x [c0..c1].
 
-    Nonsingularity and the residue screens (5), (6) are always applied
-    first as cheap filters; surviving triplets get the rest of the
-    requested battery, and every screen runs once per triplet.  Yields
-    reports only for triplets passing everything asked.
+    Yields reports only for nonsingular triplets passing everything asked,
+    the same reports evaluate_triplet gives.  The requested screens run in
+    _SEARCH_ORDER, each at most once per triplet, and a triplet's screening
+    stops at its first Fail or Unknown, which no yielded report holds.
     """
     (a0, a1), (b0, b1), (c0, c1) = box
     wanted = _wanted(conditions)
+    order = [idx for idx in _SEARCH_ORDER if idx in wanted]
     for a in range(a0, a1 + 1):
         for b in range(b0, b1 + 1):
             for c in range(c0, c1 + 1):
@@ -713,12 +739,9 @@ def search_triplets(
                 if not all(factors.values()):
                     continue
                 done = {}
-                for idx in (5, 6):
-                    if idx in wanted:
-                        done[idx] = check_condition(a, b, c, idx)
-                        if done[idx].verdict != PASS:
-                            break
+                for idx in order:
+                    done[idx] = check_condition(a, b, c, idx)
+                    if done[idx].verdict in (FAIL, UNKNOWN):
+                        break
                 else:
-                    report = _triplet_report(a, b, c, wanted, done, factors)
-                    if report.overall in (PASS, PROBABLE):
-                        yield report
+                    yield _triplet_report(a, b, c, [done[idx] for idx in wanted], factors)

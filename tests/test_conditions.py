@@ -10,6 +10,7 @@ coordinate-by-coordinate.
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -32,6 +33,8 @@ from enriq.conditions import (
     WITNESS,
     _deep_modulus_exponent,
     _deep_search_mod_pk,
+    _places,
+    _prime_place,
     _rank_is_three,
     _real_point,
     _smooth_point_mod_p,
@@ -335,7 +338,8 @@ def test_walk_point_count_is_the_survival_count_at_k_one(p, triplet, divides):
     reports; a walk that stops at a smooth point has counted fewer.  With
     p dividing a, b and c no point is smooth (the q2 row of the Jacobian
     vanishes where w2 does), and with p dividing a and b only the points
-    with v2 = 0 may be, so complete walks come up often."""
+    with v2 = 0 may be, so complete walks come up often.  The place is
+    read from _prime_place, which examines p whatever came before it."""
     triplet = tuple(x * p if i in divides else x for i, x in enumerate(triplet))
     assert _deep_modulus_exponent(p) == 1
     hit, points = _smooth_point_mod_p(*triplet, p)
@@ -345,7 +349,7 @@ def test_walk_point_count_is_the_survival_count_at_k_one(p, triplet, divides):
         assert 0 < (p - 1) * points <= reference
     else:
         assert (p - 1) * points == reference
-        place = local_solvability(*triplet).data["places"][str(p)]
+        place = _prime_place(*triplet, p, nonsingularity_factors(*triplet).values())
         if "modulus" in place:
             assert place.get("survivors", 0) == reference
 
@@ -427,7 +431,8 @@ def test_condition7_does_not_depend_on_cache_order():
     """The process-lifetime caches are shared: triplets with c in one
     unit-square class share the c-row survival masks, and all triplets
     share the square scalers, pair rows and walk tables.  Filling them in
-    either order gives the same counts and the pinned reports."""
+    either order gives the same counts, the pinned reports and the pinned
+    full examinations."""
     triplets = ORACLE_TRIPLETS + [(a + 1, b + 2, c) for a, b, c in ORACLE_TRIPLETS[:3]]
     primes = (2, 3, 5, 7)
     expected = {(t, p): _reference_deep_search(*t, p, _deep_modulus_exponent(p))
@@ -443,6 +448,7 @@ def test_condition7_does_not_depend_on_cache_order():
             texts[t] = json.dumps(local_solvability(*t).to_dict(), sort_keys=True)
             if t in PINNED_REPORTS:
                 assert hashlib.sha256(texts[t].encode()).hexdigest() == PINNED_REPORTS[t], t
+                assert _places_digest(t) == PINNED_PLACES[t], t
         reports.append(texts)
     assert reports[0] == reports[1]
 
@@ -451,8 +457,9 @@ def test_walk_rows_do_not_depend_on_cache_order():
     """The walk fills the rows of its walk table lazily, as far as each
     triplet's walk reaches: after every lru_cache of the module is
     cleared, the oracle triplets forward and then reversed walk to the
-    full-grid oracle's point at every prime, the pinned reports hold, and
-    every prime keeps at most p + 2 rows, each as a fresh build gives it.
+    full-grid oracle's point at every prime, the pinned reports and full
+    examinations hold, and every prime keeps at most p + 2 rows, each as a
+    fresh build gives it.
     No point is smooth modulo 2, so there every walk reads all the rows."""
     from enriq import conditions
 
@@ -465,6 +472,7 @@ def test_walk_rows_do_not_depend_on_cache_order():
                 assert _smooth_point_mod_p(*t, p)[0] == expected[t, p], (t, p)
             text = json.dumps(local_solvability(*t).to_dict(), sort_keys=True)
             assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[t], t
+            assert _places_digest(t) == PINNED_PLACES[t], t
         for p in primes:
             rows = conditions._walk_table(p)[3]
             assert len(rows) <= p + 2, p
@@ -672,16 +680,38 @@ def test_good_reduction_has_transversal_branch_conics_over_fp2(case):
             assert det3(grads) != zero, (v0, v1, v2)
 
 
-#: sha256 of json.dumps(local_solvability(*triplet).to_dict(), sort_keys=True),
-#: recorded with the full-grid searches.
+#: sha256 of json.dumps(local_solvability(*triplet).to_dict(), sort_keys=True).
+#: The Probable witness was recorded with the full-grid searches; the five
+#: Fail reports, which all stop at their obstruction at 2, were recorded
+#: once _assert_stops_at_first_obstruction had checked each against its
+#: full examination, pinned below.
 PINNED_REPORTS = {
     (12, 111, 13): "3e3088f5d961c85b98a5c9b3848fad5d084b1e7d49e675375823536aa4b4b503",
-    (3, 7, 11): "09a265cd9cb6a68d441ca20ab3eec5964f5feff8ddcd023254e237cfb4fe656c",
-    (752, 1750, 485): "47f2bd792fd863c8c5343a3aaf4a576aa12b63434e2b392e4c6f33cba71ecdc7",
-    (1284, 1806, 1848): "ad0d3e6ef077709fb7748785aa9241d50cfc4bf517d3b4139c685ce44d94fb4c",
-    (404, 1856, 870): "303818efb11a713b2a58deb1a7727bc33c1bacb2004b246a65926a75affbc2e6",
-    (1635, 1315, 408): "ec013d337960678425d50c88c2b6c069d4370aca1d7f02be1c074f3a7778921e",
+    (3, 7, 11): "202d925791464cbce63840b2f19b9e4819834268004016f3902c8352d83fb09f",
+    (752, 1750, 485): "202d925791464cbce63840b2f19b9e4819834268004016f3902c8352d83fb09f",
+    (1284, 1806, 1848): "202d925791464cbce63840b2f19b9e4819834268004016f3902c8352d83fb09f",
+    (404, 1856, 870): "202d925791464cbce63840b2f19b9e4819834268004016f3902c8352d83fb09f",
+    (1635, 1315, 408): "202d925791464cbce63840b2f19b9e4819834268004016f3902c8352d83fb09f",
 }
+
+#: sha256 of json.dumps(dict(_places(*triplet)), sort_keys=True): the record
+#: of every place, with none skipped after an obstruction.  Recorded from
+#: report.data["places"] of the reports that listed every place, which
+#: the full-grid searches pinned; they keep every status kind pinned, such
+#: as (752, 1750, 485)'s obstruction at good reduction at 3.
+PINNED_PLACES = {
+    (12, 111, 13): "b8d8b0d905c34df9acae266462fd7fefdb7619d12f4dd4d23df0a95b75434bc9",
+    (3, 7, 11): "73270bdb57a6aec0cfe68184a4281be90ef165eb2dba03a3e8f038c0fc1b9bd9",
+    (752, 1750, 485): "b81c5e43cb063c05795ebbc036d4f59fb2238df6ae61b4c9718c3ca0a26d4320",
+    (1284, 1806, 1848): "323d40cb39bc6c41b87d5d22d8118ee3a872db457d31824759618a2d66cc9268",
+    (404, 1856, 870): "dc001b16a610ac9d4ad82c9c37c5ffdfe18e009de1b22c86d483df26ea53fd9e",
+    (1635, 1315, 408): "cea274e7b8fcff8bfd6b4c50a78b94eae4a0cded73c7d53f45fcd1ece130db8c",
+}
+
+
+def _places_digest(triplet):
+    text = json.dumps(dict(_places(*triplet)), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("triplet", ORACLE_TRIPLETS)
@@ -690,20 +720,59 @@ def test_condition7_report_pinned(triplet):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[triplet]
 
 
+@pytest.mark.parametrize("triplet", ORACLE_TRIPLETS)
+def test_condition7_full_examination_pinned(triplet):
+    assert _places_digest(triplet) == PINNED_PLACES[triplet]
+    _assert_stops_at_first_obstruction(triplet)
+
+
+def test_condition7_oracle_obstructions():
+    """What the full examinations hold: every Fail oracle triplet stops at
+    2, and the good-reduction obstruction lives only past the stop."""
+    for triplet in ORACLE_TRIPLETS[1:]:
+        assert list(local_solvability(*triplet).data["places"]) == ["real", "2"]
+    assert dict(_places(752, 1750, 485))["3"] == {
+        "status": "obstructed", "note": "no F_p point at good reduction"}
+
+
+def _assert_stops_at_first_obstruction(triplet):
+    """local_solvability's report is the full examination cut after its
+    first obstruction, with the uncertified places, detail and notes
+    those places give; without an obstruction it lists every place."""
+    full = dict(_places(*triplet))
+    rpt = local_solvability(*triplet)
+    keys = list(full)
+    stop = next((i for i, key in enumerate(keys) if full[key]["status"] == "obstructed"), None)
+    if stop is None:
+        assert rpt.verdict != FAIL and rpt.data["places"] == full
+        return
+    kept = {key: full[key] for key in keys[:stop + 1]}
+    assert rpt.verdict == FAIL
+    assert rpt.data == {"places": kept, "uncertified_places": [
+        key for key, info in kept.items() if info["status"] in ("survived", "unresolved")]}
+    assert list(rpt.data["places"]) == keys[:stop + 1]
+    assert rpt.detail == f"local obstruction certified at {keys[stop]}"
+    unresolved = ["no real-point certificate found by the rational grid search"]
+    assert rpt.notes == (unresolved if kept["real"]["status"] == "unresolved" else []) + [
+        f"examination stopped at {keys[stop]}: one certified obstruction decides Fail"]
+
+
 PINNED_PROBE = """
 import hashlib, json, sys
-from enriq.conditions import local_solvability
+from enriq.conditions import _places, local_solvability
 print(sys.flags.optimize)
 for triplet in json.loads(sys.argv[1]):
-    text = json.dumps(local_solvability(*triplet).to_dict(), sort_keys=True)
-    print(hashlib.sha256(text.encode()).hexdigest())
+    for record in (local_solvability(*triplet).to_dict(), dict(_places(*triplet))):
+        text = json.dumps(record, sort_keys=True)
+        print(hashlib.sha256(text.encode()).hexdigest())
 """
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_condition7_reports_pinned_without_asserts(flags):
     """A fresh interpreter, also under -O: no logic of condition (7) sits
-    in an assert, and the pinned digests hold from empty caches."""
+    in an assert, and the pinned digests of reports and full examinations
+    hold from empty caches."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
@@ -711,7 +780,7 @@ def test_condition7_reports_pinned_without_asserts(flags):
                          env=env, capture_output=True, text=True, check=True)
     optimize, *digests = out.stdout.split()
     assert optimize == str(len(flags))
-    assert digests == [PINNED_REPORTS[t] for t in ORACLE_TRIPLETS]
+    assert digests == [d for t in ORACLE_TRIPLETS for d in (PINNED_REPORTS[t], PINNED_PLACES[t])]
 
 
 def test_condition7_negative_definite_real_place():
@@ -722,17 +791,31 @@ def test_condition7_negative_definite_real_place():
     assert rpt.detail.startswith("local obstruction certified at real")
 
 
-def _reference_real_point(a, b, c):
-    """The first point of the Fraction grid with q0, (q0 - q1)/5, q2 >= 0."""
-    grid = [Fraction(n) for n in (-2, -1, 0, 1, 2)] + [Fraction(1, 2), Fraction(-1, 2)]
-    for v in itertools.product(grid, repeat=3):
-        v0, v1, v2 = v
-        if v0 == v1 == v2 == 0:
-            continue
-        q0 = v0 * v1 + 5 * v2 * v2
-        q1 = (v0 + v1) * (v0 + 2 * v1)
-        q2 = a * v0 * v0 + b * v1 * v1 + c * v2 * v2
-        if q0 >= 0 and (q0 - q1) / 5 >= 0 and q2 >= 0:
+#: The real grid, in Fractions: -2, -1, 0, 1, 2, 1/2, -1/2 in each coordinate.
+REAL_GRID = list(itertools.product(
+    [Fraction(n) for n in (-2, -1, 0, 1, 2)] + [Fraction(1, 2), Fraction(-1, 2)], repeat=3))
+
+#: The real box: the primitive integer v with max |v_i| <= 6, one of each
+#: v ~ -v and v2 ~ -v2 (v2 >= 0, and the first nonzero of v0, v1
+#: positive), by increasing max |v_i| and then lexicographically.
+REAL_BOX = sorted(
+    (tuple(map(Fraction, v)) for v in itertools.product(range(-6, 7), range(-6, 7), range(7))
+     if math.gcd(*v) == 1 and (v[0] > 0 or v[0] == 0 and v[1] >= 0)),
+    key=lambda v: max(map(abs, v)))
+
+
+def _real_values(a, b, c, v):
+    """(q0, q0 - q1, q2) at v, in Fractions."""
+    v0, v1, v2 = (Fraction(x) for x in v)
+    q0 = v0 * v1 + 5 * v2 * v2
+    return q0, q0 - (v0 + v1) * (v0 + 2 * v1), a * v0 * v0 + b * v1 * v1 + c * v2 * v2
+
+
+def _reference_real_point(a, b, c, candidates=REAL_GRID + REAL_BOX):
+    """The first nonzero candidate v with q0, (q0 - q1)/5, q2 >= 0."""
+    for v in candidates:
+        q0, d, q2 = _real_values(a, b, c, v)
+        if any(v) and q0 >= 0 and d / 5 >= 0 and q2 >= 0:
             return [str(x) for x in v]
     return None
 
@@ -740,6 +823,36 @@ def _reference_real_point(a, b, c):
 @given(st.tuples(*[st.integers(-50, 50)] * 3))
 def test_real_point_matches_fraction_grid(triplet):
     assert _real_point(*triplet) == _reference_real_point(*triplet)
+
+
+def test_real_box_certifies_where_the_grid_fails():
+    """(-3, 1, -2) and the seeded (-1897, 881, -1746) have no grid point;
+    the box's v = (0, 3, 2) gives q0 = 20, q0 - q1 = 2 and q2 = 1 resp.
+    945, rechecked in Fractions.  (-12, 1, -12) has neither."""
+    for triplet, q2 in (((-3, 1, -2), 1), ((-1897, 881, -1746), 945)):
+        assert _reference_real_point(*triplet, candidates=REAL_GRID) is None
+        assert _real_point(*triplet) == ["0", "3", "2"]
+        assert _real_values(*triplet, _real_point(*triplet)) == (20, 2, q2)
+        place = local_solvability(*triplet).data["places"]["real"]
+        assert place == {"status": "certified", "point": ["0", "3", "2"]}
+    assert _real_point(-12, 1, -12) is None
+
+
+def test_real_points_of_seeded_triplets_recheck_in_fractions():
+    """Every certified real place of the seeded triplets holds a nonzero
+    point of the grid or the box with q0, q0 - q1 and q2 >= 0 in
+    Fractions; the box certifies one triplet the grid cannot."""
+    from_box = []
+    for triplet in _seeded_triplets():
+        point = _real_point(*triplet)
+        if point is None:
+            continue
+        v = tuple(Fraction(x) for x in point)
+        assert any(v) and v in set(REAL_GRID) | set(REAL_BOX)
+        assert all(x >= 0 for x in _real_values(*triplet, v)), triplet
+        if _reference_real_point(*triplet, candidates=REAL_GRID) is None:
+            from_box.append(triplet)
+    assert from_box == [(-1897, 881, -1746)]
 
 
 def test_condition7_unresolved_real_place_is_uncertified():
@@ -877,6 +990,49 @@ def test_search_box_runs_each_screen_once(monkeypatch):
     assert set(calls[6].values()) == {1}
 
 
+@pytest.mark.parametrize("box, fails_4, hits", [
+    ([(12, 12), (34, 34), (167, 244)], [(12, 34, 244)], []),
+    ([(12, 12), (111, 111), (13, 90)], [], [WITNESS]),
+])
+def test_search_stops_at_first_failing_screen(monkeypatch, box, fails_4, hits):
+    """All eight screens asked: each triplet runs them in the order (5),
+    (6), (4), (3), (1), (2), (7), (8), each at most once, and stops at its
+    first Fail or Unknown, so a triplet failing (4) never reaches (1)-(3),
+    (7) or (8).  The hits are evaluate_triplet's reports over the box,
+    filtered to Pass and Probable."""
+    from collections import defaultdict
+
+    from enriq import conditions
+
+    triplets = list(itertools.product(*(range(lo, hi + 1) for lo, hi in box)))
+    expected = [report for report in map(lambda t: evaluate_triplet(*t), triplets)
+                if report.overall in (PASS, PROBABLE)]
+    runs = defaultdict(list)
+
+    def counting(idx, fn):
+        def wrapped(a, b, c):
+            report = fn(a, b, c)
+            runs[a, b, c].append((idx, report.verdict))
+            return report
+        return wrapped
+
+    for idx in range(1, 7):
+        monkeypatch.setitem(conditions._CHEAP, idx, counting(idx, conditions._CHEAP[idx]))
+    monkeypatch.setattr(conditions, "local_solvability", counting(7, local_solvability))
+    monkeypatch.setattr(conditions, "galois_generality_proxy",
+                        counting(8, conditions.galois_generality_proxy))
+    found = list(search_triplets(box))
+    assert found == expected
+    assert [(r.a, r.b, r.c) for r in found] == hits
+    for triplet, seq in runs.items():
+        assert [idx for idx, _ in seq] == [5, 6, 4, 3, 1, 2, 7, 8][:len(seq)], triplet
+        assert all(verdict in (PASS, PROBABLE) for _, verdict in seq[:-1]), triplet
+        assert len(seq) == 8 or seq[-1][1] in (FAIL, UNKNOWN), triplet
+    assert [t for t, seq in runs.items() if seq[-1] == (4, FAIL)] == fails_4
+    for triplet in fails_4:
+        assert [idx for idx, _ in runs[triplet]] == [5, 6, 4]
+
+
 def _seeded_triplets(n=200):
     """n nonsingular triplets drawn from [-2000, 2000]^3 with a fixed seed."""
     rng = random.Random(1501)
@@ -890,13 +1046,18 @@ def _seeded_triplets(n=200):
 
 #: sha256 over the concatenated json.dumps(evaluate_triplet(*t,
 #: conditions=range(1, 8)).to_dict(), sort_keys=True) of _seeded_triplets(),
-#: recorded before the walk ran on cached candidate rows.
-SEEDED_REPORTS_SHA256 = "e48a30f827ef23d2e4ec77d788a231816f3232f36ab1629f3f5ce25327149943"
+#: recorded before the walk ran on cached candidate rows, and recorded
+#: again when Fail reports began to stop at their first obstruction and
+#: the real box certified (-1897, 881, -1746): each condition-(7) report
+#: was first checked against its full examination, whose places match the
+#: reports recorded before at every prime.
+SEEDED_REPORTS_SHA256 = "b7fe5e4d9ce5d5584d90bf95c0e4352cc41753d4bc491e0d27ebd9e3eb66ec1a"
 
 
 def test_seeded_triplet_reports_pinned():
     digest = hashlib.sha256()
     for triplet in _seeded_triplets():
+        _assert_stops_at_first_obstruction(triplet)
         report = evaluate_triplet(*triplet, conditions=range(1, 8)).to_dict()
         digest.update(json.dumps(report, sort_keys=True).encode())
     assert digest.hexdigest() == SEEDED_REPORTS_SHA256

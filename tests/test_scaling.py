@@ -7,7 +7,8 @@ the old one.  So every stage that depends on the triplet only through
 the surface or the field gives the same answers at both triplets.
 Conditions (1)-(6) need not.  Condition (7) as implemented today decides
 places p | t differently, so there the test asks only that no place is
-certified at one triplet and obstructed at the other.
+certified at one triplet and obstructed at the other, and lets the
+verdicts part only through such a place.
 """
 
 import random
@@ -64,11 +65,14 @@ def test_condition7_places_agree_on_scaled_triplets():
     """No place is certified at (a, b, c) and obstructed at t^2 (a, b, c),
     or the other way round; at the real place and every p not dividing t
     the status, modulus and survivor count agree (the point itself need
-    not: the walk may meet another w2)."""
+    not: the walk may meet another w2).  Every place is examined, also
+    past an obstruction.  Both triplets get the same verdict, except where
+    a place p | t is obstructed at one and survived at the other: the
+    survival count modulo p^k does not see every obstruction there."""
+    split = 0
     for triplet, t in _scaled_pairs():
-        s = t * t
-        places = conditions.local_solvability(*triplet).data["places"]
-        scaled = conditions.local_solvability(*(s * x for x in triplet)).data["places"]
+        pair = (triplet, tuple(t * t * x for x in triplet))
+        places, scaled = (dict(conditions._places(*u)) for u in pair)
         assert places.keys() == scaled.keys()
         for key, info in places.items():
             statuses = {info["status"], scaled[key]["status"]}
@@ -77,3 +81,9 @@ def test_condition7_places_agree_on_scaled_triplets():
                 fields = ("status", "modulus", "survivors")
                 assert ([info.get(f) for f in fields]
                         == [scaled[key].get(f) for f in fields]), (triplet, t, key)
+        verdicts = [conditions.local_solvability(*u).verdict for u in pair]
+        if verdicts[0] != verdicts[1]:
+            split += 1
+            assert any({places[key]["status"], scaled[key]["status"]} == {"obstructed", "survived"}
+                       for key in places if key != "real" and t % int(key) == 0), (triplet, t)
+    assert split == 25
