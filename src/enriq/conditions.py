@@ -714,7 +714,8 @@ def _triplet_report(a: int, b: int, c: int, reports: list[ConditionReport],
 
 #: The order search_triplets runs screens in: the residue filters (5) and
 #: (6), then the rest cheapest first.  Per triplet of the screen sweep,
-#: (4) takes about 1 us, (3), (1) and (2) 4-5 us, (7) 30 us and (8) 5 ms.
+#: (4) takes about 1 us, (3), (1) and (2) 4-5 us, (7) 30 us and (8) about
+#: 4.5 ms (the median; the mean is about 8 ms).
 _SEARCH_ORDER = (5, 6, 4, 3, 1, 2, 7, 8)
 
 

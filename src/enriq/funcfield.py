@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import arith
-from .towers import Tower, TowerAuto, TowerElem, parse_element
+from .towers import Tower, TowerAuto, TowerElem, _q, parse_element
 
 __all__ = [
     "CoefficientField",
@@ -71,20 +71,23 @@ class CoefficientField:
 
 
 class RationalField(CoefficientField):
+    """Q, with the towers' canonical rationals: ``coerce`` gives an int for
+    an integral value and a Fraction otherwise, and raises TypeError for
+    anything but an int or a Fraction.  Ring operations may leave an
+    integral Fraction in a coefficient, which compares, hashes and prints
+    as the int it equals; a division goes through Fraction, never ``/`` on
+    two ints."""
+
     name = "Q"
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        raise TypeError(f"cannot coerce {x!r} into Q")
+        return _q(x)
 
     def is_zero(self, c) -> bool:
         return c == 0
 
     def invert(self, c):
-        return 1 / self.coerce(c)
+        return _q(Fraction(1, self.coerce(c)))
 
     def is_square(self, c) -> bool:
         return arith.rational_is_square(c)
@@ -106,9 +109,7 @@ class TowerCoefficients(CoefficientField):
             if x.tower is self.tower:
                 return x
             return self.tower.lift(x)
-        if isinstance(x, (int, Fraction)):
-            return self.tower.rational(x)
-        raise TypeError(f"cannot coerce {x!r} into {self.name}")
+        return self.tower.rational(x)
 
     def is_zero(self, c) -> bool:
         return self.coerce(c).is_zero()
@@ -567,8 +568,8 @@ class RatFunc:
 
 
 def _generic_invert(x):
-    if isinstance(x, Fraction):
-        return 1 / x
+    if isinstance(x, (int, Fraction)):
+        return QQ.invert(x)
     if isinstance(x, TowerElem):
         return x.inv()
     if isinstance(x, RatFunc):
@@ -899,7 +900,7 @@ def _split_square_free(p: Poly) -> list[Poly]:
         if not arith.rational_is_square(disc):
             return [p]
         r = arith.rational_sqrt(disc)
-        return [Poly(QQ, [(u - r) / 2, 1]), Poly(QQ, [(u + r) / 2, 1])]
+        return [Poly(QQ, [Fraction(u - r, 2), 1]), Poly(QQ, [Fraction(u + r, 2), 1])]
     root = _rational_root(p)
     if root is not None:
         factor = Poly(QQ, [-root, 1])
@@ -991,9 +992,9 @@ def support_places(f: RatFunc, *, include_infinity: bool = True) -> dict[Place, 
 # square classes of field elements
 # --------------------------------------------------------------------------
 
-def rational_square_free(x: Union[int, Fraction]) -> Fraction:
+def rational_square_free(x: Union[int, Fraction]) -> int:
     """The canonical square-free representative of x modulo squares."""
-    x = Fraction(x)
+    x = QQ.coerce(x)
     if x == 0:
         raise ZeroDivisionError("0 has no square class")
     n = x.numerator * x.denominator
@@ -1005,7 +1006,7 @@ def rational_square_free(x: Union[int, Fraction]) -> Fraction:
     for prime, exp in fact.factors.items():
         if exp % 2:
             out *= prime
-    return Fraction(out)
+    return out
 
 
 def ratfunc_square_free(f: RatFunc) -> tuple[Poly, object]:

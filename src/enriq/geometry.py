@@ -292,8 +292,12 @@ def weierstrass_report(a, b, c, *, tower: Tower) -> dict:
     already contains every coordinate.
     """
     env = _abc_env(tower, a, b, c)
-    listed = _listed_points(tower, env)
+    return _weierstrass_report(a, b, c, tower, env, _listed_points(tower, env))
 
+
+def _weierstrass_report(a, b, c, tower: Tower, env: Mapping[str, TowerElem],
+                        listed: Mapping[str, tuple]) -> dict:
+    """``weierstrass_report`` on points that ``_listed_points`` evaluated."""
     rows = []
     for name, entry in _branch_data()["points"].items():
         lines = [_poly_expr(tower, text, env) for text in entry["lines"]]
@@ -585,11 +589,16 @@ def induced_point_permutations(a, b, c, *, tower: Tower) -> dict[str, dict[str, 
     This is independent of the printed point-permutation column, so it
     can (and did) catch misprints there.
     """
-    env = _abc_env(tower, a, b, c)
-    keys = {
-        name: _projective_key(coords)
-        for name, coords in _listed_points(tower, env).items()
-    }
+    return _induced_point_permutations(
+        tower, _listed_points(tower, _abc_env(tower, a, b, c))
+    )
+
+
+def _induced_point_permutations(tower: Tower, listed: Mapping[str, tuple]
+                                ) -> dict[str, dict[str, str]]:
+    """``induced_point_permutations`` on points that ``_listed_points``
+    evaluated."""
+    keys = {name: _projective_key(coords) for name, coords in listed.items()}
     lookup = {key: name for name, key in keys.items()}
     if len(lookup) != len(keys):
         raise ValueError("the listed points are not pairwise distinct")
@@ -613,7 +622,10 @@ def induced_point_permutations(a, b, c, *, tower: Tower) -> dict[str, dict[str, 
 
 def verify_point_permutations(a, b, c, *, tower: Tower) -> dict:
     """Compare the recomputed point action with the printed column."""
-    derived = induced_point_permutations(a, b, c, tower=tower)
+    return _permutation_report(induced_point_permutations(a, b, c, tower=tower))
+
+
+def _permutation_report(derived: Mapping[str, dict[str, str]]) -> dict:
     rows = []
     for row in load_rows():
         perm = derived[row.name]
@@ -635,8 +647,11 @@ def verify_point_permutations(a, b, c, *, tower: Tower) -> dict:
 def verify_suite(a, b, c, *, tower: Tower) -> dict:
     """Run every geometry check for one triplet in its splitting tower K."""
     relations = generator_relations(a, b, c, tower=tower)
-    weierstrass = weierstrass_report(a, b, c, tower=tower)
-    permutations = verify_point_permutations(a, b, c, tower=tower)
+    # the eight listed points are evaluated once, for both checks below
+    env = _abc_env(tower, a, b, c)
+    listed = _listed_points(tower, env)
+    weierstrass = _weierstrass_report(a, b, c, tower, env, listed)
+    permutations = _permutation_report(_induced_point_permutations(tower, listed))
     genus = genus_bookkeeping()
     report = {
         "triplet": [int(a), int(b), int(c)],

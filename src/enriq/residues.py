@@ -164,7 +164,7 @@ class SquareClass:
     def canonical(self):
         """A reduced representative (display / serialization)."""
         v = self.value
-        if isinstance(v, Fraction):
+        if isinstance(v, (int, Fraction)):
             return rational_square_free(v)
         if isinstance(v, RatFunc) and isinstance(v.field, RationalField):
             sf, lead = ratfunc_square_free(v)
@@ -949,7 +949,7 @@ def _cleared(ell: RatFunc, a: int, h: RatFunc, b: int,
 
 
 def _residue_key(value):
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)):
         return ("q", value)
     if isinstance(value, TowerElem):
         return ("t", tuple(sorted(

@@ -4,7 +4,11 @@ A tower is an ordered list of steps; step ``i`` adjoins a square root of a
 ``radicand`` that must be an element of the tower built from steps
 ``0..i-1`` (a rational number in the simplest case).  Elements are finite
 Q-linear combinations of square-free monomials in the adjoined roots,
-stored as ``{frozenset_of_step_indices: Fraction}``.
+stored as ``{frozenset_of_step_indices: rational}``.  A rational is an
+``int`` when it is integral and a ``Fraction`` only otherwise (``_q``), so
+sums and products of integers skip ``Fraction``'s gcd normalisation;
+``3`` and ``Fraction(3)`` compare, hash and print alike, so the choice
+never shows outside the kernel.
 
 The interesting operations are ``is_square`` (a certified descent through
 the levels, with an honest Unknown verdict past a recursion budget),
@@ -35,6 +39,22 @@ from .arith import MR_BOUND, factorize, is_prime, rational_is_square, rational_s
 from .f2 import express
 
 Scalar = Union[int, Fraction]
+
+
+def _q(x: Scalar) -> Scalar:
+    """x in canonical form: an int when integral, else a Fraction.
+
+    Only ints (bools too) and Fractions are rationals here; a float, a
+    string or a Decimal raises TypeError rather than entering the tower as
+    some nearby fraction."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"{x!r} is not a rational number")
+
 
 #: Default budget for nested norm-equation recursions inside is_square.
 DEFAULT_SQUARE_DEPTH = 8
@@ -109,8 +129,8 @@ class Tower:
         return self.rational(1)
 
     def rational(self, x: Scalar) -> "TowerElem":
-        x = Fraction(x)
-        return TowerElem(self, {frozenset(): x} if x else {})
+        x = _q(x)
+        return TowerElem._of(self, {_RATIONAL: x} if x else {})
 
     def gen(self, name: str) -> "TowerElem":
         if name not in self.named:
@@ -118,7 +138,7 @@ class Tower:
         return self.named[name]
 
     def root(self, index: int) -> "TowerElem":
-        return TowerElem(self, {frozenset([index]): Fraction(1)})
+        return TowerElem._of(self, {frozenset([index]): 1})
 
     def define(self, name: str, value: "TowerElem") -> "TowerElem":
         """Attach a derived named element (e.g. a quotient of roots)."""
@@ -274,7 +294,7 @@ class Tower:
             self._kummer_vecs.append(vec)
         return len(self._kummer_vecs)
 
-    def _kummer_square(self, x: Fraction, lvl: int) -> SquareVerdict:
+    def _kummer_square(self, x: Scalar, lvl: int) -> SquareVerdict:
         """Is the nonzero rational x a square in the field of steps 0..lvl,
         all of them with classified rational radicands?"""
         vec = int(x < 0)
@@ -294,7 +314,7 @@ class Tower:
         if coeffs is None:
             return SquareVerdict(False)
         mono = frozenset(i for i, bit in enumerate(coeffs) if bit)
-        q = rational_sqrt(x / self._mono_product(mono).as_rational())
+        q = rational_sqrt(Fraction(x, self._mono_product(mono).as_rational()))
         return SquareVerdict(True, TowerElem(self, {mono: q}))
 
     def _residue_maps(self, lvl: int) -> list["_ResidueMap"]:
@@ -551,7 +571,7 @@ class _ResidueMap:
 _RATIONAL = frozenset()
 
 
-def _add_term(out: dict, tower: Tower, s: frozenset, t: frozenset, c: Fraction) -> None:
+def _add_term(out: dict, tower: Tower, s: frozenset, t: frozenset, c: Scalar) -> None:
     """Add c * root^s * root^t into ``out``, where root^(s & t) squared is
     the cached radicand product; its monomials may meet s ^ t in turn.
     Keys whose sums cancel are left for ``_settled``."""
@@ -565,26 +585,26 @@ def _add_term(out: dict, tower: Tower, s: frozenset, t: frozenset, c: Fraction) 
 
 
 def _settled(tower: Tower, out: dict) -> "TowerElem":
-    """Drop the keys whose sums cancelled and wrap ``out`` as an element."""
-    for m in [m for m, v in out.items() if not v]:
-        del out[m]
-    return TowerElem._of(tower, out)
+    """Wrap ``out`` as an element: drop the keys whose sums cancelled and
+    turn integral Fractions back into ints."""
+    return TowerElem._of(tower, {m: _q(v) for m, v in out.items() if v})
 
 
 class TowerElem:
     """An element of a Tower; immutable in practice.
 
     ``coeffs`` maps a frozenset of step indices (the monomial prod root_i)
-    to a nonzero Fraction; no key carries a zero.  The ring kernels keep
-    that invariant while filling one result dict each, and reduce every
-    root_i^2 to the radicand d_i through ``Tower._mono_product``.
+    to a nonzero rational in ``_q``'s canonical form: an int when
+    integral, else a Fraction; no key carries a zero.  The ring kernels
+    keep that invariant while filling one result dict each, and reduce
+    every root_i^2 to the radicand d_i through ``Tower._mono_product``.
     """
 
     __slots__ = ("tower", "coeffs")
 
-    def __init__(self, tower: Tower, coeffs: Mapping[frozenset, Fraction]):
+    def __init__(self, tower: Tower, coeffs: Mapping[frozenset, Scalar]):
         self.tower = tower
-        self.coeffs = {k: v for k, v in coeffs.items() if v}
+        self.coeffs = {k: q for k, v in coeffs.items() if (q := _q(v))}
 
     @classmethod
     def _of(cls, tower: Tower, coeffs: dict) -> "TowerElem":
@@ -602,10 +622,10 @@ class TowerElem:
     def is_rational(self) -> bool:
         return not self.coeffs or (len(self.coeffs) == 1 and _RATIONAL in self.coeffs)
 
-    def as_rational(self) -> Fraction:
+    def as_rational(self) -> Scalar:
         if not self.is_rational():
             raise ValueError(f"{self} is irrational")
-        return self.coeffs.get(_RATIONAL, Fraction(0))
+        return self.coeffs.get(_RATIONAL, 0)
 
     def top_index(self) -> int:
         """Largest step index appearing in any monomial; -1 for rationals."""
@@ -640,7 +660,7 @@ class TowerElem:
             v = out.get(mono)
             v = c if v is None else v + c
             if v:
-                out[mono] = v
+                out[mono] = _q(v)
             else:
                 del out[mono]
         return TowerElem._of(self.tower, out)
@@ -659,21 +679,21 @@ class TowerElem:
     def __rsub__(self, other) -> "TowerElem":
         return self._coerce(other) - self
 
-    def _scaled(self, x: Fraction) -> "TowerElem":
+    def _scaled(self, x: Scalar) -> "TowerElem":
         if not x:
             return self.tower.zero()
-        return TowerElem._of(self.tower, {k: v * x for k, v in self.coeffs.items()})
+        return _settled(self.tower, {k: v * x for k, v in self.coeffs.items()})
 
     def __mul__(self, other) -> "TowerElem":
         if not isinstance(other, TowerElem):
-            return self._scaled(Fraction(other))
+            return self._scaled(_q(other))
         other = self._coerce(other)
         if other.is_rational():
             return self._scaled(other.coeffs.get(_RATIONAL, 0))
         if self.is_rational():
             return other._scaled(self.coeffs.get(_RATIONAL, 0))
         tower = self.tower
-        out: dict[frozenset, Fraction] = {}
+        out: dict[frozenset, Scalar] = {}
         for s, cs in self.coeffs.items():
             for t, ct in other.coeffs.items():
                 if s & t:
@@ -690,7 +710,7 @@ class TowerElem:
             raise ZeroDivisionError("tower element is zero")
         lvl = self.top_index()
         if lvl < 0:
-            return self.tower.rational(1 / self.as_rational())
+            return self.tower.rational(Fraction(1, self.as_rational()))
         a, b = self.split(lvl)
         if b.is_zero():
             return a.inv()
@@ -806,7 +826,7 @@ class TowerAuto:
         times the rest of the monomial; all terms go into one dict.
         """
         tower = self.tower
-        out: dict[frozenset, Fraction] = {}
+        out: dict[frozenset, Scalar] = {}
         for mono, c in z.coeffs.items():
             if len(mono & self._negated) & 1:
                 c = -c

@@ -11,6 +11,7 @@ checked against sympy over Q and over Q(t).
 
 import itertools
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -475,3 +476,119 @@ def test_square_test_asks_the_base_field_only_where_the_yun_route_does(f):
     else:
         with pytest.raises(ArithmeticError, match="undecided"):
             funcfield.ratfunc_is_square(f)
+
+
+# -- int-canonical coefficients against a Fraction-only reference -----------
+
+#: coefficient lists as a caller writes them: ints, and Fractions that may
+#: be integral
+raw_coefficients = st.lists(st.one_of(st.integers(-4, 4), coefficients), max_size=4)
+
+
+def _ref(cs) -> list:
+    """The coefficients as Fractions, zero top slots stripped."""
+    out = [Fraction(c) for c in cs]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _ref([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref(out)
+
+
+def _ref_divmod(a, b):
+    rem, quot = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        k, c = len(rem) - len(b), rem[-1] / b[-1]
+        quot[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+        rem = _ref(rem)
+    return _ref(quot), rem
+
+
+def _ref_gcd(a, b):
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else a
+
+
+def _ref_order(p, q) -> int:
+    order = 0
+    while True:
+        quot, rem = _ref_divmod(p, q)
+        if rem:
+            return order
+        p, order = quot, order + 1
+
+
+def _rationals_of(p: Poly) -> list:
+    """p's coefficients, after checking that each one is an int or a
+    Fraction (never a float)."""
+    assert all(type(c) in (int, Fraction) for c in p.coeffs), p.coeffs
+    return p.coeffs
+
+
+@given(raw_coefficients, raw_coefficients, raw_coefficients.filter(any))
+def test_q_kernels_agree_with_a_fraction_only_reference(a, b, d):
+    p, q, r = Poly(QQ, a), Poly(QQ, b), Poly(QQ, d)
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in p.coeffs)
+    A, B, D = _ref(a), _ref(b), _ref(d)
+    assert _rationals_of(p + q) == _ref_add(A, B)
+    assert _rationals_of(p - q) == _ref_add(A, [-c for c in B])
+    assert _rationals_of(p * q) == _ref_mul(A, B)
+    quot, rem = p.divmod(r)
+    assert [_rationals_of(quot), _rationals_of(rem)] == list(_ref_divmod(A, D))
+    assert _rationals_of(p.gcd(r)) == _ref_gcd(A, D)
+    assert _rationals_of(r.monic()) == [c / D[-1] for c in D]
+    f = RatFunc(q, r) if q.coeffs else RatFunc(r, r)
+    for g in (f + f, f * f, f / f, f.inv(), f ** 2):
+        _rationals_of(g.num), _rationals_of(g.den)
+
+
+@given(st.one_of(linear_places, quadratic_places), raw_coefficients.filter(any),
+       raw_coefficients.filter(any), st.integers(0, 3), st.integers(0, 2))
+def test_valuation_agrees_with_a_fraction_only_reference(q, a, b, k, m):
+    num, den = Poly(QQ, a) * q**k, Poly(QQ, b) * q**m
+    Q = _ref(q.coeffs)
+    expected = _ref_order(_ref(num.coeffs), Q) - _ref_order(_ref(den.coeffs), Q)
+    assert valuation(RatFunc(num, den), Place.finite(q)) == expected
+
+
+def test_a_fraction_twin_is_the_same_polynomial():
+    """Integral Fractions left in a coefficient by the ring operations are
+    the same values as the ints that ``QQ.coerce`` gives."""
+    ints = Poly(QQ, [3, Fraction(1, 2), -1])
+    twin = Poly(QQ, [Fraction(3), Fraction(1, 2), Fraction(-1)], inner=True)
+    assert type(ints.coeffs[0]) is int and type(twin.coeffs[0]) is Fraction
+    assert ints == twin and hash(ints) == hash(twin) and str(ints) == str(twin)
+    f, g = RatFunc(ints, Poly(QQ, [1, 1])), RatFunc(twin, Poly(QQ, [Fraction(1), Fraction(1)]))
+    assert f == g and hash(f) == hash(g) and str(f) == str(g)
+    assert type(QQ.invert(Fraction(1, 7))) is int and QQ.invert(-3) == Fraction(-1, 3)
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/3", Decimal("0.5")])
+def test_q_refuses_floats_strings_and_decimals(bad):
+    t = RatFunc.variable(QQ)
+    for make in (
+        lambda: QQ.coerce(bad),
+        lambda: QQ.invert(bad),
+        lambda: TowerCoefficients(Tower("Q")).coerce(bad),
+        lambda: Poly(QQ, [1, bad]),
+        lambda: Poly(QQ, [1, 2]).scale(bad),
+        lambda: RatFunc.constant(QQ, bad),
+        lambda: t * bad,
+        lambda: t + bad,
+    ):
+        with pytest.raises(TypeError):
+            make()

@@ -261,3 +261,23 @@ def test_verify_suite_witness(k_tower_witness):
     }
     assert suite["weierstrass"]["ok"] and suite["point_permutations"]["ok"]
     assert all(entry["holds"] for entry in suite["generator_relations"])
+
+
+def test_verify_suite_evaluates_the_listed_points_once(k_tower_witness, monkeypatch):
+    calls = []
+    listed_points = geometry._listed_points
+
+    def counted(tower, env):
+        calls.append(tower)
+        return listed_points(tower, env)
+
+    monkeypatch.setattr(geometry, "_listed_points", counted)
+    suite = geometry.verify_suite(*WITNESS, tower=k_tower_witness)
+    assert suite["ok"] is True and calls == [k_tower_witness]
+    # the suite's two point checks are the public ones, which each
+    # evaluate the points on their own
+    assert suite["weierstrass"] == geometry.weierstrass_report(*WITNESS, tower=k_tower_witness)
+    assert suite["point_permutations"] == geometry.verify_point_permutations(
+        *WITNESS, tower=k_tower_witness
+    )
+    assert len(calls) == 3

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -427,8 +428,11 @@ def towers_with_three(draw):
 
 
 def holds_invariant(z):
+    """Keys are frozensets, and each coefficient is nonzero and canonical:
+    an int when integral, a Fraction otherwise."""
     return all(
-        type(m) is frozenset and type(c) is Fraction and c for m, c in z.coeffs.items()
+        type(m) is frozenset and c and type(c) is (int if c.denominator == 1 else Fraction)
+        for m, c in z.coeffs.items()
     )
 
 
@@ -439,6 +443,49 @@ def test_product_matches_the_reference_coefficient_for_coefficient(case):
         got = a * b
         assert holds_invariant(got)
         assert got.coeffs == reference_mul(a, b).coeffs
+
+
+@given(towers_with_three())
+def test_a_fraction_twin_is_the_same_element(case):
+    """An element whose integral coefficients are Fractions is the same
+    element as its int-canonical twin: equal, equally hashed, printed and
+    serialised alike, and canonicalised on the way back in."""
+    t, x, y, _ = case
+    for z in (x, x * y, x - y, t.rational(3), t.zero()):
+        twin = TowerElem._of(t, {m: Fraction(c) for m, c in z.coeffs.items()})
+        assert twin == z and z == twin and hash(twin) == hash(z)
+        assert str(twin) == str(z) and twin.to_dict() == z.to_dict()
+        back = TowerElem(t, twin.coeffs)
+        assert holds_invariant(back) and back.coeffs == z.coeffs
+        assert holds_invariant(TowerElem.from_dict(t, twin.to_dict()))
+
+
+def test_integral_results_are_ints(q2):
+    half = q2.rational(Fraction(1, 2))
+    assert type((half * 2).as_rational()) is int
+    assert type((half + half).as_rational()) is int
+    assert type(q2.rational(Fraction(-4, 2)).as_rational()) is int
+    assert type(q2.rational(Fraction(1, 3)).inv().as_rational()) is int
+    r = q2.gen("sqrt2")
+    assert all(type(c) is int for c in ((r * half) * 4 + half * 2).coeffs.values())
+    assert q2.rational(True) == q2.one() and type(q2.rational(True).as_rational()) is int
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/3", Decimal("0.1")])
+def test_towers_refuse_floats_strings_and_decimals(q2, bad):
+    r = q2.gen("sqrt2")
+    for make in (
+        lambda: q2.rational(bad),
+        lambda: q2.one() * bad,
+        lambda: r * bad,
+        lambda: r + bad,
+        lambda: r - bad,
+        lambda: TowerElem(q2, {frozenset(): bad}),
+        lambda: q2.add_step("bad", bad),
+    ):
+        with pytest.raises(TypeError):
+            make()
+    assert q2.step_names() == ["sqrt2"]
 
 
 @given(towers_with_three())
