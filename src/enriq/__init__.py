@@ -2,9 +2,10 @@
 
 Modules:
 
-* ``arith``      -- integer/rational utilities: certified primality, factorization
-                    with an honest "incomplete" flag, Legendre and Hilbert symbols,
-                    anisotropy of rank-4 diagonal forms over Q_p.
+* ``arith``      -- integer/rational utilities: ``rational``, the one intake of Q,
+                    certified primality, factorization with an honest "incomplete"
+                    flag, Legendre and Hilbert symbols, anisotropy of rank-4
+                    diagonal forms over Q_p.
 * ``towers``     -- iterated quadratic extension fields of Q with exact element
                     arithmetic, square testing, and validated automorphisms.
 * ``presets``    -- the splitting towers K0, K1 and K of a coefficient triplet.

@@ -5,6 +5,10 @@ inputs below a hard bound), factorizations either complete or carry an
 explicit ``incomplete`` marker with the unfactored cofactor, and the local
 symbols are computed by closed formulas rather than floating point.
 
+``arith`` owns Q's canonical form: ``rational(x)`` is an int when x is
+integral, else a Fraction, and a float, a string or a Decimal raises
+TypeError.  It is the one way a rational enters a kernel.
+
 Primality is proven in one of three ways.  A number up to SMALL_TRIAL is
 looked up in the sieved table of the primes up to SMALL_TRIAL.  A number
 whose prime factors up to SMALL_TRIAL have all been divided out, and which
@@ -22,9 +26,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-#: Exact rational scalar used throughout the package.
-Rational = Fraction
-
+#: A rational: an int or a Fraction (``rational`` gives its canonical form).
 RationalLike = Union[int, Fraction]
 
 #: Distinguished value naming the archimedean place of Q.
@@ -44,6 +46,21 @@ TRIAL_LIMIT = 10**6
 #: up: rho finds a factor below about 10^9 well within it, and a prime
 #: above MR_BOUND costs this much instead of about sqrt(n) per parameter.
 RHO_STEPS = 1 << 17
+
+
+def rational(x: RationalLike) -> RationalLike:
+    """x in canonical form: an int when integral, else a Fraction.
+
+    Only ints (bools too) and Fractions are rationals here; a float, a
+    string or a Decimal raises TypeError rather than entering as some
+    nearby fraction."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"{x!r} is not a rational number")
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -293,10 +310,10 @@ def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) in {-1, 0, 1} for an odd prime p."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"legendre needs an odd prime, got {p}")
-    return _euler_criterion(a, p)
+    return euler_criterion(a, p)
 
 
-def _euler_criterion(a: int, p: int) -> int:
+def euler_criterion(a: int, p: int) -> int:
     """(a/p) as a^((p-1)/2) mod p, for an odd prime p the caller has
     certified (legendre, or a divisor from prime_divisors)."""
     t = pow(a, (p - 1) // 2, p)
@@ -391,19 +408,18 @@ def is_anisotropic_diag4(coeffs: Iterable[RationalLike], place) -> bool:
 
 
 def rational_is_square(x: RationalLike) -> bool:
-    x = Fraction(x)
+    """Is the rational x (see ``rational``) the square of a rational?"""
+    x = rational(x)
     if x < 0:
         return False
-    if x == 0:
-        return True
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
+    rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
     return rn * rn == x.numerator and rd * rd == x.denominator
 
 
-def rational_sqrt(x: RationalLike) -> Fraction:
-    """Exact square root of a rational square; raises otherwise."""
-    x = Fraction(x)
+def rational_sqrt(x: RationalLike) -> RationalLike:
+    """Exact square root of a rational square, in ``rational``'s canonical
+    form; raises otherwise."""
     if not rational_is_square(x):
         raise ValueError(f"{x} is not a rational square")
-    return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
+    rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    return rn if rd == 1 else Fraction(rn, rd)

@@ -33,7 +33,7 @@ import itertools
 import math
 from typing import Iterator, Optional, Sequence
 
-from .arith import _euler_criterion, is_anisotropic_diag4, legendre, prime_divisors, primes_up_to
+from .arith import euler_criterion, is_anisotropic_diag4, legendre, prime_divisors, primes_up_to
 from .presets import k_tower
 
 #: The published example triplet used throughout the tests.
@@ -149,7 +149,7 @@ def _nonresidue_condition(index: int, label: int, value: int) -> ConditionReport
             rpt.detail = f"{label} = 0 mod {p} is a square, violating the screen"
             rpt.notes.append(f"p={p} divides the symbol base {label}")
             continue
-        s = _euler_criterion(label, p)  # p is certified prime by prime_divisors
+        s = euler_criterion(label, p)  # p is certified prime by prime_divisors
         symbols[p] = s
         if s == 1:
             rpt.verdict = FAIL

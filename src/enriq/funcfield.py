@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import arith
-from .towers import Tower, TowerAuto, TowerElem, _q, parse_element
+from .towers import Tower, TowerAuto, TowerElem, parse_element
 
 __all__ = [
     "CoefficientField",
@@ -71,23 +71,22 @@ class CoefficientField:
 
 
 class RationalField(CoefficientField):
-    """Q, with the towers' canonical rationals: ``coerce`` gives an int for
-    an integral value and a Fraction otherwise, and raises TypeError for
-    anything but an int or a Fraction.  Ring operations may leave an
-    integral Fraction in a coefficient, which compares, hashes and prints
-    as the int it equals; a division goes through Fraction, never ``/`` on
-    two ints."""
+    """Q, with ``arith``'s canonical rationals: ``coerce`` is
+    ``arith.rational``, an int for an integral value and a Fraction
+    otherwise, and TypeError for anything but an int or a Fraction.  Ring
+    operations may leave an integral Fraction in a coefficient, which
+    compares, hashes and prints as the int it equals; a division goes
+    through Fraction, never ``/`` on two ints."""
 
     name = "Q"
 
-    def coerce(self, x):
-        return _q(x)
+    coerce = staticmethod(arith.rational)
 
     def is_zero(self, c) -> bool:
         return c == 0
 
     def invert(self, c):
-        return _q(Fraction(1, self.coerce(c)))
+        return arith.rational(Fraction(1, self.coerce(c)))
 
     def is_square(self, c) -> bool:
         return arith.rational_is_square(c)

@@ -26,7 +26,6 @@ corrections recorded in the ``galois_actions.json`` notes.)
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from . import datafiles
@@ -238,11 +237,7 @@ def _abc_env(tower: Tower, a, b, c) -> dict[str, TowerElem]:
             f"{sorted(tower.degenerate)}; the table identities need every "
             "named generator"
         )
-    return {
-        "a": tower.rational(Fraction(a)),
-        "b": tower.rational(Fraction(b)),
-        "c": tower.rational(Fraction(c)),
-    }
+    return {"a": tower.rational(a), "b": tower.rational(b), "c": tower.rational(c)}
 
 
 def _branch_data() -> dict:

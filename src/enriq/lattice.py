@@ -27,10 +27,11 @@ provides
 
 Every class is at most half-integral, so the arithmetic runs on integers:
 a class is stored as its doubled ambient vector, a rational combination
-as an int vector with one common denominator, the Gram matrix is an int
-table, and F2 vectors are bitmasks.  ``fractions.Fraction`` appears only
-in the public vector views (:func:`class_vector`, :func:`as_vector`,
-:func:`lattice_coords`, :func:`exceptional_pullback`,
+as an int vector with one common denominator (each coefficient read
+through ``arith.rational``, so a float or a string raises), the Gram
+matrix is an int table, and F2 vectors are bitmasks.  ``Fraction``
+appears only in the public vector views (:func:`class_vector`,
+:func:`as_vector`, :func:`lattice_coords`, :func:`exceptional_pullback`,
 :func:`galois_matrix`, ``PullbackSublattice.generators``), in a
 non-integral :func:`gram` value, and in the entries of the two one-time
 inverses, which are eliminated on ints and divided once at the end.  The
@@ -45,6 +46,7 @@ from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import actions, datafiles, f2
+from .arith import rational
 
 DATA_FILE = "lattice_classes.json"
 DATA_FORMAT = "picard-lattice/1"
@@ -146,14 +148,14 @@ def _scaled(x: ClassLike) -> tuple[IntVector, int]:
     if isinstance(x, str):
         return _doubled(x), 2
     if isinstance(x, Mapping):
-        terms = [(c.as_integer_ratio(), _doubled(name)) for name, c in x.items()]
+        terms = [(rational(c).as_integer_ratio(), _doubled(name)) for name, c in x.items()]
         half = lcm(*(q for (_, q), _ in terms))
         acc = [0] * RANK
         for (p, q), v in terms:
             f = p * (half // q)
             acc = [a + f * b for a, b in zip(acc, v)]
         return tuple(acc), 2 * half
-    ratios = [c.as_integer_ratio() for c in x]
+    ratios = [rational(c).as_integer_ratio() for c in x]
     if len(ratios) != RANK:
         raise ValueError(f"expected {RANK} coordinates, got {len(ratios)}")
     d = lcm(*(q for _, q in ratios))

@@ -2,8 +2,9 @@
 
 ``k_tower(a, b, c)`` builds the full 18-step field K containing every
 quantity used by the surface checks; ``k0_tower()`` is the
-triplet-independent 4-step base field; ``k1_tower(a, b, c)`` is the
-10-step field over which all relevant divisor classes are defined.
+triplet-independent 4-step base field; ``k1_tower(a, b, c)`` extends it to
+the 10-step field over which all relevant divisor classes are defined.
+Each takes (a, b, c) through ``arith.rational``.
 
 Step order matters only in that each radicand must live below its step;
 derived names (conjugate roots such as eta1m, theta1m, ...) are defined by
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .arith import rational
 from .towers import Tower
 
 
@@ -35,7 +37,7 @@ def k_tower(a, b, c) -> Tower:
     the returned tower; inspect ``tower.degenerate`` and
     ``tower.unverified`` to decide whether the triplet is tower-generic.
     """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    a, b, c = rational(a), rational(b), rational(c)
     tw = Tower(f"K({a},{b},{c})")
 
     add = tw.add_step
@@ -52,8 +54,8 @@ def k_tower(a, b, c) -> Tower:
     s = add("sqrt_m2p2r2", -2 + 2 * r2)
     u = add("sqrt_mc_m10rab", -c - 10 * rab)
     th0 = add("theta0", 4 * a * a + b * b)
-    xi0 = add("xi0", a + b + c / 5)
-    xi0p = add("xi0p", a + b / 4 + c / 10)
+    xi0 = add("xi0", a + b + Fraction(c, 5))
+    xi0p = add("xi0p", a + Fraction(b, 4) + Fraction(c, 10))
     th1 = add("theta1p", 20 * a * a - 10 * a * b - 2 * b * c + (10 * a + 2 * c) * th0)
     th2 = add("theta2p", -5 * a - Fraction(5, 2) * b - Fraction(5, 2) * th0)
     xi1 = add("xi1p", 20 * a + 10 * b + 3 * c + 20 * xi0 * xi0p)
@@ -82,15 +84,12 @@ def k1_tower(a, b, c) -> Tower:
     eta1+ and gamma1+ (whose squares involve eta0 and gamma0, so those two
     come along for free and are adjoined explicitly first).
     """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    tw = Tower(f"K1({a},{b},{c})")
+    a, b, c = rational(a), rational(b), rational(c)
+    tw = k0_tower()
+    tw.label = f"K1({a},{b},{c})"
 
     add = tw.add_step
 
-    i = add("i", -1)
-    r2 = add("sqrt2", 2)
-    add("sqrt5", 5)
-    s = add("sqrt_m2p2r2", -2 + 2 * r2)
     th0 = add("theta0", 4 * a * a + b * b)
     rab = add("sqrtab", a * b)
     eta0 = add("eta0", c * c - 100 * a * b)
@@ -98,7 +97,6 @@ def k1_tower(a, b, c) -> Tower:
     gamma0 = add("gamma0", -c * c - 5 * b * c - 10 * a * c - 25 * a * b)
     gamma1 = add("gamma1p", 10 * a * a - 5 * a * b - b * c + 2 * a * gamma0)
 
-    tw.define("sqrt_m2m2r2", 2 * i / s)
     tw.define("eta1m", -rab / (5 * a * eta1))
     tw.define("gamma1m", (5 * a + c) * th0 / gamma1)
     return tw

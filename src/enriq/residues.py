@@ -1426,15 +1426,18 @@ def faddeev_reconstruct(spec: ResidueSpec) -> dict:
     }
 
 
-def repair_spec(spec: ResidueSpec, place: Place, *, search_bound: int = 25) -> ResidueSpec:
+REPAIR_SEARCH_BOUND = 25
+
+
+def repair_spec(spec: ResidueSpec, place: Place) -> ResidueSpec:
     """Fix a full projective profile by changing the single entry at
     ``place`` so that the corestriction sum vanishes.
 
     At degree-1 places and infinity the entry is multiplied by the
     obstruction class itself.  At a degree-2 place an element of the
-    right norm class is searched among small ``A + B*beta``; not every
-    class is a norm from a quadratic extension, so this can honestly
-    fail (:class:`FaddeevRepairError`)."""
+    right norm class is searched among ``A + B*beta`` with max(|A|, |B|)
+    <= REPAIR_SEARCH_BOUND; not every class is a norm from a quadratic
+    extension, so this can honestly fail (:class:`FaddeevRepairError`)."""
     obstruction = faddeev_obstruction(spec)
     if obstruction.is_trivial():
         return spec.copy()
@@ -1447,7 +1450,7 @@ def repair_spec(spec: ResidueSpec, place: Place, *, search_bound: int = 25) -> R
         return out
     rf = place.residue_field()
     target = obstruction.value
-    for size in range(1, search_bound + 1):
+    for size in range(1, REPAIR_SEARCH_BOUND + 1):
         for a_part in range(-size, size + 1):
             for b_part in range(-size, size + 1):
                 if abs(a_part) != size and abs(b_part) != size:
@@ -1458,6 +1461,6 @@ def repair_spec(spec: ResidueSpec, place: Place, *, search_bound: int = 25) -> R
                     out.entries[place] = value * elem
                     return out
     raise FaddeevRepairError(
-        f"no element of norm class {obstruction} of size <= {search_bound} "
+        f"no element of norm class {obstruction} of size <= {REPAIR_SEARCH_BOUND} "
         f"at {place}; the class may simply not be a norm there"
     )

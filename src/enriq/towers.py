@@ -4,11 +4,11 @@ A tower is an ordered list of steps; step ``i`` adjoins a square root of a
 ``radicand`` that must be an element of the tower built from steps
 ``0..i-1`` (a rational number in the simplest case).  Elements are finite
 Q-linear combinations of square-free monomials in the adjoined roots,
-stored as ``{frozenset_of_step_indices: rational}``.  A rational is an
-``int`` when it is integral and a ``Fraction`` only otherwise (``_q``), so
-sums and products of integers skip ``Fraction``'s gcd normalisation;
-``3`` and ``Fraction(3)`` compare, hash and print alike, so the choice
-never shows outside the kernel.
+stored as ``{frozenset_of_step_indices: rational}``.  A rational enters
+through ``arith.rational`` and is an ``int`` when it is integral and a
+``Fraction`` only otherwise, so sums and products of integers skip
+``Fraction``'s gcd normalisation; ``3`` and ``Fraction(3)`` compare, hash
+and print alike, so the choice never shows outside the kernel.
 
 The interesting operations are ``is_square`` (a certified descent through
 the levels, with an honest Unknown verdict past a recursion budget),
@@ -35,26 +35,8 @@ from fractions import Fraction
 from math import prod
 from typing import Callable, Mapping, NamedTuple, Optional, Union
 
-from .arith import MR_BOUND, factorize, is_prime, rational_is_square, rational_sqrt
+from .arith import MR_BOUND, RationalLike, factorize, is_prime, rational, rational_is_square, rational_sqrt
 from .f2 import express
-
-Scalar = Union[int, Fraction]
-
-
-def _q(x: Scalar) -> Scalar:
-    """x in canonical form: an int when integral, else a Fraction.
-
-    Only ints (bools too) and Fractions are rationals here; a float, a
-    string or a Decimal raises TypeError rather than entering the tower as
-    some nearby fraction."""
-    if type(x) is int:
-        return x
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
-    if isinstance(x, int):
-        return int(x)
-    raise TypeError(f"{x!r} is not a rational number")
-
 
 #: Default budget for nested norm-equation recursions inside is_square.
 DEFAULT_SQUARE_DEPTH = 8
@@ -128,8 +110,8 @@ class Tower:
     def one(self) -> "TowerElem":
         return self.rational(1)
 
-    def rational(self, x: Scalar) -> "TowerElem":
-        x = _q(x)
+    def rational(self, x: RationalLike) -> "TowerElem":
+        x = rational(x)
         return TowerElem._of(self, {_RATIONAL: x} if x else {})
 
     def gen(self, name: str) -> "TowerElem":
@@ -150,7 +132,7 @@ class Tower:
     def add_step(
         self,
         name: str,
-        radicand: Union["TowerElem", Scalar],
+        radicand: Union["TowerElem", RationalLike],
         *,
         depth: int = DEFAULT_SQUARE_DEPTH,
         on_degenerate: str = "eliminate",
@@ -294,7 +276,7 @@ class Tower:
             self._kummer_vecs.append(vec)
         return len(self._kummer_vecs)
 
-    def _kummer_square(self, x: Scalar, lvl: int) -> SquareVerdict:
+    def _kummer_square(self, x: RationalLike, lvl: int) -> SquareVerdict:
         """Is the nonzero rational x a square in the field of steps 0..lvl,
         all of them with classified rational radicands?"""
         vec = int(x < 0)
@@ -422,8 +404,8 @@ class Tower:
         tw.unverified = list(data.get("unverified", []))
         return tw
 
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kw)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Tower":
@@ -440,7 +422,7 @@ class Tower:
     def extend(
         self,
         name: str,
-        radicand: Union["TowerElem", Scalar],
+        radicand: Union["TowerElem", RationalLike],
         *,
         depth: int = DEFAULT_SQUARE_DEPTH,
         label: Optional[str] = None,
@@ -571,7 +553,7 @@ class _ResidueMap:
 _RATIONAL = frozenset()
 
 
-def _add_term(out: dict, tower: Tower, s: frozenset, t: frozenset, c: Scalar) -> None:
+def _add_term(out: dict, tower: Tower, s: frozenset, t: frozenset, c: RationalLike) -> None:
     """Add c * root^s * root^t into ``out``, where root^(s & t) squared is
     the cached radicand product; its monomials may meet s ^ t in turn.
     Keys whose sums cancel are left for ``_settled``."""
@@ -587,14 +569,14 @@ def _add_term(out: dict, tower: Tower, s: frozenset, t: frozenset, c: Scalar) ->
 def _settled(tower: Tower, out: dict) -> "TowerElem":
     """Wrap ``out`` as an element: drop the keys whose sums cancelled and
     turn integral Fractions back into ints."""
-    return TowerElem._of(tower, {m: _q(v) for m, v in out.items() if v})
+    return TowerElem._of(tower, {m: rational(v) for m, v in out.items() if v})
 
 
 class TowerElem:
     """An element of a Tower; immutable in practice.
 
     ``coeffs`` maps a frozenset of step indices (the monomial prod root_i)
-    to a nonzero rational in ``_q``'s canonical form: an int when
+    to a nonzero rational in ``arith.rational``'s canonical form: an int when
     integral, else a Fraction; no key carries a zero.  The ring kernels
     keep that invariant while filling one result dict each, and reduce
     every root_i^2 to the radicand d_i through ``Tower._mono_product``.
@@ -602,9 +584,9 @@ class TowerElem:
 
     __slots__ = ("tower", "coeffs")
 
-    def __init__(self, tower: Tower, coeffs: Mapping[frozenset, Scalar]):
+    def __init__(self, tower: Tower, coeffs: Mapping[frozenset, RationalLike]):
         self.tower = tower
-        self.coeffs = {k: q for k, v in coeffs.items() if (q := _q(v))}
+        self.coeffs = {k: q for k, v in coeffs.items() if (q := rational(v))}
 
     @classmethod
     def _of(cls, tower: Tower, coeffs: dict) -> "TowerElem":
@@ -622,7 +604,7 @@ class TowerElem:
     def is_rational(self) -> bool:
         return not self.coeffs or (len(self.coeffs) == 1 and _RATIONAL in self.coeffs)
 
-    def as_rational(self) -> Scalar:
+    def as_rational(self) -> RationalLike:
         if not self.is_rational():
             raise ValueError(f"{self} is irrational")
         return self.coeffs.get(_RATIONAL, 0)
@@ -660,7 +642,7 @@ class TowerElem:
             v = out.get(mono)
             v = c if v is None else v + c
             if v:
-                out[mono] = _q(v)
+                out[mono] = rational(v)
             else:
                 del out[mono]
         return TowerElem._of(self.tower, out)
@@ -679,21 +661,21 @@ class TowerElem:
     def __rsub__(self, other) -> "TowerElem":
         return self._coerce(other) - self
 
-    def _scaled(self, x: Scalar) -> "TowerElem":
+    def _scaled(self, x: RationalLike) -> "TowerElem":
         if not x:
             return self.tower.zero()
         return _settled(self.tower, {k: v * x for k, v in self.coeffs.items()})
 
     def __mul__(self, other) -> "TowerElem":
         if not isinstance(other, TowerElem):
-            return self._scaled(_q(other))
+            return self._scaled(rational(other))
         other = self._coerce(other)
         if other.is_rational():
             return self._scaled(other.coeffs.get(_RATIONAL, 0))
         if self.is_rational():
             return other._scaled(self.coeffs.get(_RATIONAL, 0))
         tower = self.tower
-        out: dict[frozenset, Scalar] = {}
+        out: dict[frozenset, RationalLike] = {}
         for s, cs in self.coeffs.items():
             for t, ct in other.coeffs.items():
                 if s & t:
@@ -826,7 +808,7 @@ class TowerAuto:
         times the rest of the monomial; all terms go into one dict.
         """
         tower = self.tower
-        out: dict[frozenset, Scalar] = {}
+        out: dict[frozenset, RationalLike] = {}
         for mono, c in z.coeffs.items():
             if len(mono & self._negated) & 1:
                 c = -c
@@ -863,7 +845,7 @@ _ALLOWED_NODES = (
 def parse_element(
     text: str,
     lookup: Callable[[str], TowerElem],
-    rational: Callable[[Scalar], TowerElem],
+    rational: Callable[[RationalLike], TowerElem],
 ):
     """Evaluate an arithmetic expression over named tower elements.
 

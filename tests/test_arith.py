@@ -9,6 +9,7 @@ the inputs used here (which all keep valuations <= 1).
 """
 
 import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -93,7 +94,7 @@ def test_legendre_rejects_bad_modulus():
 def test_euler_criterion_matches_sympy_legendre(a, p):
     """The kernel that screens (1) and (2) call on the primes prime_divisors
     has certified; legendre adds only the primality check."""
-    assert arith._euler_criterion(a, p) == sympy.legendre_symbol(a % p, p) == arith.legendre(a, p)
+    assert arith.euler_criterion(a, p) == sympy.legendre_symbol(a % p, p) == arith.legendre(a, p)
 
 
 HILBERT_VALUES = [-3, -2, -1, 1, 2, 3, 5, 6, 10]
@@ -318,6 +319,41 @@ def test_prime_divisors():
     assert arith.prime_divisors(821) == [821]
     with pytest.raises(ValueError):
         arith.prime_divisors(0)
+
+
+#: Every rational type the package accepts: bools, ints, integral and
+#: non-integral Fractions.
+accepted_rationals = st.one_of(
+    st.booleans(),
+    st.integers(-10**12, 10**12),
+    st.integers(-10**6, 10**6).map(Fraction),
+    st.fractions(max_denominator=10**6),
+)
+
+
+@given(accepted_rationals)
+def test_rational_is_canonical_and_idempotent(x):
+    r = arith.rational(x)
+    assert r == x and arith.rational(r) is r
+    assert type(r) is (int if Fraction(x).denominator == 1 else Fraction)
+
+
+@given(accepted_rationals)
+def test_rational_sqrt_of_a_square_is_its_canonical_absolute_value(x):
+    root = arith.rational_sqrt(x * x)
+    assert root == abs(x) and type(root) is type(arith.rational(abs(x)))
+
+
+def _is_square_by_fractions(x) -> bool:
+    """Squares of Q in Fraction arithmetic alone: a nonnegative x whose
+    numerator's and denominator's integer square roots square back to x."""
+    f = Fraction(x)
+    return f >= 0 and Fraction(math.isqrt(f.numerator), math.isqrt(f.denominator)) ** 2 == f
+
+
+@given(st.one_of(accepted_rationals, accepted_rationals.map(lambda x: x * x)))
+def test_rational_is_square_matches_a_fraction_reference(x):
+    assert arith.rational_is_square(x) is _is_square_by_fractions(x)
 
 
 def test_rational_square_helpers():

@@ -1,7 +1,9 @@
 """Runtime import hygiene: sympy and numpy are test oracles, not
-dependencies, and the package defines its records without the
-dataclasses machinery (which also pulls in inspect)."""
+dependencies, the package defines its records without the dataclasses
+machinery (which also pulls in inspect), and no module imports another
+module's private name."""
 
+import ast
 import functools
 import os
 import subprocess
@@ -47,3 +49,16 @@ def test_importing_every_module_pulls_in_no_numpy(flags):
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_importing_every_module_pulls_in_no_dataclasses_or_inspect(flags):
     assert not _heavy_modules_loaded(tuple(flags)) & {"dataclasses", "inspect"}
+
+
+def test_no_module_imports_another_modules_private_name():
+    offenders = []
+    for path in sorted((SRC / "enriq").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "enriq"
+            ):
+                source = "." * node.level + (node.module or "")
+                offenders += [f"{path.name}: from {source} import {alias.name}"
+                              for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []
