@@ -10,8 +10,8 @@ Modules:
                     arithmetic, square testing, and validated automorphisms.
 * ``presets``    -- the splitting towers K0, K1 and K of a coefficient triplet.
 * ``funcfield``  -- rational functions in one variable over Q, a tower or another
-                    function field; places of P1, residue fields, and exact
-                    factoring over Q.
+                    function field; places of P1, ``split_at`` (f = pi^v * u
+                    there), residue fields, and exact factoring over Q.
 * ``conditions`` -- the eight sufficiency screens for a coefficient triplet
                     (a, b, c), plus nonsingularity and the search loop.
 * ``lattice``    -- the rank-15 intersection lattice of the covering K3 surface,

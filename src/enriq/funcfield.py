@@ -5,7 +5,9 @@ quadratic tower, and -- for the two-variable symbols on the ruled surface
 -- another rational function field.  Everything here is generic over a
 small ``CoefficientField`` adapter so the same polynomial code serves all
 three.  Places of the projective line are monic irreducible polynomials
-plus a distinguished infinite place; residue fields are realised exactly:
+plus a distinguished infinite place; ``split_at`` is the one split of a
+function there into its order and unit part, f = pi^v * u, and
+``valuation`` the order alone.  Residue fields are realised exactly:
 degree-1 places evaluate into the base field, degree-2 places over the
 rationals or over a tower build the corresponding quadratic extension
 through the tower engine.  Higher-degree residue fields are out of scope
@@ -34,6 +36,7 @@ __all__ = [
     "Place",
     "ResidueField",
     "valuation",
+    "split_at",
     "support_places",
     "factor_poly",
     "square_free_decomposition",
@@ -609,7 +612,6 @@ class Place:
     def _validate(poly: Poly) -> None:
         if poly.degree < 1:
             raise ValueError("a finite place needs a non-constant polynomial")
-        field = poly.field
         if not _is_one(poly.leading):
             raise ValueError("finite places must be monic")
         if poly.degree == 1:
@@ -617,13 +619,10 @@ class Place:
         if poly.gcd(poly.derivative()).degree > 0:
             raise ValueError(f"{poly} is not square-free")
         if poly.degree == 2:
-            # t^2 + u t + v is reducible iff u^2 - 4v is a square
-            u, v = poly.coeff(1), poly.coeff(0)
-            disc = u * u - v * 4
-            if field.is_square(disc):
+            if _quadratic_split(poly)[2]:
                 raise ValueError(f"{poly} splits over the base field")
             return
-        if poly.degree < 6 and isinstance(field, RationalField):
+        if poly.degree < 6 and isinstance(poly.field, RationalField):
             if len(_split_square_free(poly)) > 1:
                 raise ValueError(f"{poly} is reducible over Q")
             return
@@ -678,11 +677,30 @@ def valuation(f: Union[RatFunc, Poly], place: Place) -> int:
     return _poly_order(f.num, place.poly) or -_poly_order(f.den, place.poly)
 
 
+def split_at(f: RatFunc, place: Place) -> tuple[int, RatFunc]:
+    """(v, u) with f = pi^v * u, v = ``valuation(f, place)`` and u a unit
+    there, for pi the place polynomial or 1/t at infinity.  At a finite
+    place u comes from the division that finds v: pi^|v| leaves num or den,
+    and the pair stays coprime with a monic denominator, so no gcd runs."""
+    if place.is_infinite:
+        v = valuation(f, place)
+        return v, f * RatFunc.variable(f.field) ** v if v else f
+    v, rest = _divide_out(f.num, place.poly)
+    if v:
+        return v, RatFunc._coprime(rest, f.den)
+    v, rest = _divide_out(f.den, place.poly)
+    return -v, RatFunc._coprime(f.num, rest)
+
+
 def _poly_order(p: Poly, q: Poly) -> int:
-    """The multiplicity in p of q, which is monic (``Place._validate``): a
-    division step subtracts c*q for the top slot c, with no inverse, and
-    leaves c in place as the quotient coefficient instead of cancelling it;
-    the remainder is the low ``deg q`` slots."""
+    """The multiplicity in p of the monic q (:func:`_divide_out`)."""
+    return _divide_out(p, q)[0]
+
+
+def _divide_out(p: Poly, q: Poly) -> tuple[int, Poly]:
+    """(k, p / q^k) for the multiplicity k in p of the monic q: a division
+    step subtracts c*q for the top slot c, with no inverse, and keeps c as
+    the quotient coefficient; the remainder is the low ``deg q`` slots."""
     if p.is_zero():
         raise ZeroDivisionError("zero polynomial")
     field, d = p.field, q.degree
@@ -698,7 +716,7 @@ def _poly_order(p: Poly, q: Poly) -> int:
         if not all(field.is_zero(r) for r in rem[:d]):
             break
         coeffs, order = rem[d:], order + 1
-    return order
+    return order, Poly(field, coeffs, inner=True) if order else p
 
 
 # --------------------------------------------------------------------------
@@ -737,11 +755,9 @@ class ResidueField:
         if place.is_infinite:
             return cls(place, "base")
         if place.degree == 1:
-            root = -place.poly.coeff(0)
-            return cls(place, "base", root=root)
+            return cls(place, "base", root=-place.poly.coeff(0))
         if place.degree == 2:
-            u, v = place.poly.coeff(1), place.poly.coeff(0)
-            disc = u * u - v * 4
+            u, disc, _ = _quadratic_split(place.poly)
             if isinstance(field, RationalField):
                 tower = Tower(f"Q[T]/({place.poly})")
                 sqrt_disc = tower.add_step("sqrt_disc", disc, on_degenerate="error")
@@ -885,6 +901,14 @@ def _divides(d: int, n: int) -> bool:
     return d != 0 and n % d == 0
 
 
+def _quadratic_split(p: Poly) -> tuple:
+    """(u, d, splits) for a monic p = t^2 + u t + v: its discriminant
+    d = u^2 - 4v, and whether d is a square, i.e. p splits, in p's field."""
+    u, v = p.coeff(1), p.coeff(0)
+    disc = u * u - v * 4
+    return u, disc, p.field.is_square(disc)
+
+
 def _split_square_free(p: Poly) -> list[Poly]:
     """The monic irreducible factors over Q of a monic square-free p.
 
@@ -894,9 +918,8 @@ def _split_square_free(p: Poly) -> list[Poly]:
     if p.degree == 1:
         return [p]
     if p.degree == 2:
-        u, v = p.coeff(1), p.coeff(0)
-        disc = u * u - v * 4
-        if not arith.rational_is_square(disc):
+        u, disc, splits = _quadratic_split(p)
+        if not splits:
             return [p]
         r = arith.rational_sqrt(disc)
         return [Poly(QQ, [Fraction(u - r, 2), 1]), Poly(QQ, [Fraction(u + r, 2), 1])]
@@ -941,12 +964,10 @@ def _factor_tower_poly(p: Poly) -> list[tuple[Poly, int]]:
         raise NotImplementedError(
             f"factorization over {p.field.name} beyond degree 2 is out of scope"
         )
-    if monic.degree == 2:
-        u, v = monic.coeff(1), monic.coeff(0)
-        if p.field.is_square(u * u - v * 4):
-            raise NotImplementedError(
-                "splitting a reducible quadratic over a tower is not supported"
-            )
+    if monic.degree == 2 and _quadratic_split(monic)[2]:
+        raise NotImplementedError(
+            "splitting a reducible quadratic over a tower is not supported"
+        )
     return [(monic, 1)]
 
 

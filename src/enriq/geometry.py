@@ -273,7 +273,11 @@ def _solve_two_lines(lines: Sequence[_FormalPoly], tower: Tower) -> ProjPoint:
 
 def conic_value(tower: Tower, a, b, c, coords: Sequence[TowerElem]) -> TowerElem:
     """Evaluate a*v0^2 + b*v1^2 + c*v2^2 at a coordinate triple."""
-    env = _abc_env(tower, a, b, c)
+    return _conic(_abc_env(tower, a, b, c), coords)
+
+
+def _conic(env: Mapping[str, TowerElem], coords: Sequence[TowerElem]) -> TowerElem:
+    """``conic_value`` with the triplet already in the tower (``_abc_env``)."""
     v0, v1, v2 = coords
     return env["a"] * v0 ** 2 + env["b"] * v1 ** 2 + env["c"] * v2 ** 2
 
@@ -306,7 +310,7 @@ def _weierstrass_report(a, b, c, tower: Tower, env: Mapping[str, TowerElem],
                     for line in lines
                 ),
                 "solved_matches_listed": solved.same_as(ProjPoint("P2", (coords,))),
-                "on_conic": conic_value(tower, a, b, c, solved.blocks[0]).is_zero(),
+                "on_conic": _conic(env, solved.blocks[0]).is_zero(),
             }
         )
     ok = all(all(row[k] for k in row if k != "point") for row in rows)
@@ -541,8 +545,11 @@ GENERATOR_RELATION_SUITE: tuple[dict, ...] = (
 
 def generator_relations(a, b, c, *, tower: Tower) -> list[dict]:
     """Verify the twelve displayed formulas exactly in the full tower."""
-    env = _abc_env(tower, a, b, c)
+    return _generator_relations(tower, _abc_env(tower, a, b, c))
 
+
+def _generator_relations(tower: Tower, env: Mapping[str, TowerElem]) -> list[dict]:
+    """``generator_relations`` with the triplet already in the tower."""
     report = []
     for relation in GENERATOR_RELATION_SUITE:
         checks = []
@@ -641,9 +648,9 @@ def _permutation_report(derived: Mapping[str, dict[str, str]]) -> dict:
 
 def verify_suite(a, b, c, *, tower: Tower) -> dict:
     """Run every geometry check for one triplet in its splitting tower K."""
-    relations = generator_relations(a, b, c, tower=tower)
-    # the eight listed points are evaluated once, for both checks below
+    # the triplet enters the tower once and the listed points are evaluated once
     env = _abc_env(tower, a, b, c)
+    relations = _generator_relations(tower, env)
     listed = _listed_points(tower, env)
     weierstrass = _weierstrass_report(a, b, c, tower, env, listed)
     permutations = _permutation_report(_induced_point_permutations(tower, listed))

@@ -14,7 +14,8 @@ The heart of the package's unramified-class computations.  Three layers:
   and once by brute force through Gauss valuations.  The two routes are
   independently coded: the brute-force route and the symbol residues
   share one tame-residue kernel (:func:`_tame`), while the structured
-  route writes its one fiber closed form in :func:`_cleared`;
+  route writes its one fiber closed form in :func:`_cleared`; all unit
+  parts come from one split, ``funcfield.split_at`` (f = pi^v * u);
 
 * Faddeev reconstruction: given target residue classes at places of the
   t-line (degree <= 2 or infinity), either build an explicit symbol sum
@@ -49,6 +50,7 @@ from .funcfield import (
     parse_ratfunc,
     rational_square_free,
     ratfunc_square_free,
+    split_at,
     support_places,
     valuation,
 )
@@ -101,10 +103,6 @@ def t_function(text: str) -> RatFunc:
 def x_variable() -> RatFunc:
     """The coordinate x of the ruled surface, as an element of Q(t)(x)."""
     return RatFunc.variable(XCOEFF)
-
-
-def _tvar() -> RatFunc:
-    return RatFunc.variable(QQ)
 
 
 # ==========================================================================
@@ -240,34 +238,11 @@ class SymbolSum:
         return f"SymbolSum[{self}]"
 
 
-def _unit_part(fn: RatFunc, place: Place, v: int) -> RatFunc:
-    """``fn`` divided by the ``v``-th power of a uniformizer at the place.
-
-    At a finite place of fn's own field, v is fn's valuation there: the
-    place polynomial to the |v| divides the numerator (v > 0) or the
-    denominator (v < 0) exactly, and the quotient pair stays coprime with
-    a monic denominator, so no gcd is taken.  At infinity, and at a
-    t-place under a symbol over k(t)(x), whose v is a Gauss valuation, the
-    product with the uniformizer's power is reduced as usual.
-    """
-    if v == 0:
-        return fn
-    if place.is_infinite:
-        pi = RatFunc.variable(place.field).inv()
-    elif place.field is not fn.field:
-        pi = RatFunc.from_poly(place.poly)
-    elif v > 0:
-        return RatFunc._coprime(fn.num // place.poly ** v, fn.den)
-    else:
-        return RatFunc._coprime(fn.num, fn.den // place.poly ** -v)
-    return fn * pi ** (-v)
-
-
 def _tame(sym: FunctionFieldSymbol, a: int, b: int, unit, value):
     """``value`` times the tame residue ``(-1)^{ab} f^b g^{-a}`` of
     ``(f, g)``, where a and b are the valuations of f and g at the place
-    and ``unit(h, v)`` reduces the unit part of h, of valuation v, into
-    the residue field.
+    and ``unit(h)`` reduces the unit part of h into the residue field (the
+    u of ``split_at``, or at a fiber the Gauss unit of :func:`_gauss_split`).
 
     The unit parts are reduced *before* exponentiation: writing
     u = f pi^{-a} and w = g pi^{-b}, the reduction of the full expression
@@ -277,9 +252,9 @@ def _tame(sym: FunctionFieldSymbol, a: int, b: int, unit, value):
     field instead of building huge function-field powers.
     """
     if b % 2:
-        value = value * unit(sym.f, a)
+        value = value * unit(sym.f)
     if a % 2:
-        value = value * unit(sym.g, b)
+        value = value * unit(sym.g)
     if (a * b) % 2:
         value = -value
     return value
@@ -290,12 +265,8 @@ def residue_symbol(sym: FunctionFieldSymbol, place: Place) -> SquareClass:
     class of ``(-1)^{v(f)v(g)} f^{v(g)} g^{-v(f)}`` reduced at the place
     (:func:`_tame`)."""
     rf = place.residue_field()
-
-    def unit(fn: RatFunc, v: int):
-        return rf.reduce(_unit_part(fn, place, v))
-
     value = _tame(sym, valuation(sym.f, place), valuation(sym.g, place),
-                  unit, rf.class_field.one())
+                  lambda fn: rf.reduce(split_at(fn, place)[1]), rf.class_field.one())
     return SquareClass(rf.class_field, value)
 
 
@@ -306,18 +277,19 @@ def _as_symbol_list(syms) -> list[FunctionFieldSymbol]:
 
 
 def _verify_support(fn: RatFunc, places: Sequence[Place]) -> None:
-    """Check that the finite places listed exhaust fn's zeros and poles."""
-    rest = fn
+    """Check that the places listed exhaust fn's finite zeros and poles,
+    each once: with num and den coprime and den monic, distinct places do iff
+    their zeros fill deg num and their poles deg den (times place degree)."""
+    support = {}
     for place in places:
-        if place.is_infinite:
-            continue
-        v = valuation(fn, place)
+        v = 0 if place.is_infinite else valuation(fn, place)
         if v:
-            rest = rest * RatFunc.from_poly(place.poly) ** (-v)
-    if not rest.is_constant():
-        raise ValueError(
-            f"support of {fn} is not exhausted by the given places"
-        )
+            if place in support:
+                raise ValueError(f"{place} is listed twice in the support of {fn}")
+            support[place] = v
+    if (sum(max(v, 0) * p.degree for p, v in support.items()) != fn.num.degree
+            or sum(max(-v, 0) * p.degree for p, v in support.items()) != fn.den.degree):
+        raise ValueError(f"support of {fn} is not exhausted by the given places")
 
 
 def symbol_profile(
@@ -374,56 +346,38 @@ def _place_sort_key(place: Place):
 # Gauss valuations: vertical behaviour of two-variable symbols
 # ==========================================================================
 
-def _poly_gauss(p: Poly, tplace: Place) -> int:
-    if p.is_zero():
-        raise ZeroDivisionError("gauss valuation of 0")
-    return min(
-        valuation(c, tplace)
-        for c in p.coeffs
-        if not p.field.is_zero(c)
-    )
-
-
 def gauss_valuation(F: RatFunc, tplace: Place) -> int:
     """The Gauss extension of ``v_t`` to k(t)(x): min over coefficients."""
-    return _poly_gauss(F.num, tplace) - _poly_gauss(F.den, tplace)
+    if F.is_zero():
+        raise ZeroDivisionError("gauss valuation of 0")
+    num, den = (min(valuation(c, tplace) for c in p.coeffs if not c.is_zero())
+                for p in (F.num, F.den))
+    return num - den
 
 
-def _uniformizer(tplace: Place) -> RatFunc:
-    if tplace.is_infinite:
-        return RatFunc.constant(tplace.field, 1) / RatFunc.variable(tplace.field)
-    return RatFunc.from_poly(tplace.poly)
-
-
-def _reduce_coefficient(c: RatFunc, tplace: Place, rf, coeff_field):
-    if c.is_zero():
-        return coeff_field.zero()
-    v = valuation(c, tplace)
-    if v > 0:
-        return coeff_field.zero()
-    if v < 0:
-        raise ValueError(f"coefficient {c} is not integral at {tplace}")
-    return coeff_field.coerce(rf.reduce(c))
+def _gauss_split(F: RatFunc, tplace: Place) -> tuple[int, RatFunc]:
+    """(v, u-bar): F's Gauss valuation at the fiber and its unit part
+    reduced into k(residue)(x).  Each of num and den p reduces alone: its
+    coefficients of least order m reduce to the units of their splits
+    (``split_at``) and the others to 0, which is p*pi^(-m) reduced."""
+    rf = tplace.residue_field()
+    field = rf.fibre_field.base
+    orders, reduced = [], []
+    for p in (F.num, F.den):
+        splits = [None if c.is_zero() else split_at(c, tplace) for c in p.coeffs]
+        m = min(s[0] for s in splits if s)
+        orders.append(m)
+        reduced.append(Poly(field, [field.coerce(rf.reduce(s[1])) if s and s[0] == m
+                                    else field.zero() for s in splits], inner=True))
+    return orders[0] - orders[1], RatFunc(*reduced)
 
 
 def gauss_reduce(F: RatFunc, tplace: Place) -> RatFunc:
     """Reduce a Gauss-unit of k(t)(x) into k(residue)(x)."""
-    rf = tplace.residue_field()
-    coeff_field = rf.fibre_field.base
-    mn = _poly_gauss(F.num, tplace)
-    md = _poly_gauss(F.den, tplace)
-    if mn != md:
+    v, reduced = _gauss_split(F, tplace)
+    if v:
         raise ValueError(f"{F} is not a Gauss unit at {tplace}")
-    pi = _uniformizer(tplace)
-    num = Poly(coeff_field, [
-        _reduce_coefficient(XCOEFF.coerce(c) * pi ** (-mn), tplace, rf, coeff_field)
-        for c in F.num.coeffs
-    ])
-    den = Poly(coeff_field, [
-        _reduce_coefficient(XCOEFF.coerce(c) * pi ** (-md), tplace, rf, coeff_field)
-        for c in F.den.coeffs
-    ])
-    return RatFunc(num, den)
+    return reduced
 
 
 def vertical_residue(syms, tplace: Place) -> SquareClass:
@@ -435,19 +389,15 @@ def vertical_residue(syms, tplace: Place) -> SquareClass:
     it when it is not.
 
     Each symbol ``(f, g)`` contributes the tame residue of :func:`_tame`,
-    with a and b the Gauss valuations of f and g and the unit parts,
-    Gauss units, reduced by :func:`gauss_reduce`.  Nothing here uses the
-    structure of the corestriction.
+    with a and b the Gauss valuations of f and g, and a unit part reduced
+    from its coefficients' splits at the fiber (:func:`_gauss_split`), so
+    no uniformizer power is formed.  Nothing here uses the corestriction.
     """
     field = tplace.residue_field().fibre_field
-
-    def unit(fn: RatFunc, v: int) -> RatFunc:
-        return gauss_reduce(_unit_part(fn, tplace, v), tplace)
-
     total = field.one()
     for sym in _as_symbol_list(syms):
-        total = _tame(sym, gauss_valuation(sym.f, tplace),
-                      gauss_valuation(sym.g, tplace), unit, total)
+        total = _tame(sym, gauss_valuation(sym.f, tplace), gauss_valuation(sym.g, tplace),
+                      lambda fn: _gauss_split(fn, tplace)[1], total)
     return SquareClass(field, total)
 
 
@@ -811,14 +761,10 @@ def _kummer_branch_residue(cover: KummerCover, syms, place: Place) -> SquareClas
     """Residue at the irreducible branch place of a Kummer cover: the tame
     residue of :func:`_tame`, with the unit parts reduced through the
     rational parametrisation of the branch curve."""
-
-    def unit(fn: RatFunc, v: int) -> RatFunc:
-        return _kummer_reduce(cover, _unit_part(fn, place, v))
-
     value = cover.s_field.one()
     for sym in syms:
         value = _tame(sym, valuation(sym.f, place), valuation(sym.g, place),
-                      unit, value)
+                      lambda fn: _kummer_reduce(cover, split_at(fn, place)[1]), value)
     return SquareClass(cover.s_field, value)
 
 
@@ -936,13 +882,13 @@ def _cleared(ell: RatFunc, a: int, h: RatFunc, b: int,
     """Route A's one fiber closed form, for a slot (l, x - h) or
     (l, x^2 - h) whose h has a pole of order -b at the fiber: clearing
     it leaves (-1)^(ab) u-bar^b w-bar^(-a), where a = v(l) and u and w are
-    the unit parts of l and -h.  Only the exponent parities matter."""
+    the unit parts of l and -h (``split_at``).  Only parities matter."""
     rf = tplace.residue_field()
     value = rf.class_field.one()
     if b % 2:
-        value = value * rf.reduce(_unit_part(ell, tplace, a))
+        value = value * rf.reduce(split_at(ell, tplace)[1])
     if a % 2:
-        value = value * rf.reduce(-_unit_part(h, tplace, b))
+        value = value * rf.reduce(-split_at(h, tplace)[1])
     if (a * b) % 2:
         value = -value
     return SquareClass(rf.class_field, value)
@@ -1021,14 +967,11 @@ def _compare(triples, left: str, right: str) -> dict:
 
 def _point_signature(a: RatFunc, tplace: Place):
     """Which point of the (nodal) image curve a component hits over tplace."""
-    rf = tplace.residue_field()
     v = None if a.is_zero() else valuation(a, tplace)
     if v is not None and v < 0:
         return ("S", _place_key(tplace))
-    if v is None or v > 0:
-        value = rf.class_field.zero()
-    else:
-        value = rf.reduce(a)
+    rf = tplace.residue_field()
+    value = rf.class_field.zero() if v is None or v > 0 else rf.reduce(a)
     return ("pt", _place_key(tplace), _residue_key(value))
 
 
@@ -1130,7 +1073,7 @@ class DeskCover:
 
 def standard_desks() -> dict[str, DeskCover]:
     """The desk inventory used by the verification suite and the tests."""
-    t = _tvar()
+    t = RatFunc.variable(QQ)
     one = RatFunc.constant(QQ, 1)
     P_T = Place.finite(Poly(QQ, [0, 1]))
     P_Q2 = Place.finite(Poly(QQ, [-2, 0, 1]))

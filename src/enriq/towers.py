@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import ast
 import json
+import re
 import weakref
 from fractions import Fraction
 from math import prod
@@ -752,7 +753,7 @@ class TowerElem:
                 mono = frozenset()
             else:
                 mono = frozenset(name_to_idx[part] for part in key.split("*"))
-            coeffs[mono] = Fraction(val)
+            coeffs[mono] = _read_rational(val)
         return TowerElem(tower, coeffs)
 
     def __str__(self) -> str:
@@ -765,6 +766,16 @@ class TowerElem:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def _read_rational(text) -> RationalLike:
+    """The rational that ``TowerElem.to_dict`` wrote as ``text``, ``str`` of
+    an int or of p/q in lowest terms; any other value or spelling raises."""
+    if isinstance(text, str) and re.fullmatch(r"-?[0-9]+(/[1-9][0-9]*)?", text):
+        value = rational(Fraction(text))
+        if str(value) == text:
+            return value
+    raise ValueError(f"{text!r} is not a rational as to_dict writes it")
 
 
 class TowerAuto:

@@ -30,7 +30,7 @@ from enriq.funcfield import (
     factor_poly,
     valuation,
 )
-from enriq.residues import _unit_part
+from enriq.funcfield import split_at
 from enriq.towers import Tower
 
 T = sympy.Symbol("T")
@@ -310,10 +310,53 @@ def test_orders_at_linear_and_quadratic_places_match_sympy(q, a, b, k, m):
     # the unit part divides the place polynomial out exactly, with no gcd,
     # and agrees with the product by the uniformizer's power
     f = RatFunc(num, den)
-    unit = _unit_part(f, place, expected)
+    v, unit = split_at(f, place)
+    assert v == expected
     assert_canonical(unit)
     assert valuation(unit, place) == 0
     assert unit == f * RatFunc.from_poly(q) ** -expected
+
+
+#: Q(sqrt 5), the tower base of the split oracle below
+SQRT5 = TowerCoefficients(Tower().extend("r5", Fraction(5), depth=12, label="sqrt5"))
+SQRT5_SCALARS = [SQRT5.coerce(c) + SQRT5.tower.gen("r5") * d
+                 for c, d in [(0, 0), (1, 0), (-2, 0), (Fraction(1, 3), 0), (0, 1), (2, Fraction(-3, 2))]]
+#: quadratic places: t^2 - 2, t^2 + t + 1 and t^2 - sqrt 5 stay irreducible
+SQRT5_QUADRATICS = [[-2, 0, 1], [1, 1, 1], [-SQRT5.tower.gen("r5"), 0, 1]]
+
+
+@st.composite
+def split_cases(draw):
+    """(f, place) over Q or Q(sqrt 5), at a linear, quadratic or infinite
+    place, with f = a * q^k / (b * q^m) for the place polynomial q."""
+    if draw(st.booleans()):
+        field, scalars = QQ, small_rationals
+        quadratic = quadratic_places
+    else:
+        field, scalars = SQRT5, st.sampled_from(SQRT5_SCALARS)
+        quadratic = st.sampled_from(SQRT5_QUADRATICS).map(lambda cs: Poly(SQRT5, cs))
+    kind = draw(st.sampled_from(["linear", "quadratic", "infinite"]))
+    if kind == "infinite":
+        place, q = Place.infinite(field), Poly(field, [0, 1])
+    else:
+        q = Poly(field, [-draw(scalars), 1]) if kind == "linear" else draw(quadratic)
+        place = Place.finite(q)
+    polys = st.lists(scalars, max_size=3).map(lambda cs: Poly(field, cs))
+    a, b = draw(polys), draw(polys.filter(lambda p: not p.is_zero()))
+    a = a if not a.is_zero() else Poly(field, [1])
+    k, m = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    return RatFunc(a * q**k, b * q**m), place
+
+
+@given(split_cases())
+def test_split_at_gives_the_order_and_a_canonical_unit(case):
+    f, place = case
+    v, u = split_at(f, place)
+    assert v == valuation(f, place)
+    assert valuation(u, place) == 0
+    _assert_canonical_over(f.field, u)
+    pi = RatFunc.variable(f.field).inv() if place.is_infinite else RatFunc.from_poly(place.poly)
+    assert f == pi**v * u
 
 
 @st.composite

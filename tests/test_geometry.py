@@ -281,3 +281,24 @@ def test_verify_suite_evaluates_the_listed_points_once(k_tower_witness, monkeypa
         *WITNESS, tower=k_tower_witness
     )
     assert len(calls) == 3
+
+
+def test_verify_suite_builds_the_triplet_in_the_tower_once(k_tower_witness, monkeypatch):
+    calls = []
+    abc_env = geometry._abc_env
+
+    def counted(tower, a, b, c):
+        calls.append((tower, a, b, c))
+        return abc_env(tower, a, b, c)
+
+    monkeypatch.setattr(geometry, "_abc_env", counted)
+    suite = geometry.verify_suite(*WITNESS, tower=k_tower_witness)
+    assert suite["ok"] is True and calls == [(k_tower_witness, *WITNESS)]
+    # the public checks still build their own, and report the same
+    assert suite["generator_relations"] == geometry.generator_relations(
+        *WITNESS, tower=k_tower_witness)
+    assert suite["weierstrass"] == geometry.weierstrass_report(*WITNESS, tower=k_tower_witness)
+    point = suite["weierstrass"]["points"][0]["point"]
+    coords = geometry._listed_points(k_tower_witness, abc_env(k_tower_witness, *WITNESS))[point]
+    assert geometry.conic_value(k_tower_witness, *WITNESS, coords).is_zero()
+    assert len(calls) == 4

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from enriq import residues
@@ -104,6 +104,58 @@ def test_profile_rejects_incomplete_support():
     t = _t()
     with pytest.raises(ValueError):
         symbol_profile([FunctionFieldSymbol(t, t + 1)], places=[T0, INF])
+
+
+def _product_check_raises(fn, places):
+    """The support check by products: divide each listed place's part out
+    of fn and see whether a nonconstant function is left."""
+    rest = fn
+    for place in places:
+        v = 0 if place.is_infinite else valuation(fn, place)
+        if v:
+            rest = rest * RatFunc.from_poly(place.poly) ** (-v)
+    return not rest.is_constant()
+
+
+SUPPORT_FACTORS = ["t", "t + 1", "t - 2", "t**2 + 1", "t**2 - 2"]
+
+
+@st.composite
+def support_cases(draw):
+    """Symbols over Q(t) from a few factors, and their support places with
+    one dropped, one listed twice, a spare place added, or none changed."""
+    def function():
+        f = RatFunc.constant(QQ, draw(st.sampled_from([1, -1, 2, 3])))
+        for text in draw(st.lists(st.sampled_from(SUPPORT_FACTORS), max_size=3)):
+            f = f * parse_ratfunc(text, "t", QQ) ** draw(st.sampled_from([1, -1, 2]))
+        return f
+
+    syms = [FunctionFieldSymbol(function(), function())
+            for _ in range(draw(st.integers(1, 2)))]
+    places = list(dict.fromkeys(place for sym in syms for fn in (sym.f, sym.g)
+                                for place in support_places(fn, include_infinity=False)))
+    edit = draw(st.sampled_from(["drop", "twice", "spare", "none"]))
+    if places and edit in ("drop", "twice"):
+        i = draw(st.integers(0, len(places) - 1))
+        places = places[:i] + places[i + 1:] if edit == "drop" else places + [places[i]]
+    elif edit == "spare":
+        places.append(Place.finite(Poly(QQ, [-5, 1])))
+    return syms, draw(st.permutations(places + draw(st.sampled_from([[], [INF]]))))
+
+
+@given(support_cases())
+# t listed twice and t - 1 left out: the degrees alone would add up
+@example(([FunctionFieldSymbol(parse_ratfunc("t*(t - 1)", "t", QQ), 2)], [T0, T0]))
+def test_support_check_raises_where_the_product_check_does(case):
+    syms, places = case
+    expected = any(_product_check_raises(fn, places) for sym in syms for fn in (sym.f, sym.g))
+    if expected:
+        with pytest.raises(ValueError):
+            symbol_profile(syms, places=places)
+    else:
+        shown = [{p: str(c) for p, c in symbol_profile(syms, **kw).items()}
+                 for kw in ({"places": places}, {})]
+        assert shown[0] == shown[1]
 
 
 LINEAR_POINTS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2)]
@@ -241,6 +293,33 @@ symbol_sums = st.lists(
 def test_vertical_residue_matches_exponentiate_then_reduce(syms, tplace):
     got = vertical_residue(syms, tplace)
     assert got.same_class(_vertical_residue_by_powers(syms, tplace))
+
+
+def _gauss_reduce_by_powers(F, tplace):
+    """The pi-power form of the reduction: scale each coefficient by
+    pi^(-m) for its polynomial's least order m, then reduce it."""
+    rf = tplace.residue_field()
+    field = rf.fibre_field.base
+    pi = _t().inv() if tplace.is_infinite else RatFunc.from_poly(tplace.poly)
+    polys = []
+    for p in (F.num, F.den):
+        m = min(valuation(c, tplace) for c in p.coeffs if not c.is_zero())
+        scaled = [XCOEFF.coerce(c) * pi ** (-m) for c in p.coeffs]
+        polys.append(Poly(field, [field.zero() if c.is_zero() or valuation(c, tplace) > 0
+                                  else field.coerce(rf.reduce(c)) for c in scaled]))
+    return RatFunc(*polys)
+
+
+@given(surface_functions(), st.sampled_from(FIBERS))
+def test_gauss_reduce_matches_the_pi_power_form(F, tplace):
+    v = gauss_valuation(F, tplace)
+    if v:
+        with pytest.raises(ValueError, match="not a Gauss unit"):
+            gauss_reduce(F, tplace)
+    pi = _t().inv() if tplace.is_infinite else RatFunc.from_poly(tplace.poly)
+    unit = F * RatFunc.constant(XCOEFF, pi ** (-v))
+    assert gauss_valuation(unit, tplace) == 0
+    assert gauss_reduce(unit, tplace) == _gauss_reduce_by_powers(unit, tplace)
 
 
 # --------------------------------------------------------------------------

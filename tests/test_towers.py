@@ -104,6 +104,25 @@ def test_serialization_roundtrip():
         Tower.from_dict({"format": "quad-tower/999", "steps": []})
 
 
+@pytest.mark.parametrize("text,value", [
+    ("5", 5), ("-12", -12), ("0", 0), ("-7/3", Fraction(-7, 3)), ("1/10", Fraction(1, 10)),
+])
+def test_from_dict_reads_what_to_dict_writes(text, value):
+    t = presets.k0_tower()
+    z = TowerElem.from_dict(t, {"1": text, "i": text})
+    assert z.coeffs.get(frozenset(), 0) == value
+    assert z.to_dict() == ({} if value == 0 else {"1": text, "i": text})
+
+
+@pytest.mark.parametrize("text", [
+    0.1, 3, Fraction(1, 2), "1e-1", "0.5", " 3/6 ", "3/6", "4/2", "2/1", "-0", "007",
+    "+3", "1/0", "1/-2", "1_000", "١", "",
+])
+def test_from_dict_refuses_any_other_spelling(text):
+    with pytest.raises(ValueError, match="as to_dict writes it"):
+        TowerElem.from_dict(presets.k0_tower(), {"1": text})
+
+
 def test_extend_and_lift():
     t = presets.k0_tower()
     ext = t.extend("delta", t.gen("sqrt2") + 3)
