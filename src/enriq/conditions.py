@@ -34,7 +34,6 @@ import math
 from typing import Iterator, Optional, Sequence
 
 from .arith import euler_criterion, is_anisotropic_diag4, legendre, prime_divisors, primes_up_to
-from .presets import k_tower
 
 #: The published example triplet used throughout the tests.
 WITNESS = (12, 111, 13)
@@ -625,6 +624,8 @@ def galois_generality_proxy(a: int, b: int, c: int) -> ConditionReport:
     quadratic extension.  A degenerate step refutes generality; an Unknown
     square verdict leaves the condition Unknown.
     """
+    from .presets import k_tower  # screens (1)-(7) import no tower
+
     rpt = ConditionReport(8, PASS, "", notes=["verdict via tower-independence proxy"])
     try:
         tw = k_tower(a, b, c)

@@ -7,11 +7,13 @@ small ``CoefficientField`` adapter so the same polynomial code serves all
 three.  Places of the projective line are monic irreducible polynomials
 plus a distinguished infinite place; ``split_at`` is the one split of a
 function there into its order and unit part, f = pi^v * u, and
-``valuation`` the order alone.  Residue fields are realised exactly:
-degree-1 places evaluate into the base field, degree-2 places over the
-rationals or over a tower build the corresponding quadratic extension
-through the tower engine.  Higher-degree residue fields are out of scope
-and raise.
+``valuation`` the order alone; neither runs a polynomial gcd.  One runs in
+``RatFunc``'s constructor (see there), in Yun's decomposition above degree
+1 and in a place's square-free check above degree 1.  Residue fields are
+realised exactly: degree-1 places evaluate into the base field, degree-2
+places over the rationals or over a tower build the corresponding
+quadratic extension through the tower engine.  Higher-degree residue
+fields are out of scope and raise.
 """
 
 from __future__ import annotations
@@ -141,6 +143,14 @@ class RationalFunctions(CoefficientField):
         self.var = var
         self.base = base
         self.name = f"{base.name}({var})"
+        self._zero = RatFunc.constant(base, 0)  # a RatFunc is never changed
+        self._one = RatFunc.constant(base, 1)
+
+    def zero(self):
+        return self._zero
+
+    def one(self):
+        return self._one
 
     def coerce(self, x):
         if isinstance(x, RatFunc):
@@ -362,8 +372,8 @@ def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     if p.is_zero():
         raise ValueError("zero polynomial has no square-free decomposition")
     f = p.monic()
-    if f.degree == 0:
-        return []
+    if f.degree < 2:
+        return [(f, 1)] if f.degree else []
     g = f.gcd(f.derivative())
     if g.degree == 0:
         return [(f, 1)]
@@ -402,12 +412,12 @@ class RatFunc:
     The form is canonical: numerator and denominator are coprime, the
     denominator is monic and zero is 0/1, so equality compares the two
     polynomials coefficient by coefficient.  The Euclidean gcd runs only
-    when both sides have positive degree; a constant side is coprime to
-    anything.  Negation, inversion and powers start from an already
-    coprime pair and skip it, and so do a zero operand and a product with
-    a nonzero constant c, since (c*n, d) stays coprime with d monic.  A
-    sum over one denominator d adds the numerators over d, so the gcd runs
-    only when d is not constant.
+    in the constructor when both sides have positive degree; a constant
+    side is coprime to anything.  Negation, inversion, powers and the unit
+    parts of ``split_at`` start from an already coprime pair and skip it,
+    and so do a zero operand and a product with a nonzero constant c, since
+    (c*n, d) stays coprime with d monic.  A sum over one denominator d adds
+    the numerators over d, so the gcd runs only when d is not constant.
     """
 
     __slots__ = ("field", "num", "den")
@@ -572,9 +582,7 @@ class RatFunc:
 def _generic_invert(x):
     if isinstance(x, (int, Fraction)):
         return QQ.invert(x)
-    if isinstance(x, TowerElem):
-        return x.inv()
-    if isinstance(x, RatFunc):
+    if isinstance(x, (TowerElem, RatFunc)):
         return x.inv()
     raise TypeError(f"cannot invert {x!r}")
 
@@ -592,13 +600,14 @@ class Place:
     never go beyond quadratic places.
     """
 
-    __slots__ = ("poly", "field")
+    __slots__ = ("poly", "field", "_hash")
 
     def __init__(self, poly: Optional[Poly], field: CoefficientField):
         self.poly = poly
         self.field = field
         if poly is not None:
             self._validate(poly)
+        self._hash = hash((id(field), None if poly is None else hash(poly)))
 
     @classmethod
     def infinite(cls, field: CoefficientField) -> "Place":
@@ -648,7 +657,7 @@ class Place:
         return self.poly == other.poly
 
     def __hash__(self):
-        return hash((id(self.field), None if self.poly is None else hash(self.poly)))
+        return self._hash
 
     def __str__(self):
         return "infinity" if self.is_infinite else str(self.poly)
@@ -674,17 +683,24 @@ def valuation(f: Union[RatFunc, Poly], place: Place) -> int:
     if place.is_infinite:
         return f.den.degree - f.num.degree
     # num and den are coprime, so at most one of them vanishes at the place
-    return _poly_order(f.num, place.poly) or -_poly_order(f.den, place.poly)
+    return _divide_out(f.num, place.poly)[0] or -_divide_out(f.den, place.poly)[0]
 
 
 def split_at(f: RatFunc, place: Place) -> tuple[int, RatFunc]:
     """(v, u) with f = pi^v * u, v = ``valuation(f, place)`` and u a unit
-    there, for pi the place polynomial or 1/t at infinity.  At a finite
-    place u comes from the division that finds v: pi^|v| leaves num or den,
-    and the pair stays coprime with a monic denominator, so no gcd runs."""
+    there, for pi the place polynomial or 1/t at infinity.  No gcd runs: at
+    a finite place pi^|v| leaves num or den in the division that finds v,
+    and at infinity u = f*t^v shifts one side up by the |v| - k powers of t
+    left after the other side drops its k <= |v| low zero coefficients."""
     if place.is_infinite:
-        v = valuation(f, place)
-        return v, f * RatFunc.variable(f.field) ** v if v else f
+        v, field = valuation(f, place), f.field
+        if not v:
+            return v, f
+        up, down = (f.num.coeffs, f.den.coeffs) if v > 0 else (f.den.coeffs, f.num.coeffs)
+        k = next((i for i, c in enumerate(down[:abs(v)]) if not field.is_zero(c)), abs(v))
+        up = Poly(field, [field.zero()] * (abs(v) - k) + up, inner=True)
+        down = Poly(field, down[k:], inner=True)
+        return v, RatFunc._coprime(*((up, down) if v > 0 else (down, up)))
     v, rest = _divide_out(f.num, place.poly)
     if v:
         return v, RatFunc._coprime(rest, f.den)
@@ -692,28 +708,26 @@ def split_at(f: RatFunc, place: Place) -> tuple[int, RatFunc]:
     return -v, RatFunc._coprime(f.num, rest)
 
 
-def _poly_order(p: Poly, q: Poly) -> int:
-    """The multiplicity in p of the monic q (:func:`_divide_out`)."""
-    return _divide_out(p, q)[0]
-
-
 def _divide_out(p: Poly, q: Poly) -> tuple[int, Poly]:
     """(k, p / q^k) for the multiplicity k in p of the monic q: a division
     step subtracts c*q for the top slot c, with no inverse, and keeps c as
-    the quotient coefficient; the remainder is the low ``deg q`` slots."""
+    the quotient coefficient; the remainder is the low ``deg q`` slots, which
+    the last step compares with c*q's (canonical, so exactly) and drops."""
     if p.is_zero():
         raise ZeroDivisionError("zero polynomial")
     field, d = p.field, q.degree
-    low = [(j, b) for j, b in enumerate(q.coeffs[:d]) if not field.is_zero(b)]
+    tail = q.coeffs[:d]
+    low = [(j, b) for j, b in enumerate(tail) if not field.is_zero(b)]
     coeffs, order = p.coeffs, 0
     while len(coeffs) > d:
         rem = list(coeffs)
-        for i in range(len(rem) - d - 1, -1, -1):
+        for i in range(len(rem) - d - 1, 0, -1):
             c = rem[i + d]
             if not field.is_zero(c):
                 for j, b in low:
                     rem[i + j] = rem[i + j] - c * b
-        if not all(field.is_zero(r) for r in rem[:d]):
+        c = rem[d]
+        if rem[:d] != (tail if _is_one(c) else [c * b for b in tail]):
             break
         coeffs, order = rem[d:], order + 1
     return order, Poly(field, coeffs, inner=True) if order else p

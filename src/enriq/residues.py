@@ -238,11 +238,12 @@ class SymbolSum:
         return f"SymbolSum[{self}]"
 
 
-def _tame(sym: FunctionFieldSymbol, a: int, b: int, unit, value):
+def _tame(a: int, b: int, f, g, unit, value):
     """``value`` times the tame residue ``(-1)^{ab} f^b g^{-a}`` of
     ``(f, g)``, where a and b are the valuations of f and g at the place
-    and ``unit(h)`` reduces the unit part of h into the residue field (the
-    u of ``split_at``, or at a fiber the Gauss unit of :func:`_gauss_split`).
+    and ``unit`` reduces f's or g's unit part into the residue field: f and
+    g are the u and w of ``split_at``, or at a fiber the slots themselves,
+    whose Gauss units ``unit`` reads off (:func:`_gauss_split`).
 
     The unit parts are reduced *before* exponentiation: writing
     u = f pi^{-a} and w = g pi^{-b}, the reduction of the full expression
@@ -252,9 +253,9 @@ def _tame(sym: FunctionFieldSymbol, a: int, b: int, unit, value):
     field instead of building huge function-field powers.
     """
     if b % 2:
-        value = value * unit(sym.f)
+        value = value * unit(f)
     if a % 2:
-        value = value * unit(sym.g)
+        value = value * unit(g)
     if (a * b) % 2:
         value = -value
     return value
@@ -264,10 +265,14 @@ def residue_symbol(sym: FunctionFieldSymbol, place: Place) -> SquareClass:
     """Tame residue of ``(f, g)`` at a place of the projective line: the
     class of ``(-1)^{v(f)v(g)} f^{v(g)} g^{-v(f)}`` reduced at the place
     (:func:`_tame`)."""
+    return _residue(split_at(sym.f, place), split_at(sym.g, place), place)
+
+
+def _residue(f_split, g_split, place: Place) -> SquareClass:
+    """:func:`residue_symbol` from the slots' splits (v, u) at the place."""
     rf = place.residue_field()
-    value = _tame(sym, valuation(sym.f, place), valuation(sym.g, place),
-                  lambda fn: rf.reduce(split_at(fn, place)[1]), rf.class_field.one())
-    return SquareClass(rf.class_field, value)
+    (a, u), (b, w) = f_split, g_split
+    return SquareClass(rf.class_field, _tame(a, b, u, w, rf.reduce, rf.class_field.one()))
 
 
 def _as_symbol_list(syms) -> list[FunctionFieldSymbol]:
@@ -276,14 +281,14 @@ def _as_symbol_list(syms) -> list[FunctionFieldSymbol]:
     return list(syms)
 
 
-def _verify_support(fn: RatFunc, places: Sequence[Place]) -> None:
-    """Check that the places listed exhaust fn's finite zeros and poles,
-    each once: with num and den coprime and den monic, distinct places do iff
-    their zeros fill deg num and their poles deg den (times place degree)."""
+def _verify_support(fn: RatFunc, orders) -> None:
+    """Check that the (place, fn's order there) pairs exhaust fn's finite
+    zeros and poles, each once: with num and den coprime and den monic,
+    distinct places do iff their zeros fill deg num and their poles deg den
+    (times place degree)."""
     support = {}
-    for place in places:
-        v = 0 if place.is_infinite else valuation(fn, place)
-        if v:
+    for place, v in orders:
+        if v and not place.is_infinite:
             if place in support:
                 raise ValueError(f"{place} is listed twice in the support of {fn}")
             support[place] = v
@@ -302,35 +307,34 @@ def symbol_profile(
 
     With ``places=None`` the support is discovered by factoring numerators
     and denominators (rational base field); otherwise the given places
-    are used after checking that they exhaust the support.
+    are used after checking that they exhaust the support.  The check and
+    the residues read one split of each slot at each place (``split_at``).
     """
     syms = _as_symbol_list(syms)
     if not syms:
         return {}
     base_field = syms[0].field
     if places is None:
-        seen: dict[Place, None] = {}
-        for sym in syms:
-            for fn in (sym.f, sym.g):
-                for place in support_places(fn, include_infinity=False):
-                    seen.setdefault(place, None)
-        place_list = list(seen) + [Place.infinite(base_field)]
+        place_list = list(dict.fromkeys(
+            place for sym in syms for fn in (sym.f, sym.g)
+            for place in support_places(fn, include_infinity=False))) + [Place.infinite(base_field)]
     else:
         place_list = list(places)
         if not any(p.is_infinite for p in place_list):
             place_list.append(Place.infinite(base_field))
-        for sym in syms:
-            for fn in (sym.f, sym.g):
-                _verify_support(fn, place_list)
-    place_list.sort(key=_place_sort_key)
+    table = [(place, [(split_at(sym.f, place), split_at(sym.g, place)) for sym in syms])
+             for place in place_list]
+    if places is not None:
+        for k, sym in enumerate(syms):
+            for side, fn in enumerate((sym.f, sym.g)):
+                _verify_support(fn, [(place, row[k][side][0]) for place, row in table])
+    table.sort(key=lambda entry: _place_sort_key(entry[0]))
     out: dict[Place, SquareClass] = {}
-    for place in place_list:
+    for place, row in table:
         total: Optional[SquareClass] = None
-        for sym in syms:
-            cls = residue_symbol(sym, place)
+        for f_split, g_split in row:
+            cls = _residue(f_split, g_split, place)
             total = cls if total is None else total * cls
-        if total is None:  # pragma: no cover - syms nonempty
-            continue
         if keep_trivial or not total.is_trivial():
             out[place] = total
     return out
@@ -396,8 +400,8 @@ def vertical_residue(syms, tplace: Place) -> SquareClass:
     field = tplace.residue_field().fibre_field
     total = field.one()
     for sym in _as_symbol_list(syms):
-        total = _tame(sym, gauss_valuation(sym.f, tplace), gauss_valuation(sym.g, tplace),
-                      lambda fn: _gauss_split(fn, tplace)[1], total)
+        total = _tame(gauss_valuation(sym.f, tplace), gauss_valuation(sym.g, tplace),
+                      sym.f, sym.g, lambda fn: _gauss_split(fn, tplace)[1], total)
     return SquareClass(field, total)
 
 
@@ -763,8 +767,8 @@ def _kummer_branch_residue(cover: KummerCover, syms, place: Place) -> SquareClas
     rational parametrisation of the branch curve."""
     value = cover.s_field.one()
     for sym in syms:
-        value = _tame(sym, valuation(sym.f, place), valuation(sym.g, place),
-                      lambda fn: _kummer_reduce(cover, split_at(fn, place)[1]), value)
+        (a, u), (b, w) = split_at(sym.f, place), split_at(sym.g, place)
+        value = _tame(a, b, u, w, lambda unit: _kummer_reduce(cover, unit), value)
     return SquareClass(cover.s_field, value)
 
 
@@ -833,19 +837,17 @@ def _structured_vertical(cover, func: DeclaredFunction,
     residue field, or None when no slot leaves one."""
     if isinstance(cover, KummerCover):
         return _kummer_vertical(cover, func.base, tplace)
-    rf = tplace.residue_field()
     finite_groups: dict = {}
     total = None
 
     for ell, a in zip(func.slot_functions(cover), cover.roots):
         m = valuation(ell, tplace)
-        va = None if a.is_zero() else valuation(a, tplace)
-        if va is not None and va < 0:
+        va, abar = _root_at(a, tplace)
+        if abar is None:
             # slot over the section at infinity: clear the pole against p^mu
             cls = _cleared(ell, m, a, va, tplace)
             total = cls if total is None else total * cls
         elif m:
-            abar = rf.class_field.zero() if va is None or va > 0 else rf.reduce(a)
             finite_groups.setdefault(_residue_key(abar), [abar, 0])[1] += m
 
     odd = [abar for abar, mult in finite_groups.values() if mult % 2]
@@ -857,6 +859,16 @@ def _structured_vertical(cover, func: DeclaredFunction,
             f"violates the divisor-parity condition on this fiber"
         )
     return total
+
+
+def _root_at(a: RatFunc, tplace: Place):
+    """Where the root x = a meets a fiber: (v, None) at a pole of order -v,
+    else (v, a-bar): 0 at a zero or when a = 0 (v None), else ``reduce(a)``."""
+    v = None if a.is_zero() else valuation(a, tplace)
+    if v is not None and v < 0:
+        return v, None
+    rf = tplace.residue_field()
+    return v, rf.class_field.zero() if v is None or v > 0 else rf.reduce(a)
 
 
 def _kummer_vertical(cover: KummerCover, ell: RatFunc,
@@ -967,12 +979,9 @@ def _compare(triples, left: str, right: str) -> dict:
 
 def _point_signature(a: RatFunc, tplace: Place):
     """Which point of the (nodal) image curve a component hits over tplace."""
-    v = None if a.is_zero() else valuation(a, tplace)
-    if v is not None and v < 0:
-        return ("S", _place_key(tplace))
-    rf = tplace.residue_field()
-    value = rf.class_field.zero() if v is None or v > 0 else rf.reduce(a)
-    return ("pt", _place_key(tplace), _residue_key(value))
+    abar = _root_at(a, tplace)[1]
+    return ("S", _place_key(tplace)) if abar is None else (
+        "pt", _place_key(tplace), _residue_key(abar))
 
 
 def _place_key(place: Place):
@@ -1254,10 +1263,7 @@ class ResidueSpec:
         return sorted(self.entries, key=_place_sort_key)
 
     def infinity_value(self):
-        for place, value in self.entries.items():
-            if place.is_infinite:
-                return value
-        return None
+        return next((value for place, value in self.entries.items() if place.is_infinite), None)
 
     def copy(self) -> "ResidueSpec":
         out = ResidueSpec(self.base)

@@ -6,7 +6,10 @@ and denominator, monic denominator, zero as 0/1.  ``factor_poly`` over Q
 is checked against ``sympy.Poly.factor_list``.  The kernels under the
 residue calculus (polynomial products and division, orders at a place,
 the shortcuts of ``RatFunc`` sums and products, and unit parts) are
-checked against sympy over Q and over Q(t).
+checked against sympy over Q and over Q(t).  The kernels that keep what
+they hold (the division's last step, the split at infinity, a place's
+hash, k(t)'s 0 and 1, Yun on a linear input) are checked against their
+earlier forms, written out in the tests.
 """
 
 import itertools
@@ -303,7 +306,7 @@ def _sympy_order(p: Poly, q: Poly) -> int:
 @example(Poly(QQ, [-2, 0, 1]), Poly(QQ, [0, 0, 0, 1]), Poly(QQ, [1]), 0, 1)
 def test_orders_at_linear_and_quadratic_places_match_sympy(q, a, b, k, m):
     num, den = a * q**k, b * q**m
-    assert funcfield._poly_order(num, q) == _sympy_order(num, q)
+    assert funcfield._divide_out(num, q)[0] == _sympy_order(num, q)
     place = Place.finite(q)
     expected = _sympy_order(num, q) - _sympy_order(den, q)
     assert valuation(RatFunc(num, den), place) == expected
@@ -635,3 +638,145 @@ def test_q_refuses_floats_strings_and_decimals(bad):
     ):
         with pytest.raises(TypeError):
             make()
+
+
+# -- kernels that keep what they hold --------------------------------------
+#
+# Each reference below is the kernel as it read before it stopped
+# rebuilding values: the division subtracts at its last step too, the unit
+# at infinity is a general product, and Yun's decomposition runs on a
+# degree-1 input as on any other.
+
+#: Q, Q(t) and Q(sqrt 5), each with scalars that include 0
+KERNEL_FIELDS = st.sampled_from([(QQ, small_rationals), (QT, short_ratfuncs),
+                                 (SQRT5, st.sampled_from(SQRT5_SCALARS))])
+
+
+def _subtract_then_test(p: Poly, q: Poly) -> tuple:
+    field, d = p.field, q.degree
+    coeffs, order = p.coeffs, 0
+    while len(coeffs) > d:
+        rem = list(coeffs)
+        for i in range(len(rem) - d - 1, -1, -1):
+            c = rem[i + d]
+            for j, b in enumerate(q.coeffs[:d]):
+                rem[i + j] = rem[i + j] - c * b
+        if not all(field.is_zero(r) for r in rem[:d]):
+            break
+        coeffs, order = rem[d:], order + 1
+    return order, Poly(field, coeffs, inner=True)
+
+
+@st.composite
+def division_cases(draw):
+    """(p, q): q monic of degree 1 or 2, its low coefficients possibly 0,
+    and p = a * q^k + r with a not monic in general and r small."""
+    field, scalars = draw(KERNEL_FIELDS)
+    q = Poly(field, draw(st.lists(scalars, min_size=1, max_size=2)) + [1])
+    polys = st.lists(scalars, max_size=3).map(lambda cs: Poly(field, cs))
+    a = draw(polys.filter(lambda p: not p.is_zero()))
+    p = a * q ** draw(st.integers(0, 2)) + draw(st.one_of(st.just(Poly(field, [])), polys))
+    return (p if not p.is_zero() else a), q
+
+
+@given(division_cases())
+@example((Poly(QQ, [-2, 0, 1]) ** 2 * Poly(QQ, [3, 0, 2]), Poly(QQ, [-2, 0, 1])))
+@example((Poly(QQ, [0, 0, 5]), Poly(QQ, [0, 1])))
+def test_divide_out_compares_where_it_subtracted(case):
+    p, q = case
+    order, rest = funcfield._divide_out(p, q)
+    want_order, want_rest = _subtract_then_test(p, q)
+    assert (order, rest) == (want_order, want_rest)
+
+
+@st.composite
+def functions_at_infinity(draw):
+    field, scalars = draw(KERNEL_FIELDS)
+    polys = st.lists(scalars, max_size=4).map(lambda cs: Poly(field, cs))
+    nonzero = polys.filter(lambda p: not p.is_zero())
+    # t^k factors on purpose, so that the shift meets low zero coefficients
+    shifts = st.integers(0, 2).map(lambda k: Poly(field, [0, 1]) ** k)
+    return RatFunc(draw(nonzero) * draw(shifts), draw(nonzero) * draw(shifts))
+
+
+@given(functions_at_infinity())
+def test_split_at_infinity_shifts_to_the_product_by_t_to_the_v(f):
+    place = Place.infinite(f.field)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Poly, "gcd", lambda *args: pytest.fail("split_at ran a gcd"))
+        v, u = split_at(f, place)
+    assert v == valuation(f, place)
+    want = f * RatFunc.variable(f.field) ** v
+    assert u == want
+    _assert_canonical_over(f.field, u)
+
+
+@st.composite
+def place_twins(draw):
+    """Two separately built polynomials for one place: linear over Q or
+    Q(t), or an irreducible quadratic over Q, the second written with
+    Fraction twins or rebuilt rational functions."""
+    kind = draw(st.sampled_from(["linear", "quadratic", "qt"]))
+    if kind == "qt":
+        r = draw(short_ratfuncs)
+        twin = RatFunc(Poly(QQ, [Fraction(c) for c in r.num.coeffs]), r.den)
+        return Poly(QT, [-r, 1]), Poly(QT, [-twin, 1])
+    q = draw(linear_places if kind == "linear" else quadratic_places)
+    return q, Poly(QQ, [Fraction(c) for c in q.coeffs], inner=True)
+
+
+@given(place_twins())
+def test_equal_places_hash_once_and_share_one_residue_field(twins):
+    p, q = twins
+    place, again = Place.finite(p), Place.finite(q)
+    assert place is not again and place.poly is not again.poly
+    assert place == again and hash(place) == hash(again)
+    assert {place: 1}[again] == 1
+    assert again.residue_field() is place.residue_field()
+    assert Place.infinite(p.field) == Place.infinite(p.field)
+    assert hash(Place.infinite(p.field)) == hash(Place.infinite(p.field))
+
+
+@given(KERNEL_FIELDS.flatmap(lambda fs: st.tuples(st.just(fs[0]), fs[1])))
+def test_rational_functions_keep_their_zero_and_one(case):
+    base, c = case
+    field = RationalFunctions("s", base)
+    zero, one = field.zero(), field.one()
+    assert zero is field.zero() and one is field.one()
+    assert zero == field.coerce(0) and one == field.coerce(1)
+    _assert_canonical_over(base, zero)
+    _assert_canonical_over(base, one)
+    const = RatFunc.constant(base, c)
+    assert zero + const == const and one * const == const and const * one == const
+    # a second field over the same base holds values equal to these
+    assert RationalFunctions("s", base).one() == one
+
+
+def _yun(p: Poly) -> list:
+    f = p.monic()
+    if f.degree == 0:
+        return []
+    g = f.gcd(f.derivative())
+    if g.degree == 0:
+        return [(f, 1)]
+    b, c = f // g, f.derivative() // g
+    d, out, i = c - b.derivative(), [], 1
+    while b.degree > 0:
+        a = b.gcd(d)
+        if a.degree > 0:
+            out.append((a.monic(), i))
+        b = b // a
+        c = d // a
+        d = c - b.derivative()
+        i += 1
+    return out
+
+
+@given(KERNEL_FIELDS.flatmap(lambda fs: st.lists(fs[1], min_size=1, max_size=4)
+                             .map(lambda cs: Poly(fs[0], cs))
+                             .filter(lambda p: not p.is_zero())))
+def test_square_free_decomposition_matches_yun(p):
+    got = funcfield.square_free_decomposition(p)
+    assert got == _yun(p)
+    if p.degree == 1:
+        assert got == [(p.monic(), 1)]

@@ -1,7 +1,7 @@
 """Runtime import hygiene: sympy and numpy are test oracles, not
 dependencies, the package defines its records without the dataclasses
-machinery (which also pulls in inspect), and no module imports another
-module's private name."""
+machinery (which also pulls in inspect), screens (1)-(7) import no tower,
+and no module imports another module's private name."""
 
 import ast
 import functools
@@ -49,6 +49,34 @@ def test_importing_every_module_pulls_in_no_numpy(flags):
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_importing_every_module_pulls_in_no_dataclasses_or_inspect(flags):
     assert not _heavy_modules_loaded(tuple(flags)) & {"dataclasses", "inspect"}
+
+
+#: what ``import enriq.conditions`` loads of the tower side of the package
+SCREENS_PROBE = """
+import sys
+import enriq.conditions
+print(" ".join(m for m in ("enriq.presets", "enriq.towers", "enriq.f2") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_screens_import_no_tower(flags):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, *flags, "-c", SCREENS_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
+
+
+def test_condition_8_reads_the_preset_tower_at_call_time(monkeypatch):
+    from enriq import conditions, presets
+
+    def refuse(a, b, c):
+        raise ValueError("no tower here")
+
+    monkeypatch.setattr(presets, "k_tower", refuse)
+    report = conditions.galois_generality_proxy(12, 111, 13)
+    assert report.detail == "tower construction failed: no tower here"
 
 
 def test_no_module_imports_another_modules_private_name():

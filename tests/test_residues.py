@@ -499,6 +499,31 @@ def test_compare_routes_runs_on_one_expansion(desks, monkeypatch):
             assert calls == {"validate": 1, "fibers": 1}, (desk.name, func.label)
 
 
+def test_desk_loop_runs_29_gcds(desks, monkeypatch):
+    """One loop of compare_routes and check_component_residues over the
+    desk functions runs 29 polynomial gcds (168 while the split at
+    infinity took a general product, the last division step subtracted and
+    Yun's decomposition ran on a linear factor).  What is left prints square
+    classes, factors and certifies the support places, and makes three
+    Q(t) coefficients monic."""
+    calls = []
+    gcd = Poly.gcd
+
+    def counted(p, q):
+        calls.append(p.field)
+        return gcd(p, q)
+
+    monkeypatch.setattr(Poly, "gcd", counted)
+    for desk in desks.values():
+        for func in desk.functions.values():
+            for routine in (compare_routes, check_component_residues):
+                try:
+                    routine(desk.cover, func)
+                except ResidueParityError:
+                    pass
+    assert len(calls) == 29
+
+
 def test_vertical_support_reads_the_validated_declaration():
     """Fibers come from the declared divisor summed per (component,
     place): a pair that cancels adds no fiber, and infinity comes once."""
